@@ -29,7 +29,6 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -355,16 +354,19 @@ def cmd_generator_check(v: dict) -> tuple[int, dict]:
         for h in steps
     ]
     pairs = [(r["h"], r["residual"]) for r in residuals if r["residual"] > 0]
+    slope = slope_reason = None
     if len(pairs) >= 2:
         slope = float(np.polyfit(
             np.log([p[0] for p in pairs]),
             np.log([p[1] for p in pairs]), 1)[0])
     else:
-        slope = math.inf  # residuals at machine zero: no measurable order
+        slope_reason = ("fewer than two nonzero residuals: "
+                        "no measurable order in h")
     report = _report("generator-check", dict(v), {
         "residual": residuals[0]["residual"],
         "residuals": residuals,
         "slope": slope,
+        "slope_reason": slope_reason,
     })
     _write(v["out"], dump_line(report))
     return 0, report

@@ -7,8 +7,12 @@ evaluate recursively, differentiate structurally, and never simplify
 themselves. Arithmetic operators are overloaded so callers can write
 ``1 - Z**2`` instead of spelling out nodes.
 
+``eval`` takes a complex scalar or a numpy array of points (lanes) and
+works elementwise on arrays. A constant subtree evaluates to a scalar,
+which broadcasts against the lanes.
+
 Evaluation raises PoleError whenever a denominator magnitude drops below
-EPS_POLE (1e-13).
+EPS_POLE (1e-13), on any single lane of an array.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BadParameter, PoleError
 
@@ -28,6 +34,14 @@ _DEN_PROBES = tuple(
     for r in (0.7, 0.31)
     for k in range(8)
 )
+
+
+def _raise_on_lane_pole(den: np.ndarray, z: np.ndarray, what: str):
+    """Array form of the pole check: PoleError names the first lane hit."""
+    hit = np.flatnonzero(np.abs(den) < EPS_POLE)
+    if hit.size:
+        raise PoleError("%s near z=%r"
+                        % (what, complex(z.flat[hit[0]]))) from None
 
 
 def _fmt_complex(v: complex) -> str:
@@ -174,8 +188,13 @@ class Mobius(HoloExpr):
 
     def eval(self, z):
         den = self.c * z + self.d
-        if abs(den) < EPS_POLE:
-            raise PoleError("Moebius pole near z=%r" % (z,))
+        # The scalar test costs nothing extra; an array of lanes makes the
+        # truth test raise ValueError and takes the elementwise check.
+        try:
+            if abs(den) < EPS_POLE:
+                raise PoleError("Moebius pole near z=%r" % (z,))
+        except ValueError:
+            _raise_on_lane_pole(den, z, "Moebius pole")
         return (self.a * z + self.b) / den
 
     def inverse(self) -> "Mobius":
@@ -211,8 +230,11 @@ class Ratio(HoloExpr):
 
     def eval(self, z):
         dv = self.den.eval(z)
-        if abs(dv) < EPS_POLE:
-            raise PoleError("denominator ~ 0 near z=%r" % (z,))
+        try:  # see Mobius.eval
+            if abs(dv) < EPS_POLE:
+                raise PoleError("denominator ~ 0 near z=%r" % (z,))
+        except ValueError:
+            _raise_on_lane_pole(dv, z, "denominator ~ 0")
         return self.num.eval(z) / dv
 
     def derivative(self):
@@ -276,6 +298,8 @@ class Exp(HoloExpr):
     """The exponential of the variable, exp(z)."""
 
     def eval(self, z):
+        if isinstance(z, np.ndarray):
+            return np.exp(z)
         return cmath.exp(z)
 
     def derivative(self):

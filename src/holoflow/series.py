@@ -10,12 +10,14 @@ at radius r,
     a_k = (1 / (M r^k)) * sum_j f(r e^{2 pi i j / M}) e^{-2 pi i j k / M},
 
 which is spectrally accurate for functions analytic on the closed disc of
-radius r. The default sampling radius is 0.5.
+radius r. The default sampling radius is 0.5. The same sampling turns
+the flow map of a symbol into its coefficients (semiflow.flow_series):
+there the samples come from integrating the circle points, not from an
+expression.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,9 +30,12 @@ DEFAULT_SAMPLE_RADIUS = 0.5
 
 # Circle sampling divides roundoff noise by r^k, so degree-k coefficients
 # carry an absolute error near machine_eps / r^k. Internal consumers that
-# need a full degree-N tail pick the radius below, which pins the noise
-# floor around 1e-12 uniformly in N (and asks for analyticity only up to
-# |z| = 0.9).
+# call taylor() for a full degree-N tail pick the radius below, which pins
+# the noise floor around 1e-12 for N up to about 87 and asks for
+# analyticity only up to |z| = 0.9; above that the 0.9 cap lets the noise
+# grow as 1e-16 / 0.9^N. The cap concerns taylor() only: flow maps send
+# the disc into itself and are sampled closer to |z| = 1 (see
+# semiflow.flow_series).
 _EPS_MACHINE = 1e-16
 _NOISE_FLOOR = 1e-12
 
@@ -138,16 +143,26 @@ def _compose_arrays(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return acc
 
 
+def circle_points(degree: int, r: float) -> np.ndarray:
+    """The M = max(4 degree, 64) equispaced sample points on |z| = r."""
+    m = max(4 * degree, 64)
+    return r * np.exp(2j * math.pi * np.arange(m) / m)
+
+
+def coeffs_from_samples(samples: np.ndarray, degree: int,
+                        r: float) -> SeriesFn:
+    """Trapezoidal Taylor coefficients from values at circle_points."""
+    hat = np.fft.fft(samples) / len(samples)
+    powers = r ** np.arange(degree + 1)
+    return SeriesFn(hat[: degree + 1] / powers)
+
+
 def taylor(f: HoloExpr, degree: int, r: float = DEFAULT_SAMPLE_RADIUS) -> SeriesFn:
     """Truncated Taylor coefficients of an expression about 0."""
     if degree < 0:
         raise BadParameter("degree must be nonnegative")
     if not 0.0 < r <= 1.0:
         raise BadParameter("sampling radius must lie in (0, 1]")
-    m = max(4 * degree, 64)
-    samples = np.empty(m, dtype=np.complex128)
-    for j in range(m):
-        samples[j] = f.eval(r * cmath.exp(2j * math.pi * j / m))
-    hat = np.fft.fft(samples) / m
-    powers = r ** np.arange(degree + 1)
-    return SeriesFn(hat[: degree + 1] / powers)
+    z = circle_points(degree, r)
+    samples = np.broadcast_to(f.eval(z), z.shape)  # a constant is a scalar
+    return coeffs_from_samples(samples, degree, r)

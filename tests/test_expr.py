@@ -2,6 +2,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from holoflow import (
     BadParameter,
@@ -112,3 +114,73 @@ def test_str_round_trips_through_grammar():
 def test_trees_are_hashable_and_equal_by_structure():
     assert Poly((0, 1)) == Poly((0, 1))
     assert hash(Sum(Z, Const(1))) == hash(Sum(Var(), Const(1.0)))
+
+
+# -- evaluation on arrays of lanes --------------------------------------------
+
+_LANES = np.array(_PROBES).reshape(4, 5)   # 2-D: the shape must survive
+
+
+def _scalar_evals(f, lanes):
+    return np.array([[f.eval(complex(z)) for z in row] for row in lanes])
+
+
+@pytest.mark.parametrize("f", _VARIANTS, ids=lambda f: type(f).__name__)
+def test_array_eval_matches_scalar_eval(f):
+    raw = f.eval(_LANES)
+    if isinstance(f, Const):
+        assert np.ndim(raw) == 0   # a scalar that broadcasts over the lanes
+    else:
+        assert raw.shape == _LANES.shape
+    got = np.broadcast_to(raw, _LANES.shape)
+    want = _scalar_evals(f, _LANES)
+    assert np.all(np.abs(got - want) <= 1e-14 * (1 + np.abs(want)))
+
+
+def test_array_eval_raises_when_one_lane_hits_a_pole():
+    lanes = np.array([0j, 0.3, -0.5j, 0.25 + 0.25j])
+    for f, pole in [(CAYLEY, 1.0),
+                    (Ratio(Const(1.0), Poly((1, -1))), 1.0),
+                    (Sum(Z, Ratio(Z, Poly((0.5, 1)))), -0.5),
+                    (Compose(CAYLEY, Poly((0, 2))), 0.5)]:
+        f.eval(lanes)   # no lane at the pole
+        hit = lanes.copy()
+        hit[2] = pole
+        with pytest.raises(PoleError):
+            f.eval(hit)
+
+
+_consts = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                             allow_infinity=False)
+_leaves = st.one_of(
+    st.just(Var()),
+    st.just(Exp()),
+    st.builds(Const, _consts),
+    st.builds(Poly, st.lists(_consts, min_size=1, max_size=4).map(tuple)),
+    st.just(CAYLEY),
+    st.just(Mobius(1, 0.3, -0.5, 1.0)),
+)
+_trees = st.recursive(_leaves, lambda kids: st.one_of(
+    st.builds(Sum, kids, kids),
+    st.builds(Product, kids, kids),
+    st.builds(Neg, kids),
+    st.builds(Compose, kids, kids),
+    st.builds(Ratio, kids, st.builds(Sum, st.just(Const(1.5)), kids)),
+), max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_trees)
+def test_array_eval_matches_scalar_eval_on_random_trees(f):
+    try:
+        want = _scalar_evals(f, _LANES)
+    except PoleError:
+        with pytest.raises(PoleError):
+            f.eval(_LANES)
+        return
+    except (OverflowError, ZeroDivisionError):
+        assume(False)
+    scale = float(np.max(np.abs(want)))
+    assume(np.isfinite(scale) and scale < 1e6)
+    got = np.broadcast_to(f.eval(_LANES), _LANES.shape)
+    assert np.all(np.abs(got - want) <= 1e-9 * (1 + scale))

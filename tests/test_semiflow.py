@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -186,6 +187,52 @@ def test_flow_series_matches_pointwise_flow():
 def test_flow_series_escape_precondition():
     with pytest.raises(EscapeError):
         flow_series(DOUBLING, 2.0, 8, 1e-9)
+    # The sampling circle |z| = 0.5 leaves the disc at t = ln 2, before
+    # any point of radius 0.25 would.
+    with pytest.raises(EscapeError):
+        flow_series(DOUBLING, 1.0, 8, 1e-9)
+
+
+def mobius_flow_coeffs(a, degree):
+    """Coefficients of (z + a)/(1 + a z): the tanh flow with tanh(c t) = a."""
+    c = np.zeros(degree + 1, dtype=complex)
+    c[0] = a
+    k = np.arange(1, degree + 1)
+    c[1:] = (1 - a * a) * (-a) ** (k - 1)
+    return c
+
+
+def linear_flow_coeffs(rate, t, degree):
+    c = np.zeros(degree + 1, dtype=complex)
+    c[1] = cmath.exp(rate * t)
+    return c
+
+
+_CLOSED_FORMS = {
+    "1-z^2": lambda t, n: mobius_flow_coeffs(math.tanh(t), n),
+    "0.7*(1-z^2)": lambda t, n: mobius_flow_coeffs(math.tanh(0.7 * t), n),
+    "(-0.5+1.2i)*z": lambda t, n: linear_flow_coeffs(-0.5 + 1.2j, t, n),
+    "1.5i*z": lambda t, n: linear_flow_coeffs(1.5j, t, n),
+}
+
+
+@pytest.mark.parametrize("degree", [8, 32, 64, 128, 256])
+@pytest.mark.parametrize("symbol", sorted(_CLOSED_FORMS))
+def test_flow_series_matches_closed_forms(symbol, degree):
+    fs = flow_series(parse_symbol(symbol), 1.0, degree, 1e-10)
+    want = _CLOSED_FORMS[symbol](1.0, degree)
+    assert np.max(np.abs(fs.coeffs.coeffs - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("t, degree", [(12.0, 32), (9.5, 128)])
+def test_flow_series_long_tanh_horizons(t, degree):
+    # The lanes approach the boundary point +1 without reaching it.
+    start = time.perf_counter()
+    fs = flow_series(TANH, t, degree, 1e-9)
+    elapsed = time.perf_counter() - start
+    want = mobius_flow_coeffs(math.tanh(t), degree)
+    assert np.max(np.abs(fs.coeffs.coeffs - want)) <= 1e-9
+    assert elapsed < 1.0
 
 
 def test_half_plane_escape_to_infinity():
