@@ -24,11 +24,15 @@ JSON reports embed schema_version "1" (schemas/report-v1.json). Exit
 codes: 0 success, 1 parse error, 2 numeric failure, 3 escape result,
 4 inconclusive verdict. Two runs with identical configs produce
 byte-identical artifacts.
+
+The argument parser is built once per process, on the first call to
+main, and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -174,6 +178,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="holoflow", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

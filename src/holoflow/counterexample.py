@@ -14,6 +14,11 @@ flow never misbehaves on the larger disc. The run below demonstrates
 exactly that geometry and reports the first crossing time, confinement to
 the big disc, and the distance to b at the end of the run.
 
+The crossing time is the escape time of the same flow on the unit disc:
+one integration under the wall and escape rules of semiflow.integrate,
+which stops at the crossing, so it carries the same solver-tolerance
+certificate as every other escape time.
+
 Restricted to the unit disc the symbol has no zero in the closed disc at
 all, so the globality classifier can only reject it, via an escape
 witness.
@@ -29,15 +34,13 @@ import numpy as np
 from .errors import BadParameter, DomainError, EscapeError, HerglotzError
 from .expr import Const, HoloExpr, Poly, Product
 from .geometry import Domain
-from .semiflow import Trajectory, integrate
+from .semiflow import Trajectory, escape_time, integrate
 
 BIG_RADIUS = 2.0
 
 DEFAULT_B = 1.5 + 0j
 DEFAULT_T_LONG = 20.0
 DEFAULT_DW_TOL = 1e-3
-
-_CROSSING_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -90,12 +93,14 @@ def run_counterexample(b: complex, F: HoloExpr, z0: complex,
                        density: int = 2) -> CounterexampleReport:
     """Flow the counterexample symbol from a unit-disc seed.
 
-    Integrates on the radius-2 disc through t_long, locates the first
-    crossing of |z| = 1 by bisection (re-integrating to the midpoint each
-    time, refined to 1e-10), and records the distance to b at the end.
-    If no crossing happens before t_long the report carries a warning
-    instead of an exit time; if the flow leaves the radius-2 disc the
-    run raises EscapeError, which indicates F is not Herglotz there.
+    Integrates on the radius-2 disc through t_long and records the
+    distance to b at the end. When a recorded sample of that trajectory
+    reaches |z| >= 1, the first crossing time is the escape time of the
+    flow from z0 on the unit disc (one more integration, which stops at
+    the crossing). If no sample crosses before t_long the report carries
+    a warning instead of an exit time; if the flow leaves the radius-2
+    disc the run raises EscapeError, which indicates F is not Herglotz
+    there.
     """
     b = complex(b)
     z0 = complex(z0)
@@ -108,7 +113,9 @@ def run_counterexample(b: complex, F: HoloExpr, z0: complex,
         raise EscapeError(
             "flow left the radius-2 disc at t=%r; F fails the Herglotz "
             "condition there" % traj.status.t_escape)
-    t_exit = _first_crossing(G, domain, z0, traj, tol)
+    t_exit = None
+    if np.any(np.abs(traj.points) >= 1.0):
+        t_exit = escape_time(G, Domain.unit_disc(), z0, t_long, tol)
     warning = None
     if t_exit is None:
         warning = ("no crossing of |z| = 1 before t=%g; the seed may "
@@ -124,23 +131,3 @@ def run_counterexample(b: complex, F: HoloExpr, z0: complex,
         trajectory=traj,
     )
 
-
-def _first_crossing(G: HoloExpr, domain: Domain, z0: complex,
-                    traj: Trajectory, tol: float) -> Optional[float]:
-    mags = np.abs(traj.points)
-    beyond = np.nonzero(mags >= 1.0)[0]
-    if len(beyond) == 0:
-        return None
-    i = int(beyond[0])
-    if i == 0:
-        return 0.0
-    lo = float(traj.times[i - 1])
-    hi = float(traj.times[i])
-    while hi - lo > _CROSSING_TOL:
-        mid = 0.5 * (lo + hi)
-        point = integrate(G, domain, z0, mid, tol).final_point
-        if abs(point) >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)

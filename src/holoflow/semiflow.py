@@ -102,7 +102,6 @@ _E = (
 
 COMPLETED = "Completed"
 ESCAPED = "Escaped"
-FAILED = "Failed"
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,6 @@ class Status:
     t_escape: Optional[float] = None
     exit_point: Optional[complex] = None
     at_infinity: bool = False
-    reason: Optional[str] = None
 
     @classmethod
     def completed(cls, horizon: float) -> "Status":
@@ -122,10 +120,6 @@ class Status:
     def escaped(cls, t_escape, exit_point, at_infinity=False) -> "Status":
         return cls(ESCAPED, t_escape=t_escape, exit_point=exit_point,
                    at_infinity=at_infinity)
-
-    @classmethod
-    def failed(cls, reason: str) -> "Status":
-        return cls(FAILED, reason=reason)
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,17 +428,15 @@ def flow_series(G: HoloExpr, t: float, degree: int, tol: float) -> FlowSeries:
 def _status_text(status: Status) -> str:
     if status.kind == COMPLETED:
         return "Completed horizon=%.17g" % status.horizon
-    if status.kind == ESCAPED:
-        p = status.exit_point
-        return "Escaped t_escape=%.17g exit=%.17g,%.17g at_infinity=%d" % (
-            status.t_escape, p.real, p.imag, int(status.at_infinity))
-    return "Failed reason=%s" % (status.reason,)
+    p = status.exit_point
+    return "Escaped t_escape=%.17g exit=%.17g,%.17g at_infinity=%d" % (
+        status.t_escape, p.real, p.imag, int(status.at_infinity))
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV text: header, one row per sample, trailing status comment."""
     lines = ["t,re,im"]
-    for t, p in zip(traj.times, traj.points):
+    for t, p in zip(traj.times.tolist(), traj.points.tolist()):
         lines.append("%.17g,%.17g,%.17g" % (t, p.real, p.imag))
     lines.append("# status=%s" % _status_text(traj.status))
     return "\n".join(lines) + "\n"

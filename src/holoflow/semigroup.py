@@ -179,13 +179,10 @@ def strong_continuity_report(G: HoloExpr, f: SeriesFn, space: CoefSpace,
 
 def matrix_to_csv(m: OperatorMatrix) -> str:
     """Row-major CSV; each entry contributes a re,im pair of columns."""
+    row_format = ",".join(["%.17g"] * (2 * m.entries.shape[1]))
+    rows = np.ascontiguousarray(m.entries).view(np.float64).tolist()
     lines = ["# t=%.17g N=%d" % (m.t, m.degree)]
-    for row in m.entries:
-        cells = []
-        for v in row:
-            cells.append("%.17g" % v.real)
-            cells.append("%.17g" % v.imag)
-        lines.append(",".join(cells))
+    lines.extend(row_format % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

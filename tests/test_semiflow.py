@@ -10,7 +10,9 @@ from holoflow import (
     Domain,
     DomainError,
     EscapeError,
+    Status,
     StiffnessError,
+    Trajectory,
     backward_integrate,
     escape_time,
     flow_series,
@@ -254,3 +256,20 @@ def test_csv_format():
     assert text.endswith("\n")
     traj = integrate(DOUBLING, DISC, 0.5, 2.0, 1e-9)
     assert "# status=Escaped t_escape=" in trajectory_to_csv(traj)
+
+
+def test_csv_matches_per_number_reference():
+    edge = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.1, 1 / 3]
+    times = np.array(edge + [2.0, 3.5])
+    points = np.array([complex(a, b) for a, b in zip(edge, edge[::-1])]
+                      + [complex(-0.0, 1e300), 0.25 - 0.5j])
+    for traj in (Trajectory(times, points, Status.completed(3.5)),
+                 Trajectory(times, points, Status.escaped(3.5, -0.0j)),
+                 integrate(TANH, DISC, 0.3j, 4.0, 1e-9)):
+        lines = ["t,re,im"]
+        for t, p in zip(traj.times, traj.points):
+            lines.append("%.17g,%.17g,%.17g" % (t, p.real, p.imag))
+        status = trajectory_to_csv(traj).splitlines()[-1]
+        assert status.startswith("# status=")
+        lines.append(status)
+        assert trajectory_to_csv(traj) == "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ from holoflow import (
     BadParameter,
     CoefSpace,
     EscapeError,
+    OperatorMatrix,
     SeriesFn,
     apply,
     generator_action,
@@ -126,6 +127,25 @@ class TestOperatorMatrix:
         assert lines[0].startswith("# t=0.5 N=3")
         assert len(lines) == 5
         assert len(lines[1].split(",")) == 8
+
+    def test_csv_matches_per_number_reference(self):
+        edge = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.1, 1 / 3,
+                -2.2250738585072014e-308, 123456789.0]
+        rng = np.random.default_rng(11)
+        entries = (rng.choice(edge, (6, 6))
+                   + 1j * rng.choice(edge, (6, 6)))
+        entries[0, :4] = [complex(-0.0, 5e-324), 1e300j, -0.0j, 0j]
+        for m in (OperatorMatrix(0.25, 5, entries),
+                  OperatorMatrix(-0.0, 5, np.asfortranarray(entries.T)),
+                  operator_matrix(TANH, 0.4, 12, 1e-10)):
+            lines = ["# t=%.17g N=%d" % (m.t, m.degree)]
+            for row in m.entries:
+                cells = []
+                for v in row:
+                    cells.append("%.17g" % v.real)
+                    cells.append("%.17g" % v.imag)
+                lines.append(",".join(cells))
+            assert matrix_to_csv(m) == "\n".join(lines) + "\n"
 
     def test_summary_consistency(self):
         m = operator_matrix(TANH, 0.4, 12, 1e-10)
