@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -76,17 +77,17 @@ def _cpair(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError("complex values are 're,im' pairs, got %r" % (text,))
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise ParseError("bad complex value %r" % (text,)) from None
+    return complex(_float(parts[0]), _float(parts[1]))
 
 
 def _float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError("bad number %r" % (text,)) from None
+    if not math.isfinite(value):
+        raise ParseError("number %r is not finite" % (text,))
+    return value
 
 
 def _int(text: str) -> int:

@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from .classify import _herglotz_on
 from .errors import BadParameter, DomainError, EscapeError, HerglotzError
 from .expr import Const, HoloExpr, Poly, Product
 from .geometry import Domain
@@ -74,14 +75,11 @@ def build_counterexample(b: complex, F: HoloExpr = Const(1.0),
     b = complex(b)
     if not 1.0 < abs(b) < BIG_RADIUS:
         raise BadParameter("need 1 < |b| < 2, got |b| = %r" % abs(b))
-    worst = None
-    for p in big_disc().sample_grid(density):
-        v = F.eval(p)
-        if worst is None or v.real < worst[0]:
-            worst = (v.real, p)
-    if worst[0] < 0.0:
-        raise HerglotzError(
-            "Re F = %r < 0 at z = %r on the radius-2 disc" % worst)
+    worst = _herglotz_on(F, big_disc().sample_grid(density),
+                         probe_singularities=False)
+    if worst.min_re < 0.0:
+        raise HerglotzError("Re F = %r < 0 at z = %r on the radius-2 disc"
+                            % (worst.min_re, worst.argmin))
     factor = Product(Poly((-1.0, b.conjugate() / (BIG_RADIUS ** 2))),
                      Poly((-b, 1.0)))
     return Product(F, factor)

@@ -1,15 +1,15 @@
 """Flow integration for u' = G(u) on a planar domain.
 
-The complex-valued initial value problem is integrated with an embedded
-Dormand-Prince 4(5) pair directly in complex arithmetic (equivalent to the
-two-dimensional real system). Local error per step is kept below
-tol * (1 + |u|). A proposed step is rejected and halved when its endpoint
-leaves the domain or lands closer than DELTA_WALL to the boundary; when
-the step size underflows H_MIN while the current point sits within
-ESCAPE_DISTANCE of the boundary, the trajectory is declared escaped at the
-current time (the reject/halve cascade is a bisection of the last accepted
-step, so the crossing is bracketed to within H_MIN). Step underflow away
-from the boundary raises StiffnessError instead. An escaped status is a
+One driver, _drive, does all the integration: an embedded Dormand-Prince
+4(5) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 1980) in complex
+arithmetic, on one complex state or on an array of lanes that share one
+step sequence. A step passes when tol * (1 + |u|) / |err| >= 1 (least over
+lanes); a step whose endpoint the caller's admission rule refuses, or
+whose evaluation fails, is halved. When the step size underflows H_MIN
+within ESCAPE_DISTANCE of the boundary the run ends in an escape at the
+current time (the reject/halve cascade bisects the last accepted step, so
+the crossing is bracketed to within H_MIN); underflow farther away, or
+more than _MAX_STEPS steps, raises StiffnessError. An escape is a
 solver-tolerance certificate, never a proof.
 
 Fixed constants:
@@ -19,30 +19,32 @@ Fixed constants:
     H_MIN           = 1e-12  minimal step size
     R_MAX           = 1e8    escape-to-infinity cap on unbounded domains
 
-Recorded trajectories carry the adaptive step points plus dense output at
-max(64, ceil(16 * horizon)) uniform times filled in by cubic Hermite
-interpolation (the final point is always an exact integration endpoint).
+Trajectories (integrate): the wall rule with dense output, on Python
+scalars (a one-lane array costs over ten times more per step). An
+endpoint is refused when it is non-finite, outside the domain, or closer
+than DELTA_WALL to the boundary; on an unbounded domain an endpoint beyond
+R_MAX ends the run as an escape to infinity. Recorded trajectories carry
+the adaptive step points plus dense output at max(64, ceil(16 * horizon))
+uniform times filled in by cubic Hermite interpolation (the final point
+is always an exact integration endpoint).
 
-Flow coefficients (flow_series). The degree-N Taylor coefficients of the
-flow map z -> phi(t, z) on the unit disc come from sampling it on a circle
-and applying the FFT, as series.taylor does for an expression:
+Flow coefficients (flow_series): the open-disc rule with shared lanes.
+The degree-N Taylor coefficients of the flow map z -> phi(t, z) on the
+unit disc come from sampling it on a circle and applying the FFT, as
+series.taylor does for an expression:
 
   * Lanes. The M = max(4N, 64) points of |z| = r and five interior points
     (0, +-0.25, +-0.25i) form one complex array, and every lane is
     integrated at once through all requested times. Each recorded state
     of the circle lanes is turned into coefficients by one FFT.
-  * Shared step. All lanes take the same Dormand-Prince step sequence, and
-    the error norm is max over lanes of |err| / (tol (1 + |u|)). With one
-    step sequence the numerical flow map is itself holomorphic in z, so
-    its integration error has rapidly decaying coefficients instead of
-    noise amplified by 1 / r^k.
-  * Open-disc rule. A step is rejected only when some lane reaches
-    |u| >= 1, turns non-finite, or makes the symbol raise; there is no
-    DELTA_WALL here, so lanes drawn towards a boundary attractor (the
-    tanh flow of 1 - z^2) keep advancing. When the step size underflows
-    H_MIN with a lane within ESCAPE_DISTANCE of the circle, EscapeError
-    is raised (the flow of that lane leaves the disc); underflow away
-    from the boundary raises StiffnessError.
+  * Shared step. With one step sequence the numerical flow map is itself
+    holomorphic in z, so its integration error has rapidly decaying
+    coefficients instead of noise amplified by 1 / r^k.
+  * Open-disc rule. An endpoint is refused only when some lane reaches
+    |u| >= 1 or turns non-finite; there is no DELTA_WALL here, so lanes
+    drawn towards a boundary attractor (the tanh flow of 1 - z^2) keep
+    advancing. Escape is judged by 1 - max |u| over lanes, and raises
+    EscapeError (the flow of that lane leaves the disc).
   * Radius. r = max(0.5, (1e-4)^(1/N)). Since |phi(t, z)| < 1, the
     roundoff noise of coefficient N is about 1e-16 / r^N = 1e-12 at
     every degree (Bornemann, FoCM 2011), without the 0.9 cap of
@@ -184,94 +186,118 @@ def _check_tol(tol: float):
         raise BadParameter("tol must lie in [1e-13, 1e-3]")
 
 
+# Verdicts of an admission rule on the endpoint of a proposed step.
+_ACCEPT = "accept"  # go on to the error test
+_REJECT = "reject"  # halve the step
+_STOP = "stop"      # end the run at the endpoint
+
+
+def _error_ratio(u, err, tol: float) -> float:
+    """tol * (1 + |u|) / |err|, least over lanes; the step passes at >= 1."""
+    if isinstance(err, np.ndarray):
+        return tol / float(np.max(np.abs(err) / (1.0 + np.abs(u))))
+    err_mag = abs(err)
+    return tol * (1.0 + abs(u)) / err_mag if err_mag else math.inf
+
+
+def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None):
+    """Integrate from time 0 through the positive, nondecreasing stop
+    times, landing exactly on each.
+
+    u is a complex number or an array of lanes. admit(y) judges each step
+    endpoint with _ACCEPT, _REJECT or _STOP; boundary_distance(u) decides
+    escape against stiffness at step underflow; accepted(t, h, u, k,
+    t_next, y, k_y) sees every accepted step, with slopes k and k_y.
+
+    Returns (states, t, u, stopped): the state at every stop time reached,
+    then where the run ended. It ends early on _STOP (stopped is True, u is
+    that endpoint) or on an escape at underflow (u is the last accepted
+    state).
+    """
+    states = []
+    t = 0.0
+    k1 = rhs(u)  # a pole at the starting point propagates to the caller
+    h = min(1e-3, stops[-1])
+    steps = 0
+    for stop in stops:
+        while t < stop:
+            steps += 1
+            if steps > _MAX_STEPS:
+                raise StiffnessError("step limit exceeded")
+            h = min(h, stop - t)
+            try:
+                y5, err, k7 = _dp_step(rhs, u, h, k1)
+                verdict = admit(y5)
+                if verdict is _ACCEPT:
+                    ratio = _error_ratio(u, err, tol)
+            except (HoloflowError, OverflowError, ZeroDivisionError):
+                verdict = _REJECT
+            if verdict is _STOP:
+                return states, t + h, y5, True
+            if verdict is _REJECT:
+                h *= 0.5
+            elif ratio >= 1.0:
+                t_next = stop if h == stop - t else t + h
+                if accepted is not None:
+                    accepted(t, h, u, k1, t_next, y5, k7)
+                t, u, k1 = t_next, y5, k7
+                h *= min(5.0, max(0.2, 0.9 * ratio ** 0.2))
+                continue
+            else:
+                h *= min(0.7, max(0.1, 0.9 * ratio ** 0.2))
+            if h < H_MIN:
+                if boundary_distance(u) < ESCAPE_DISTANCE:
+                    return states, t, u, False
+                raise StiffnessError(
+                    "step size underflow at t=%r away from the boundary" % t)
+        states.append(u)
+    return states, t, u, False
+
+
 def integrate(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
               tol: float) -> Trajectory:
     """Integrate u' = G(u) from z0 until the horizon or a boundary escape."""
     _check_tol(tol)
-    if not horizon > 0:
-        raise BadParameter("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise BadParameter("horizon must be positive and finite")
     if not domain.contains(z0):
         raise DomainError("initial point %r outside the domain" % (z0,))
-
-    def rhs(u: complex) -> complex:
-        return G.eval(u)
 
     n_dense = max(64, math.ceil(16 * horizon))
     dense_times = [horizon * k / n_dense for k in range(1, n_dense)]
     dense_i = 0
-
     times = [0.0]
     points = [complex(z0)]
-    t = 0.0
-    u = complex(z0)
-    k1 = rhs(u)  # a pole at the seed propagates to the caller
-    h = min(1e-3, horizon)
-    status = None
-    steps = 0
 
-    def shrink(factor: float) -> bool:
-        """Shrink h; True means escape/stiffness was decided."""
-        nonlocal h, status
-        h *= factor
-        if h >= H_MIN:
-            return False
-        if domain.boundary_distance(u) < ESCAPE_DISTANCE:
-            status = Status.escaped(t, u)
-            return True
-        raise StiffnessError(
-            "step size underflow at t=%r away from the boundary" % t)
+    def admit(y: complex) -> str:
+        if not (math.isfinite(y.real) and math.isfinite(y.imag)):
+            return _REJECT
+        if not domain.bounded and abs(y) > R_MAX:
+            return _STOP
+        if not domain.contains(y) or domain.boundary_distance(y) < DELTA_WALL:
+            return _REJECT
+        return _ACCEPT
 
-    while t < horizon:
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise StiffnessError("step limit exceeded")
-        h = min(h, horizon - t)
-        try:
-            y5, err, k7 = _dp_step(rhs, u, h, k1)
-            bad = not (math.isfinite(y5.real) and math.isfinite(y5.imag))
-        except (HoloflowError, OverflowError, ZeroDivisionError):
-            bad = True
-        if bad:
-            if shrink(0.5):
-                break
-            continue
-        if not domain.bounded and abs(y5) > R_MAX:
-            times.append(t + h)
-            points.append(y5)
-            status = Status.escaped(t + h, y5, at_infinity=True)
-            break
-        if not domain.contains(y5) or domain.boundary_distance(y5) < DELTA_WALL:
-            if shrink(0.5):
-                break
-            continue
-        scale = tol * (1.0 + abs(u))
-        err_mag = abs(err)
-        if err_mag > scale:
-            factor = 0.9 * (scale / err_mag) ** 0.2
-            if shrink(min(0.7, max(0.1, factor))):
-                break
-            continue
-        # accepted: fill uniform dense output across (t, t+h)
+    def record(t, h, u, k1, t_next, y, k_y):
+        # uniform dense output across (t, t + h), then the step endpoint
+        nonlocal dense_i
         while dense_i < len(dense_times) and dense_times[dense_i] < t + h:
             td = dense_times[dense_i]
             if td > t:
-                theta = (td - t) / h
                 times.append(td)
-                points.append(_hermite(theta, u, k1, y5, k7, h))
+                points.append(_hermite((td - t) / h, u, k1, y, k_y, h))
             dense_i += 1
-        t += h
-        u = y5
-        k1 = k7
-        if times[-1] != t:
-            times.append(t)
-            points.append(u)
-        if err_mag == 0.0:
-            h *= 5.0
-        else:
-            h *= min(5.0, max(0.2, 0.9 * (scale / err_mag) ** 0.2))
+        if times[-1] != t_next:
+            times.append(t_next)
+            points.append(y)
 
-    if status is None:
-        status = Status.completed(horizon)
+    reached, t, u, stopped = _drive(G.eval, complex(z0), [horizon], tol,
+                                    admit, domain.boundary_distance, record)
+    if stopped:
+        times.append(t)
+        points.append(u)
+    status = (Status.completed(horizon) if reached
+              else Status.escaped(t, u, at_infinity=stopped))
     return Trajectory(np.array(times), np.array(points), status)
 
 
@@ -334,74 +360,27 @@ _FLOW_NOISE_GAIN = 1e-4
 _INTERIOR_LANES = (0j, 0.25, 0.25j, -0.25, -0.25j)
 
 
-def _advance_lanes(G: HoloExpr, u0: np.ndarray, targets: list[float],
-                   tol: float) -> list[np.ndarray]:
-    """Lane states at each target time, from one shared step sequence.
-
-    targets must be nondecreasing and positive; the step rules are those
-    of the module docstring (open-disc rejection, max-over-lanes error).
-    """
-    out = []
-    t = 0.0
-    u = u0
-    k1 = G.eval(u)  # a pole at a starting lane propagates to the caller
-    h = min(1e-3, targets[-1])
-    steps = 0
-    with np.errstate(all="ignore"):  # non-finite lanes are rejected below
-        for target in targets:
-            while t < target:
-                steps += 1
-                if steps > _MAX_STEPS:
-                    raise StiffnessError("step limit exceeded in flow series")
-                step = min(h, target - t)
-                try:
-                    y5, err, k7 = _dp_step(G.eval, u, step, k1)
-                    inside = bool(np.all(np.abs(y5) < 1.0))  # False on NaN
-                except (HoloflowError, OverflowError, ZeroDivisionError):
-                    inside = False
-                if inside:
-                    err_norm = float(np.max(np.abs(err) / (1.0 + np.abs(u))))
-                    ratio = err_norm / tol
-                    if ratio <= 1.0:
-                        t = target if step == target - t else t + step
-                        u = y5
-                        k1 = k7
-                        if ratio == 0.0:
-                            h = step * 5.0
-                        else:
-                            h = step * min(5.0, max(0.2, 0.9 * ratio ** -0.2))
-                        continue
-                    h = step * min(0.7, max(0.1, 0.9 * ratio ** -0.2))
-                else:
-                    h = step * 0.5
-                if h < H_MIN:
-                    lane = int(np.argmax(np.abs(u)))
-                    if 1.0 - abs(u[lane]) < ESCAPE_DISTANCE:
-                        raise EscapeError(
-                            "flow from %r leaves the unit disc at t=%r < %r"
-                            % (complex(u0[lane]), t, targets[-1]))
-                    raise StiffnessError(
-                        "step size underflow in flow series at t=%r" % t)
-            out.append(u)
-    return out
+def _inside_unit_disc(y: np.ndarray) -> str:
+    return _ACCEPT if np.all(np.abs(y) < 1.0) else _REJECT  # NaN rejects
 
 
 def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
                       tol: float) -> list[SeriesFn]:
     """Flow coefficient series at several times in one integration pass.
 
-    times must be nondecreasing and nonnegative; time 0 gives the exact
-    identity series. See the module docstring for the method.
+    times must be finite, nondecreasing and nonnegative; time 0 gives the
+    exact identity series. See the module docstring for the method.
     """
     _check_tol(tol)
     if degree < 1:
         raise BadParameter("flow series need degree >= 1")
     if not times:
         return []
-    if any(x < 0 for x in times) or any(
+    if not all(0 <= x < math.inf for x in times) or any(
         b < a for a, b in zip(times, times[1:])
     ):
-        raise BadParameter("times must be nondecreasing and nonnegative")
+        raise BadParameter(
+            "times must be finite, nondecreasing and nonnegative")
     identity = SeriesFn.identity(degree)
     positive = [x for x in times if x > 0.0]
     if not positive:
@@ -409,7 +388,14 @@ def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
     r = max(0.5, _FLOW_NOISE_GAIN ** (1.0 / degree))
     circle = circle_points(degree, r)
     lanes = np.concatenate([circle, _INTERIOR_LANES])
-    states = _advance_lanes(G, lanes, positive, tol)
+    with np.errstate(all="ignore"):  # non-finite lanes are rejected
+        states, t, u, _ = _drive(
+            G.eval, lanes, positive, tol, _inside_unit_disc,
+            lambda u: 1.0 - float(np.max(np.abs(u))))
+    if len(states) < len(positive):
+        lane = int(np.argmax(np.abs(u)))
+        raise EscapeError("flow from %r leaves the unit disc at t=%r < %r"
+                          % (complex(lanes[lane]), t, positive[-1]))
     m = len(circle)
     flows = [coeffs_from_samples(u[:m], degree, r) for u in states]
     return [identity] * (len(times) - len(positive)) + flows

@@ -344,6 +344,8 @@ def _parse_beta(value: str, full: str) -> BetaRule:
         x = float(param)
     except ValueError:
         raise ParseError("bad beta parameter in %r" % (full,)) from None
+    if not math.isfinite(x):
+        raise ParseError("beta parameter in %r must be finite" % (full,))
     if kind == "pow":
         return BetaRule.power(x)
     if kind == "geom":

@@ -43,9 +43,6 @@ class ConformalPair:
                 raise BadParameter(
                     "inverse fails on target probe %r" % (w,))
 
-    def reversed(self) -> "ConformalPair":
-        return ConformalPair(self.h_inv, self.h, self.target, self.source)
-
 
 def cayley() -> ConformalPair:
     """Unit disc onto the upper half-plane, z -> i (1 + z)/(1 - z)."""

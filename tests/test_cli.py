@@ -1,9 +1,11 @@
 import json
+import math
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from holoflow import parse_symbol
 from holoflow.cli import _build_parser, main
 
 
@@ -98,3 +100,127 @@ def test_counterexample_exit_codes_and_reruns(tmp_path, schema, capsys,
         assert doc["t_exit"] > 0 and doc["warning"] is None
     else:
         assert doc["t_exit"] is None and doc["warning"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--symbol", "z", "--z0", "0.5,0", "--horizon", "inf"],
+    ["flow", "--symbol", "z", "--z0", "nan,0"],
+    ["evolve", "--symbol", "-z", "--f", "z", "--N", "8", "--t", "inf"],
+    ["evolve", "--symbol", "-z", "--f", "z", "--N", "8", "--t", "nan"],
+    ["classify", "--symbol", "-z", "--escape-tmax", "nan"],
+    ["counterexample", "--dw-tol", "nan"],
+    ["check-e", "--space", "hpbeta:p=2,beta=pow:nan"],
+    ["check-e", "--space", "hpbeta:p=2,beta=geom:inf"],
+], ids=["flow-horizon-inf", "flow-z0-nan", "evolve-t-inf", "evolve-t-nan",
+        "classify-tmax-nan", "counterexample-dwtol-nan", "check-e-pow-nan",
+        "check-e-geom-inf"])
+def test_non_finite_numbers_are_parse_errors(tmp_path, capsys, argv):
+    out = tmp_path / "artifact"
+    assert main(argv + ["--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
+    assert not out.exists()
+
+
+def _run_twice(capsys, argv, artifacts):
+    """Exit code, stdout summary and artifact bytes; both runs must agree."""
+    runs = []
+    for _ in range(2):
+        code = main(argv)
+        summary = json.loads(capsys.readouterr().out)
+        runs.append((code, summary, [p.read_bytes() for p in artifacts]))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+@pytest.mark.parametrize("symbol,domain,counts", [
+    ("(0.3+1i)*z", "unitdisc",
+     {"seeds": 32, "completed": 0, "escaped": 32, "failed": 0}),
+    ("-z", "halfplane:right",
+     {"seeds": 272, "completed": 272, "escaped": 0, "failed": 0}),
+])
+def test_portrait_golden(tmp_path, capsys, symbol, domain, counts):
+    svg = tmp_path / "portrait.svg"
+    code, summary, (data,) = _run_twice(capsys, [
+        "portrait", "--symbol", symbol, "--domain", domain,
+        "--density", "1", "--horizon", "5", "--out", str(svg)], [svg])
+    assert code == 0
+    assert summary == dict(counts, command="portrait", out=str(svg))
+    text = data.decode("utf-8")
+    assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+
+
+@pytest.mark.parametrize("symbol,expected,status", [
+    ("-z", 0, "Global"),
+    ("z", 0, "NotGlobal"),
+    ("-z*(1-1.2*z^20)", 4, "Inconclusive"),
+])
+def test_classify_golden(tmp_path, schema, capsys, symbol, expected,
+                         status):
+    out = tmp_path / "classify.json"
+    code, summary, (data,) = _run_twice(
+        capsys, ["classify", "--symbol", symbol, "--out", str(out)], [out])
+    assert code == expected
+    doc = json.loads(data)
+    jsonschema.validate(doc, schema)
+    assert doc == summary and doc["status"] == status
+    if status == "Global":
+        assert doc["b"] == [0, 0] and doc["witness"] is None
+    if status == "NotGlobal":
+        # every seed of z -> z e^t leaves at t = ln(1/|z0|)
+        z0 = complex(*doc["witness"]["z0"])
+        assert doc["witness"]["t_escape"] == pytest.approx(
+            -math.log(abs(z0)), abs=1e-6)
+
+
+@pytest.mark.parametrize("symbol,phi0,dphi0", [
+    ("-z", 0.0, math.exp(-0.5)),
+    ("1-z^2", math.tanh(0.5), 1.0 / math.cosh(0.5) ** 2),
+])
+def test_evolve_golden(tmp_path, schema, capsys, symbol, phi0, dphi0):
+    out = tmp_path / "evolve.json"
+    matrix = tmp_path / "matrix.csv"
+    code, summary, (data, csv) = _run_twice(capsys, [
+        "evolve", "--symbol", symbol, "--f", "1/(1-0.5*z)", "--t", "0.5",
+        "--N", "16", "--space", "h2", "--out", str(out),
+        "--matrix-out", str(matrix)], [out, matrix])
+    assert code == 0
+    doc = json.loads(data)
+    jsonschema.validate(doc, schema)
+    assert doc == summary
+    # coefficient 0 of f o phi_t is f(phi_t(0)); f is a geometric series
+    # whose degree-16 tail at |phi_t(0)| / 2 < 0.25 is below 1e-9
+    assert complex(*doc["coeffs"][0]) == pytest.approx(
+        1.0 / (1.0 - 0.5 * phi0), abs=1e-8)
+    assert doc["norm"] > 0
+    lines = csv.decode("utf-8").splitlines()
+    assert lines[0] == "# t=0.5 N=16"
+    row0 = [float(x) for x in lines[1].split(",")]
+    row1 = [float(x) for x in lines[2].split(",")]
+    assert len(lines) == 18 and len(row0) == 34
+    # column k holds phi_t^k: row 0 is phi_t(0)^k, and M[1,1] = phi_t'(0)
+    for k in range(17):
+        assert complex(row0[2 * k], row0[2 * k + 1]) == pytest.approx(
+            phi0 ** k, abs=1e-8)
+    assert complex(row1[2], row1[3]) == pytest.approx(dphi0, abs=1e-8)
+
+
+@pytest.mark.parametrize("argv,transferred", [
+    # the Cayley map conjugates i*z on the upper half-plane to i(1-z^2)/2
+    (["--symbol", "i*z", "--z0", "0.3,0.2"], lambda z: 0.5j * (1 - z * z)),
+    (["--symbol", "-z", "--map", "mobius:1,0,0,1", "--source", "unitdisc",
+      "--target", "unitdisc", "--z0", "0.3,0.2"], lambda z: -z),
+])
+def test_transfer_check_golden(tmp_path, schema, capsys, argv, transferred):
+    out = tmp_path / "transfer.json"
+    code, summary, (data,) = _run_twice(
+        capsys, ["transfer-check", *argv, "--t", "1", "--out", str(out)],
+        [out])
+    assert code == 0
+    doc = json.loads(data)
+    jsonschema.validate(doc, schema)
+    assert doc == summary
+    assert 0 <= doc["residual"] <= 1e-8
+    H = parse_symbol(doc["transferred_symbol"])
+    for z in (0j, 0.3 + 0.2j, -0.5j):
+        assert H.eval(z) == pytest.approx(transferred(z), abs=1e-12)

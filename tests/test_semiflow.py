@@ -7,6 +7,7 @@ import pytest
 
 from holoflow import (
     BadParameter,
+    SeriesFn,
     Domain,
     DomainError,
     EscapeError,
@@ -21,6 +22,8 @@ from holoflow import (
     semigroup_residual,
     trajectory_to_csv,
 )
+from holoflow import semiflow
+from holoflow.semigroup import apply
 
 DISC = Domain.unit_disc()
 LINEAR = parse_symbol("-z")        # flow z e^-t
@@ -89,6 +92,24 @@ def test_preconditions():
         integrate(LINEAR, DISC, 0.5, -1.0, 1e-9)
     with pytest.raises(BadParameter):
         integrate(LINEAR, DISC, 0.5, 1.0, 1e-2)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_times_are_rejected(bad):
+    with pytest.raises(BadParameter):
+        integrate(LINEAR, DISC, 0.5, bad, 1e-9)
+    with pytest.raises(BadParameter):
+        flow_series(LINEAR, bad, 8, 1e-9)
+    with pytest.raises(BadParameter):
+        apply(LINEAR, bad, SeriesFn.identity(8), 1e-9)
+
+
+def test_step_limit_raises_stiffness_error(monkeypatch):
+    monkeypatch.setattr(semiflow, "_MAX_STEPS", 20)
+    with pytest.raises(StiffnessError, match="step limit"):
+        integrate(LINEAR, DISC, 0.5, 5.0, 1e-10)
+    with pytest.raises(StiffnessError, match="step limit"):
+        flow_series(LINEAR, 5.0, 8, 1e-10)
 
 
 def test_stiffness_error_away_from_boundary():
