@@ -193,9 +193,14 @@ _STOP = "stop"      # end the run at the endpoint
 
 
 def _error_ratio(u, err, tol: float) -> float:
-    """tol * (1 + |u|) / |err|, least over lanes; the step passes at >= 1."""
-    if isinstance(err, np.ndarray):
-        return tol / float(np.max(np.abs(err) / (1.0 + np.abs(u))))
+    """tol * (1 + |u|) / |err|, least over lanes; the step passes at >= 1.
+
+    An exact zero error gives inf. On lanes err may be a scalar (a symbol
+    that does not depend on z), which broadcasts against u.
+    """
+    if isinstance(u, np.ndarray):
+        m = float(np.max(np.abs(err) / (1.0 + np.abs(u))))
+        return tol / m if m else math.inf
     err_mag = abs(err)
     return tol * (1.0 + abs(u)) / err_mag if err_mag else math.inf
 

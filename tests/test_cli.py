@@ -176,6 +176,9 @@ def test_classify_golden(tmp_path, schema, capsys, symbol, expected,
 @pytest.mark.parametrize("symbol,phi0,dphi0", [
     ("-z", 0.0, math.exp(-0.5)),
     ("1-z^2", math.tanh(0.5), 1.0 / math.cosh(0.5) ** 2),
+    # symbols free of z: the flow is z + c t
+    ("0.1", 0.05, 1.0),
+    ("0*z", 0.0, 1.0),
 ])
 def test_evolve_golden(tmp_path, schema, capsys, symbol, phi0, dphi0):
     out = tmp_path / "evolve.json"

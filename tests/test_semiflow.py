@@ -247,6 +247,19 @@ def test_flow_series_matches_closed_forms(symbol, degree):
     assert np.max(np.abs(fs.coeffs.coeffs - want)) <= 1e-9
 
 
+@pytest.mark.parametrize("symbol", ["0.1", "0.1i", "-0.2+0.1i", "0*z", "0"])
+def test_flow_series_symbols_free_of_z(symbol):
+    # A constant symbol c evaluates to one scalar on all lanes, and 0*z
+    # has an exactly zero error estimate; the flow is z + c t.
+    G = parse_symbol(symbol)
+    c = complex(G.eval(0j))
+    for t in (0.5, 1.0):
+        fs = flow_series(G, t, 8, 1e-9)
+        want = np.zeros(9, dtype=complex)
+        want[:2] = c * t, 1.0
+        assert np.max(np.abs(fs.coeffs.coeffs - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("t, degree", [(12.0, 32), (9.5, 128)])
 def test_flow_series_long_tanh_horizons(t, degree):
     # The lanes approach the boundary point +1 without reaching it.
