@@ -29,7 +29,7 @@ from typing import Optional
 from .errors import BadParameter, HoloflowError, PoleError, ToleranceError
 from .expr import HoloExpr, Poly, Product, Ratio
 from .geometry import Domain
-from .semiflow import escape_time
+from .semiflow import _check_tol, escape_time
 
 GLOBAL = "Global"
 NOT_GLOBAL = "NotGlobal"
@@ -210,8 +210,12 @@ def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
     Returns Global with the located Denjoy-Wolff point when a candidate
     factorization passes the sampled positivity check, NotGlobal with an
     escape witness when no candidate passes and some interior seed exits
-    in finite time, and Inconclusive otherwise.
+    in finite time, and Inconclusive otherwise. The escape horizon and
+    tolerance are checked before any work (BadParameter).
     """
+    if not 0 < escape_t_max < math.inf:
+        raise BadParameter("escape_t_max must be positive and finite")
+    _check_tol(escape_tol)
     seeds, grid = _classification_seeds(density)
     candidates = _newton_roots(G, seeds, tol_b)
     if not candidates:

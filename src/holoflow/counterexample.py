@@ -26,6 +26,7 @@ witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,6 +101,8 @@ def run_counterexample(b: complex, F: HoloExpr, z0: complex,
     disc the run raises EscapeError, which indicates F is not Herglotz
     there.
     """
+    if not 0 < dw_tol < math.inf:
+        raise BadParameter("dw_tol must be positive and finite")
     b = complex(b)
     z0 = complex(z0)
     if abs(z0) >= 1.0:

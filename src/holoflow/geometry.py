@@ -79,8 +79,14 @@ class Domain:
 
     def boundary_distance(self, z: complex) -> float:
         """Euclidean distance from an interior point to the boundary."""
-        if not self.contains(z):
+        d = self.signed_distance(z)
+        if not d > 0.0:
             raise DomainError("point %r is not in the domain" % (z,))
+        return d
+
+    def signed_distance(self, z):
+        """Distance to the boundary, positive inside and negative outside
+        (NaN for a NaN point); z may be an array of points."""
         if self.kind == DISC:
             return self.radius - abs(z - self.center)
         if self.kind == HALFPLANE_RIGHT:

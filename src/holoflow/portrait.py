@@ -1,21 +1,27 @@
 """Deterministic SVG phase portraits.
 
-Seeds come from the domain sampling grid; each seed's trajectory is drawn
-as a polyline on a fixed 800 x 800 canvas with a fixed color ramp indexed
-by seed order. Escaped trajectories are dashed. Discs of radius above 1
-additionally get a dashed unit-circle overlay so crossings of |z| = 1 are
-visible. Seeds whose integration fails numerically are logged and
-skipped. Identical inputs produce identical bytes.
+Seeds come from the domain sampling grid and are integrated together, as
+independent lanes of one run (semiflow.integrate_seeds). Each seed's
+trajectory is drawn as a polyline on a fixed 800 x 800 canvas with a
+fixed color ramp indexed by seed order; its vertices are the seed, the
+adaptive step points and the uniform dense samples of integrate, in time
+order, with two decimals per pixel coordinate. Escaped trajectories are
+dashed. Discs of radius above 1 additionally get a dashed unit-circle
+overlay so crossings of |z| = 1 are visible. Seeds whose integration fails
+numerically are logged in seed order and skipped. Identical inputs
+produce identical bytes.
 """
 
 from __future__ import annotations
 
 import logging
 
+import numpy as np
+
 from .errors import HoloflowError
 from .expr import HoloExpr
 from .geometry import DISC, Domain
-from .semiflow import integrate
+from .semiflow import ESCAPED, integrate_seeds
 
 logger = logging.getLogger(__name__)
 
@@ -55,6 +61,14 @@ def _circle(fx, fy, center: complex, radius: float, style: str) -> str:
         fx(center.real), fy(center.imag), r_px, style)
 
 
+def _pixel_pairs(xs: np.ndarray, ys: np.ndarray) -> str:
+    """ "x,y x,y ..." with two decimals, as "%.2f,%.2f" gives each pair."""
+    xy = np.empty(2 * len(xs))
+    xy[0::2] = xs
+    xy[1::2] = ys
+    return ("%.2f,%.2f " * len(xs))[:-1] % tuple(xy.tolist())
+
+
 def render_portrait(G: HoloExpr, domain: Domain, density: int,
                     horizon: float, tol: float) -> tuple[str, dict]:
     """SVG text plus a small summary dict (seed counts by outcome)."""
@@ -83,26 +97,25 @@ def render_portrait(G: HoloExpr, domain: Domain, density: int,
             parts.append('<line x1="%.2f" y1="0" x2="%.2f" y2="800" '
                          'stroke="#000000" stroke-width="1.5"/>' % (x, x))
     completed = escaped = failed = 0
-    for idx, seed in enumerate(seeds):
-        try:
-            traj = integrate(G, domain, seed, horizon, tol)
-        except HoloflowError as exc:
+    orbits = integrate_seeds(G, domain, seeds, horizon, tol)
+    for idx, (seed, orbit) in enumerate(zip(seeds, orbits)):
+        if isinstance(orbit, HoloflowError):
             failed += 1
-            logger.warning("portrait seed %r skipped: %s", seed, exc)
+            logger.warning("portrait seed %r skipped: %s", seed, orbit)
             continue
-        if traj.escaped:
+        points, status = orbit
+        if status.kind == ESCAPED:
             escaped += 1
             dash = ' stroke-dasharray="6,4"'
         else:
             completed += 1
             dash = ""
-        coords = " ".join(
-            "%.2f,%.2f" % (fx(p.real), fy(p.imag)) for p in traj.points)
         parts.append(
             '<polyline points="%s" fill="none" stroke="%s" '
             'stroke-width="1"%s/>'
-            % (coords, _PALETTE[idx % len(_PALETTE)], dash))
-    parts.append("</svg>")
+            % (_pixel_pairs(fx(points.real), fy(points.imag)),
+               _PALETTE[idx % len(_PALETTE)], dash))
+    parts.append("</svg>\n")
     summary = {"seeds": len(seeds), "completed": completed,
                "escaped": escaped, "failed": failed}
-    return "\n".join(parts) + "\n", summary
+    return "\n".join(parts), summary

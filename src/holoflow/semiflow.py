@@ -2,15 +2,19 @@
 
 One driver, _drive, does all the integration: an embedded Dormand-Prince
 4(5) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 1980) in complex
-arithmetic, on one complex state or on an array of lanes that share one
-step sequence. A step passes when tol * (1 + |u|) / |err| >= 1 (least over
-lanes); a step whose endpoint the caller's admission rule refuses, or
-whose evaluation fails, is halved. When the step size underflows H_MIN
-within ESCAPE_DISTANCE of the boundary the run ends in an escape at the
-current time (the reject/halve cascade bisects the last accepted step, so
-the crossing is bracketed to within H_MIN); underflow farther away, or
-more than _MAX_STEPS steps, raises StiffnessError. An escape is a
-solver-tolerance certificate, never a proof.
+arithmetic, in three uses: one complex state; an array of lanes that
+share one step sequence; and an array of independent lanes, each with its
+own time, step size and step count. A step passes when
+tol * (1 + |u|) / |err| >= 1 (least over shared lanes, lane by lane for
+independent ones); a step whose endpoint the caller's admission rule
+refuses, or whose evaluation fails, is halved. When the step size
+underflows H_MIN within ESCAPE_DISTANCE of the boundary the run ends in an
+escape at the current time (the reject/halve cascade bisects the last
+accepted step, so the crossing is bracketed to within H_MIN); underflow
+farther away, or more than _MAX_STEPS steps, raises StiffnessError (an
+independent lane fails alone instead). An escape is a solver-tolerance
+certificate, never a proof. The step-control rules are written once, as
+expressions that hold for Python scalars and elementwise for arrays.
 
 Fixed constants:
 
@@ -27,6 +31,19 @@ R_MAX ends the run as an escape to infinity. Recorded trajectories carry
 the adaptive step points plus dense output at max(64, ceil(16 * horizon))
 uniform times filled in by cubic Hermite interpolation (the final point
 is always an exact integration endpoint).
+
+Many trajectories (integrate_seeds): the same wall rule and dense output
+on independent lanes, one per seed, for phase portraits. A lane leaves the
+run when it completes, escapes or fails, so the others keep stepping on a
+smaller array. An evaluation that raises on some lane is redone lane by
+lane in scalar form, and the raising lanes turn NaN, so only those lanes
+are refused and halved; a seed whose own evaluation raises fails alone.
+Each accepted step appends the dense samples and the endpoint of the lanes
+that accepted it, and only those points are kept. Lanes do the arithmetic
+of the scalar path except that numpy's complex product may round the last
+bit differently from Python's, so a borderline step decision can move a
+step point: end points agree to about 1e-15 and escape times to about
+1e-10 relative.
 
 Flow coefficients (flow_series): the open-disc rule with shared lanes.
 The degree-N Taylor coefficients of the flow map z -> phi(t, z) on the
@@ -58,7 +75,9 @@ z, e^t z, is refused at t = 1 because the lanes at r = 0.5 leave at ln 2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -81,26 +100,21 @@ R_MAX = 1e8
 
 _MAX_STEPS = 5_000_000
 
-# Dormand-Prince coefficients.
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-# b5 - b4, including the FSAL stage.
-_E = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
+# Dormand-Prince coefficients: stage weights _Aij, fifth-order weights _Bi
+# and error weights _Ei = b5_i - b4_i (_E7 for the FSAL stage). The zero
+# weights stay in the sums: they fix the signs of zero components.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = (19372 / 6561, -25360 / 2187, 64448 / 6561,
+                          -212 / 729)
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B2, _B3, _B4, _B5, _B6 = (35 / 384, 0.0, 500 / 1113, 125 / 192,
+                                -2187 / 6784, 11 / 84)
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, 0.0, -71 / 16695,
+                                     71 / 1920, -17253 / 339200, 22 / 525,
+                                     -1 / 40)
 
 COMPLETED = "Completed"
 ESCAPED = "Escaped"
@@ -156,21 +170,22 @@ class FlowSeries:
 
 
 def _dp_step(rhs, y, h, k1):
-    """One embedded step; returns (y5, error_estimate, k7)."""
-    k = [k1]
-    for row in _A[1:]:
-        acc = 0
-        for a, ki in zip(row, k):
-            acc = acc + a * ki
-        k.append(rhs(y + h * acc))
-    y5 = y
-    for b, ki in zip(_B5, k):
-        y5 = y5 + h * b * ki
+    """One embedded step; returns (y5, error_estimate, k7).
+
+    The sums are written out, in the order of the tableau rows, for speed
+    on Python scalars; they hold elementwise on arrays.
+    """
+    k2 = rhs(y + h * (0 + _A21 * k1))
+    k3 = rhs(y + h * (0 + _A31 * k1 + _A32 * k2))
+    k4 = rhs(y + h * (0 + _A41 * k1 + _A42 * k2 + _A43 * k3))
+    k5 = rhs(y + h * (0 + _A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+    k6 = rhs(y + h * (0 + _A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                      + _A65 * k5))
+    y5 = (y + h * _B1 * k1 + h * _B2 * k2 + h * _B3 * k3 + h * _B4 * k4
+          + h * _B5 * k5 + h * _B6 * k6)
     k7 = rhs(y5)
-    k.append(k7)
-    err = 0
-    for e, ki in zip(_E, k):
-        err = err + e * ki
+    err = (0 + _E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5
+           + _E6 * k6 + _E7 * k7)
     return y5, h * err, k7
 
 
@@ -186,18 +201,46 @@ def _check_tol(tol: float):
         raise BadParameter("tol must lie in [1e-13, 1e-3]")
 
 
+def _check_run(tol: float, horizon: float):
+    _check_tol(tol)
+    if not 0 < horizon < math.inf:
+        raise BadParameter("horizon must be positive and finite")
+
+
 # Verdicts of an admission rule on the endpoint of a proposed step.
-_ACCEPT = "accept"  # go on to the error test
-_REJECT = "reject"  # halve the step
-_STOP = "stop"      # end the run at the endpoint
+_ACCEPT = 0  # go on to the error test
+_REJECT = 1  # halve the step
+_STOP = 2    # end the run at the endpoint
+
+# How a run, or one independent lane of it, ended.
+_COMPLETED, _ESCAPED, _STOPPED, _FAILED = range(4)
+
+# Errors of a symbol evaluation that reject a step (or, on independent
+# lanes, turn a lane's value into NaN).
+_EVAL_ERRORS = (HoloflowError, OverflowError, ZeroDivisionError)
+
+# Step control of one run (Python scalars, also when an array of lanes
+# shares one step) and of independent lanes (one array entry per lane).
+# advance(m, new, old) takes the new values where m holds.
+_ONE = SimpleNamespace(where=lambda c, a, b: a if c else b, minimum=min,
+                       maximum=max, any=bool,
+                       advance=lambda m, new, old: new if m else old)
+_LANES = SimpleNamespace(where=np.where, minimum=np.fmin,
+                         maximum=np.fmax, any=np.any,
+                         advance=lambda m, new, old: [
+                             np.where(m, a, b) for a, b in zip(new, old)])
 
 
-def _error_ratio(u, err, tol: float) -> float:
-    """tol * (1 + |u|) / |err|, least over lanes; the step passes at >= 1.
+def _error_ratio(u, err, tol: float, per_lane: bool = False):
+    """tol * (1 + |u|) / |err|; the step passes at >= 1.
 
-    An exact zero error gives inf. On lanes err may be a scalar (a symbol
-    that does not depend on z), which broadcasts against u.
+    An exact zero error gives inf. For lanes that share one step it is the
+    least over lanes, and err may be a scalar (a symbol that does not
+    depend on z), which broadcasts against u. For independent lanes it is
+    taken lane by lane.
     """
+    if per_lane:
+        return tol * (1.0 + abs(u)) / abs(err)
     if isinstance(u, np.ndarray):
         m = float(np.max(np.abs(err) / (1.0 + np.abs(u))))
         return tol / m if m else math.inf
@@ -205,105 +248,266 @@ def _error_ratio(u, err, tol: float) -> float:
     return tol * (1.0 + abs(u)) / err_mag if err_mag else math.inf
 
 
-def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None):
+def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
+           lanes=False):
     """Integrate from time 0 through the positive, nondecreasing stop
     times, landing exactly on each.
 
-    u is a complex number or an array of lanes. admit(y) judges each step
-    endpoint with _ACCEPT, _REJECT or _STOP; boundary_distance(u) decides
-    escape against stiffness at step underflow; accepted(t, h, u, k,
-    t_next, y, k_y) sees every accepted step, with slopes k and k_y.
+    u is a complex number, an array of lanes that share one step, or, with
+    lanes=True, an array of independent lanes: each has its own time,
+    step size and step count, and leaves the run as soon as it ends
+    (independent lanes take one stop time). admit(y) judges each step
+    endpoint with _ACCEPT, _REJECT or _STOP (one verdict per independent
+    lane); boundary_distance(u) decides escape against stiffness at step
+    underflow; accepted(m, ids, t, h, u, k, t_next, y, k_y) sees every
+    accepted step, with slopes k and k_y (on independent lanes: arrays of
+    the running lanes, m marking those that accepted and ids giving
+    their positions in the initial u).
 
-    Returns (states, t, u, stopped): the state at every stop time reached,
-    then where the run ended. It ends early on _STOP (stopped is True, u is
-    that endpoint) or on an escape at underflow (u is the last accepted
-    state).
+    Returns (states, ends): the state at every stop time reached, and how
+    each lane ended as (kind, time, point, reason). The kind is _COMPLETED,
+    _STOPPED (the admission rule said _STOP; at that endpoint), _ESCAPED
+    (step underflow within ESCAPE_DISTANCE of the boundary; at the last
+    accepted state) or _FAILED (step underflow farther away, or more than
+    _MAX_STEPS steps). A run that is not split into independent lanes has
+    one end, and raises StiffnessError instead of failing.
     """
+    xp = _LANES if lanes else _ONE
+    where, minimum, maximum, any_ = xp.where, xp.minimum, xp.maximum, xp.any
+    if lanes:
+        ids, t, steps = np.arange(len(u)), np.zeros(len(u)), np.zeros(
+            len(u), np.intp)
+    else:
+        ids, t, steps = 0, 0.0, 0
+    ends = [None] * (len(u) if lanes else 1)
+    h = t + min(1e-3, stops[-1])
+
+    def end(mask, kind, t, u, why=""):
+        if not lanes:
+            ends[0] = (kind, t, u, why.format(t))
+            return
+        for i, ti, ui in zip(ids[mask].tolist(), t[mask].tolist(),
+                             u[mask].tolist()):
+            ends[i] = (kind, ti, ui, why.format(ti))
+
     states = []
-    t = 0.0
     k1 = rhs(u)  # a pole at the starting point propagates to the caller
-    h = min(1e-3, stops[-1])
-    steps = 0
     for stop in stops:
-        while t < stop:
-            steps += 1
-            if steps > _MAX_STEPS:
-                raise StiffnessError("step limit exceeded")
-            h = min(h, stop - t)
+        while any_(t < stop):
+            steps = steps + 1
+            h = minimum(h, stop - t)
             try:
                 y5, err, k7 = _dp_step(rhs, u, h, k1)
                 verdict = admit(y5)
-                if verdict is _ACCEPT:
-                    ratio = _error_ratio(u, err, tol)
-            except (HoloflowError, OverflowError, ZeroDivisionError):
-                verdict = _REJECT
-            if verdict is _STOP:
-                return states, t + h, y5, True
-            if verdict is _REJECT:
-                h *= 0.5
-            elif ratio >= 1.0:
-                t_next = stop if h == stop - t else t + h
+                ratio = (_error_ratio(u, err, tol, lanes)
+                         if any_(verdict == _ACCEPT) else math.nan)
+            except _EVAL_ERRORS:
+                verdict, ratio = _REJECT, math.nan
+            passed = (verdict == _ACCEPT) & (ratio >= 1.0)
+            stopped = verdict == _STOP
+            if any_(stopped):
+                end(stopped, _STOPPED, t + h, y5)
+            if any_(passed):
+                t_next = where(h == stop - t, stop, t + h)
                 if accepted is not None:
-                    accepted(t, h, u, k1, t_next, y5, k7)
-                t, u, k1 = t_next, y5, k7
-                h *= min(5.0, max(0.2, 0.9 * ratio ** 0.2))
-                continue
-            else:
-                h *= min(0.7, max(0.1, 0.9 * ratio ** 0.2))
-            if h < H_MIN:
-                if boundary_distance(u) < ESCAPE_DISTANCE:
-                    return states, t, u, False
-                raise StiffnessError(
-                    "step size underflow at t=%r away from the boundary" % t)
+                    accepted(passed, ids, t, h, u, k1, t_next, y5, k7)
+                t, u, k1 = xp.advance(passed, (t_next, y5, k7), (t, u, k1))
+            # a refused endpoint halves the step
+            scale = where(verdict == _ACCEPT, 0.9 * ratio ** 0.2, 0.5)
+            h = h * where(passed, minimum(5.0, maximum(0.2, scale)),
+                          minimum(0.7, maximum(0.1, scale)))
+            # rare: a stop, an underflow, the step limit, or (independent
+            # lanes) a lane that reached the stop time
+            ending = stopped | (h < H_MIN) | (steps >= _MAX_STEPS)
+            if any_((ending | (t >= stop)) if lanes else ending):
+                tiny = where(stopped | passed, False, h < H_MIN)
+                escaped = tiny & (boundary_distance(u) < ESCAPE_DISTANCE)
+                ended = stopped | tiny
+                over = where(ended, False,
+                             (steps >= _MAX_STEPS) & (t < stops[-1]))
+                for mask, kind, why in (
+                        (escaped, _ESCAPED, ""),
+                        (where(escaped, False, tiny), _FAILED,
+                         "step size underflow at t={!r} away from the "
+                         "boundary"),
+                        (over, _FAILED, "step limit exceeded"),
+                        (lanes and t >= stop, _COMPLETED, "")):
+                    if any_(mask):
+                        end(mask, kind, t, u, why)
+                        ended = ended | mask
+                if not lanes:
+                    if ended:
+                        if ends[0][0] == _FAILED:
+                            raise StiffnessError(ends[0][3])
+                        return states, ends
+                else:
+                    keep = ~ended
+                    ids, t, h, steps, u, k1 = (
+                        x[keep] for x in (ids, t, h, steps, u, k1))
         states.append(u)
-    return states, t, u, False
+    if not lanes:
+        ends[0] = (_COMPLETED, t, u, "")
+    return states, ends
+
+
+def _wall_rule(domain: Domain, xp):
+    """Admission of trajectories, on one point or on independent lanes.
+
+    An endpoint is refused when it is non-finite, outside the domain, or
+    closer than DELTA_WALL to the boundary; on an unbounded domain an
+    endpoint beyond R_MAX ends the run as an escape to infinity. (|y| of
+    a huge Python complex raises OverflowError, which also refuses it.)
+    """
+    where, distance, bounded = xp.where, domain.signed_distance, domain.bounded
+
+    def admit(y):
+        r = abs(y)
+        v = where(distance(y) >= DELTA_WALL, _ACCEPT, _REJECT)
+        if not bounded:
+            v = where(r > R_MAX, _STOP, v)
+        return where(r < math.inf, v, _REJECT)
+
+    return admit
+
+
+def _dense_times(horizon: float) -> list[float]:
+    """Interior times of the uniform dense output of a trajectory."""
+    n_dense = max(64, math.ceil(16 * horizon))
+    return [horizon * k / n_dense for k in range(1, n_dense)]
+
+
+def _status(kind: int, horizon: float, t: float, u: complex) -> Status:
+    if kind == _COMPLETED:
+        return Status.completed(horizon)
+    return Status.escaped(t, u, at_infinity=kind == _STOPPED)
 
 
 def integrate(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
               tol: float) -> Trajectory:
     """Integrate u' = G(u) from z0 until the horizon or a boundary escape."""
-    _check_tol(tol)
-    if not 0 < horizon < math.inf:
-        raise BadParameter("horizon must be positive and finite")
+    _check_run(tol, horizon)
     if not domain.contains(z0):
         raise DomainError("initial point %r outside the domain" % (z0,))
 
-    n_dense = max(64, math.ceil(16 * horizon))
-    dense_times = [horizon * k / n_dense for k in range(1, n_dense)]
-    dense_i = 0
+    dense = _dense_times(horizon)
     times = [0.0]
     points = [complex(z0)]
 
-    def admit(y: complex) -> str:
-        if not (math.isfinite(y.real) and math.isfinite(y.imag)):
-            return _REJECT
-        if not domain.bounded and abs(y) > R_MAX:
-            return _STOP
-        if not domain.contains(y) or domain.boundary_distance(y) < DELTA_WALL:
-            return _REJECT
-        return _ACCEPT
-
-    def record(t, h, u, k1, t_next, y, k_y):
-        # uniform dense output across (t, t + h), then the step endpoint
-        nonlocal dense_i
-        while dense_i < len(dense_times) and dense_times[dense_i] < t + h:
-            td = dense_times[dense_i]
-            if td > t:
-                times.append(td)
-                points.append(_hermite((td - t) / h, u, k1, y, k_y, h))
-            dense_i += 1
+    def record(_passed, _ids, t, h, u, k1, t_next, y, k_y):
+        # uniform dense output in (t, t + h), then the step endpoint
+        for td in dense[bisect_right(dense, t):bisect_left(dense, t + h)]:
+            times.append(td)
+            points.append(_hermite((td - t) / h, u, k1, y, k_y, h))
         if times[-1] != t_next:
             times.append(t_next)
             points.append(y)
 
-    reached, t, u, stopped = _drive(G.eval, complex(z0), [horizon], tol,
-                                    admit, domain.boundary_distance, record)
-    if stopped:
+    _, [(kind, t, u, _)] = _drive(
+        G.eval, complex(z0), [horizon], tol, _wall_rule(domain, _ONE),
+        domain.signed_distance, record)
+    if kind == _STOPPED:
         times.append(t)
         points.append(u)
-    status = (Status.completed(horizon) if reached
-              else Status.escaped(t, u, at_infinity=stopped))
-    return Trajectory(np.array(times), np.array(points), status)
+    return Trajectory(np.array(times), np.array(points),
+                      _status(kind, horizon, t, u))
+
+
+def _eval_lanes(f, z: np.ndarray):
+    """f on every lane, and the error of each lane whose scalar evaluation
+    raises (its value is NaN), keyed by lane."""
+    try:
+        v = f(z)
+        return (v if np.ndim(v) else np.full(len(z), v, complex)), {}
+    except _EVAL_ERRORS:
+        pass
+    out = np.empty(len(z), complex)
+    errors = {}
+    for i, x in enumerate(z.tolist()):
+        try:
+            out[i] = f(x)
+        except _EVAL_ERRORS as exc:
+            out[i] = math.nan
+            errors[i] = exc
+    return out, errors
+
+
+# Dense samples are interpolated at most this many at a time (bounding the
+# temporaries of long steps); recorded points are merged into one array
+# every _MERGE_BATCHES records.
+_SAMPLE_BLOCK = 4096
+_MERGE_BATCHES = 256
+
+
+def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
+                    tol: float) -> list:
+    """The trajectory points of many seeds, integrated as independent lanes.
+
+    One entry per seed: (points, status) with the points integrate would
+    record (the seed, the adaptive step points and the uniform dense
+    samples, in time order; equal up to rounding, since numpy and Python
+    complex products may differ in the last bit), or the HoloflowError
+    that stopped that seed: DomainError, an evaluation error at the seed,
+    or StiffnessError. The points of all lanes are kept as complex128 (16
+    bytes each) with a 1- or 2-byte lane index, and nothing else.
+    """
+    _check_run(tol, horizon)
+    z = np.array(seeds, dtype=complex)
+    with np.errstate(all="ignore"):
+        _, errors = _eval_lanes(G.eval, z)
+    for i, z0 in enumerate(seeds):
+        if not domain.contains(z0):
+            errors[i] = DomainError("initial point %r outside the domain"
+                                    % (z0,))
+    live = [i for i in range(len(seeds)) if i not in errors]
+    dense = np.array(_dense_times(horizon))
+    lane_type = np.min_scalar_type(max(len(live) - 1, 0))
+    merged = []  # (lanes, points) arrays, in the order they were recorded
+    batch = [(np.arange(len(live), dtype=lane_type), z[live])]
+
+    def keep(ids, points):
+        batch.append((ids.astype(lane_type), points))
+        if len(batch) == _MERGE_BATCHES:
+            merged.append(tuple(map(np.concatenate, zip(*batch))))
+            batch.clear()
+
+    def record(m, *step):
+        # as in integrate, lane by lane: dense samples in (t, t + h), then
+        # the endpoint unless the step left the time unchanged
+        ids, t, h, u, k1, t_next, y, k_y = (x[m] for x in step)
+        lo = np.searchsorted(dense, t, "right")
+        n = np.maximum(np.searchsorted(dense, t + h, "left") - lo, 0)
+        width = max(1, _SAMPLE_BLOCK // max(1, int(n.max())))
+        for s in range(0, len(ids), width) if n.any() else ():
+            nb = n[s:s + width]
+            rep = s + np.repeat(np.arange(len(nb)), nb)
+            k = np.arange(len(rep)) - np.repeat(np.cumsum(nb) - nb, nb)
+            hr, tr = h[rep], t[rep]
+            keep(ids[rep], _hermite((dense[lo[rep] + k] - tr) / hr, u[rep],
+                                    k1[rep], y[rep], k_y[rep], hr))
+        last = (n > 0) | (t_next != t)
+        keep(ids[last], y[last])
+
+    with np.errstate(all="ignore"):  # non-finite lanes are rejected
+        _, ends = _drive(lambda x: _eval_lanes(G.eval, x)[0], z[live],
+                         [horizon], tol, _wall_rule(domain, _LANES),
+                         domain.signed_distance, record, lanes=True)
+    # a stable sort by lane keeps each lane's points in time order
+    lanes, points = map(np.concatenate, zip(*merged, *batch))
+    merged.clear()
+    batch.clear()
+    points = points[np.argsort(lanes, kind="stable")]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(
+        lanes, minlength=len(live)))))
+    out = [errors.get(i) for i in range(len(seeds))]
+    for row, (i, (kind, t, u, why)) in enumerate(zip(live, ends)):
+        if kind == _FAILED:
+            out[i] = StiffnessError(why)
+            continue
+        lane = points[bounds[row]:bounds[row + 1]]
+        if kind == _STOPPED:
+            lane = np.append(lane, u)
+        out[i] = (lane, _status(kind, horizon, t, u))
+    return out
 
 
 def backward_integrate(G: HoloExpr, domain: Domain, z0: complex,
@@ -394,7 +598,7 @@ def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
     circle = circle_points(degree, r)
     lanes = np.concatenate([circle, _INTERIOR_LANES])
     with np.errstate(all="ignore"):  # non-finite lanes are rejected
-        states, t, u, _ = _drive(
+        states, [(_, t, u, _)] = _drive(
             G.eval, lanes, positive, tol, _inside_unit_disc,
             lambda u: 1.0 - float(np.max(np.abs(u))))
     if len(states) < len(positive):

@@ -19,6 +19,7 @@ decaying coefficient sequences that truncation dominates the residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import BadParameter
 from .expr import HoloExpr
 from .series import SeriesFn, coeff_extraction_radius, series_compose, taylor
-from .semiflow import _flow_series_path, flow_series
+from .semiflow import _check_tol, _flow_series_path, flow_series
 from .spaces import CoefSpace
 
 DEFAULT_DEGREE = 64
@@ -35,7 +36,11 @@ DEFAULT_DEGREE = 64
 def apply(G: HoloExpr, t: float, f: SeriesFn, tol: float) -> SeriesFn:
     """Coefficients of f o phi(t, .) truncated to the degree of f."""
     if f.degree == 0:
-        return f  # constants are fixed by every composition operator
+        # constants are fixed by every composition operator
+        _check_tol(tol)
+        if not 0 <= t < math.inf:
+            raise BadParameter("t must be finite and nonnegative")
+        return f
     flow = flow_series(G, t, f.degree, tol)
     return series_compose(f, flow.coeffs)
 

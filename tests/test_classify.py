@@ -133,3 +133,15 @@ def test_round_trip_interior_zero_on_grid_point():
     v = bp_classify(G)
     assert v.status == "Global"
     assert abs(v.b - b) <= 1e-8
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"escape_t_max": -1.0}, {"escape_t_max": 0.0},
+    {"escape_t_max": math.inf}, {"escape_t_max": math.nan},
+    {"escape_tol": 0.0}, {"escape_tol": 1.0}, {"escape_tol": math.nan},
+])
+def test_bad_escape_parameters_raise_before_any_work(kwargs):
+    # every seed of z -> z e^t escapes, so a hidden BadParameter would
+    # read as Inconclusive
+    with pytest.raises(BadParameter):
+        bp_classify(parse_symbol("z"), **kwargs)

@@ -150,6 +150,17 @@ def test_portrait_golden(tmp_path, capsys, symbol, domain, counts):
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
 
+@pytest.mark.parametrize("flags", [["--escape-tmax", "-1"],
+                                   ["--escape-tmax", "0"], ["--tol", "1"]])
+def test_classify_bad_escape_parameters_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "classify.json"
+    assert main(["classify", "--symbol", "z", "--out", str(out)]
+                + flags) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("symbol,expected,status", [
     ("-z", 0, "Global"),
     ("z", 0, "NotGlobal"),

@@ -93,6 +93,12 @@ def test_attracting_point_outside_annulus(b):
         run_counterexample(b, ONE, 0j)
 
 
+@pytest.mark.parametrize("dw_tol", [math.nan, 0.0, -1e-3, math.inf])
+def test_bad_dw_tol(dw_tol):
+    with pytest.raises(BadParameter):
+        run_counterexample(1.5, ONE, 0j, dw_tol=dw_tol)
+
+
 @pytest.mark.parametrize("F", ["-1", "z", "-2+z"])
 def test_non_herglotz_factor(F):
     with pytest.raises(HerglotzError):

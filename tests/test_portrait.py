@@ -1,0 +1,220 @@
+"""Portraits integrate their seeds as independent lanes of one run of _drive.
+
+Each lane must reproduce the scalar trajectory of its seed: the same
+outcome, the same error text, the same end point up to the last bits of a
+complex product (numpy and Python round some of them differently), and
+the polyline text must be the per-point "%.2f,%.2f" text.
+"""
+
+import logging
+
+import numpy as np
+import pytest
+
+from holoflow import (
+    Domain,
+    HoloflowError,
+    StiffnessError,
+    integrate,
+    parse_domain,
+    parse_symbol,
+)
+from holoflow import semiflow
+from holoflow.portrait import _pixel_pairs, _viewport, render_portrait
+from holoflow.semiflow import integrate_seeds
+
+TOL = 1e-9
+
+# symbol, domain, density, horizon: the bench portrait kinds (rotations, a
+# decaying spiral, an expanding map that escapes, a radius-2 disc, both
+# half-plane translations), symbols with a seed on a pole, exp, a map with
+# interior fixed points, and an escape to infinity through R_MAX.
+CASES = [
+    ("i*z", "unitdisc", 2, 1.5),
+    ("-i*z", "unitdisc", 1, 3.0),
+    ("(-0.25+1i)*z", "unitdisc", 1, 6.0),
+    ("(1.1+0.2i)*z", "unitdisc", 1, 4.0),
+    ("(-0.35-0.5i)*z", "disc:0,0,2", 1, 6.0),
+    ("0.5+0.2i", "halfplane:right", 1, 3.0),
+    ("0.1-1i", "halfplane:upper", 1, 1.3),
+    ("mobius(1,0,1,-0.5)", "unitdisc", 2, 2.0),
+    ("1/(z-0.5)", "unitdisc", 2, 2.0),
+    ("exp(z)", "unitdisc", 1, 2.0),
+    ("z^2+0.5", "unitdisc", 1, 3.0),
+    ("z^2", "halfplane:right", 1, 0.5),
+]
+
+
+def _scalar(G, domain, seed, horizon):
+    try:
+        return integrate(G, domain, seed, horizon, TOL)
+    except HoloflowError as exc:
+        return exc
+
+
+def _same_error(lane, ref):
+    """Same type and text; an underflow time may move in the last bits."""
+    if type(lane) is not type(ref):
+        return False
+    got, want = str(lane), str(ref)
+    if got.startswith("step size underflow at t="):
+        t_got, t_want = (float(x.split("=")[1].split()[0])
+                         for x in (got, want))
+        return abs(t_got - t_want) <= 1e-9 * t_want
+    return got == want
+
+
+def _assert_lanes_match(G, D, seeds, horizon):
+    lanes = integrate_seeds(G, D, seeds, horizon, TOL)
+    assert len(lanes) == len(seeds)
+    for seed, lane in zip(seeds, lanes):
+        ref = _scalar(G, D, seed, horizon)
+        if isinstance(ref, HoloflowError):
+            assert _same_error(lane, ref), (seed, lane, ref)
+            continue
+        points, status = lane
+        assert points[0] == seed
+        assert status.kind == ref.status.kind, seed
+        assert status.at_infinity == ref.status.at_infinity, seed
+        if ref.escaped:
+            assert points[-1] == status.exit_point
+            assert abs(status.t_escape - ref.status.t_escape) <= (
+                1e-9 * ref.status.t_escape), seed
+        else:
+            end = ref.final_point
+            assert abs(points[-1] - end) <= 1e-12 * max(1.0, abs(end)), seed
+    return lanes
+
+
+def _kinds(lanes):
+    return {type(lane).__name__ if isinstance(lane, HoloflowError)
+            else (lane[1].kind, lane[1].at_infinity) for lane in lanes}
+
+
+@pytest.mark.parametrize("symbol,domain,density,horizon", CASES,
+                         ids=[c[0] + "@" + c[1] for c in CASES])
+def test_lanes_match_scalar_integrate(symbol, domain, density, horizon):
+    G, D = parse_symbol(symbol), parse_domain(domain)
+    _assert_lanes_match(G, D, D.sample_grid(density), horizon)
+
+
+def test_grid_cases_cover_every_outcome():
+    kinds = set()
+    for symbol, domain, density, horizon in CASES:
+        G, D = parse_symbol(symbol), parse_domain(domain)
+        kinds |= _kinds(integrate_seeds(G, D, D.sample_grid(density),
+                                        horizon, TOL))
+    assert {("Completed", False), ("Escaped", False), ("Escaped", True),
+            "PoleError"} <= kinds
+
+
+def test_interior_pole_fails_only_its_lanes():
+    # 1/(z - 0.5) pulls seeds next to 0.5 through the pole (underflow
+    # away from the boundary); the others escape or start on the pole
+    G, D = parse_symbol("1/(z-0.5)"), Domain.unit_disc()
+    seeds = [0.5 + 0.01j, 0.3, 0.5, 0.5 - 0.01j, 0.49 + 0.001j]
+    lanes = _assert_lanes_match(G, D, seeds, 5.0)
+    assert _kinds(lanes) == {"StiffnessError", ("Escaped", False),
+                             "PoleError"}
+
+
+def _reference_svg_polylines(G, D, density, horizon):
+    """Reference polylines: scalar integrate seed by seed, formatted point
+    by point, one line per seed that integrates."""
+    fx, fy = _viewport(D)
+    lines = []
+    for seed in D.sample_grid(density):
+        traj = _scalar(G, D, seed, horizon)
+        if isinstance(traj, HoloflowError):
+            continue
+        lines.append(" ".join("%.2f,%.2f" % (fx(p.real), fy(p.imag))
+                              for p in traj.points))
+    return lines
+
+
+@pytest.mark.parametrize("symbol,domain", [
+    ("0.5+0.2i", "halfplane:right"),
+    ("0.1-1i", "halfplane:upper"),
+])
+def test_constant_symbol_portraits_are_byte_identical(symbol, domain):
+    # a symbol free of z involves no complex product, so lanes and the
+    # scalar path do the same arithmetic and draw the same bytes
+    G, D = parse_symbol(symbol), parse_domain(domain)
+    svg, _ = render_portrait(G, D, 1, 2.0, TOL)
+    got = [line.split('"')[1] for line in svg.splitlines()
+           if line.startswith("<polyline")]
+    assert got == _reference_svg_polylines(G, D, 1, 2.0)
+
+
+@pytest.mark.parametrize("symbol", ["mobius(1,0,1,-0.5)", "1/(z-0.5)"])
+def test_skipped_seed_warnings_match_scalar_path(symbol, caplog):
+    G, D = parse_symbol(symbol), Domain.unit_disc()
+    expected = []
+    for seed in D.sample_grid(2):
+        ref = _scalar(G, D, seed, 2.0)
+        if isinstance(ref, HoloflowError):
+            expected.append("portrait seed %r skipped: %s" % (seed, ref))
+    assert expected  # the seed 0.5 sits on the pole
+    with caplog.at_level(logging.WARNING, logger="holoflow.portrait"):
+        _, summary = render_portrait(G, D, 2, 2.0, TOL)
+    assert [r.getMessage() for r in caplog.records] == expected
+    assert summary["failed"] == len(expected)
+
+
+def test_step_limit_fails_seeds_without_traceback(monkeypatch, caplog):
+    monkeypatch.setattr(semiflow, "_MAX_STEPS", 20)
+    G, D = parse_symbol("i*z"), Domain.unit_disc()
+    seeds = D.sample_grid(1)
+    lanes = integrate_seeds(G, D, seeds, 5.0, TOL)
+    assert all(isinstance(lane, StiffnessError)
+               and str(lane) == "step limit exceeded" for lane in lanes)
+    with pytest.raises(StiffnessError, match="step limit exceeded"):
+        integrate(G, D, seeds[0], 5.0, TOL)
+    with caplog.at_level(logging.WARNING, logger="holoflow.portrait"):
+        _, summary = render_portrait(G, D, 1, 5.0, TOL)
+    assert summary == {"seeds": len(seeds), "completed": 0, "escaped": 0,
+                       "failed": len(seeds)}
+    assert len(caplog.records) == len(seeds)
+
+
+def test_bad_parameters_raise_before_any_seed():
+    G, D = parse_symbol("i*z"), Domain.unit_disc()
+    for horizon, tol in ((0.0, TOL), (float("inf"), TOL), (1.0, 1.0)):
+        with pytest.raises(HoloflowError):
+            integrate_seeds(G, D, D.sample_grid(1), horizon, tol)
+
+
+def test_seed_outside_the_domain_fails_alone():
+    G, D = parse_symbol("i*z"), Domain.unit_disc()
+    lanes = integrate_seeds(G, D, [0.5, 2.0], 1.0, TOL)
+    assert lanes[0][1].kind == "Completed"
+    assert str(lanes[1]) == str(_scalar(G, D, 2.0, 1.0))
+
+
+def _per_point(xs, ys):
+    return " ".join("%.2f,%.2f" % (x, y) for x, y in zip(xs, ys))
+
+
+def test_pixel_pairs_match_per_point_format():
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([
+        [-0.0, 0.0, -0.004, 0.005, 0.015, 0.125, 0.375, 2.675, 1.005,
+         -1.005, 799.995, 1e8, -3.5e12, 1e300],
+        rng.uniform(-50.0, 850.0, 200),
+    ])
+    ys = np.concatenate([
+        [0.0, -0.0, 0.004, -0.005, -0.015, -0.125, 0.625, -2.675, 0.045,
+         1e-300, -1e8, 7.25e15, 12345.675, -1e300],
+        np.round(rng.uniform(-50.0, 850.0, 200), 3),
+    ])
+    assert _pixel_pairs(xs, ys) == _per_point(xs.tolist(), ys.tolist())
+    assert _pixel_pairs(xs[:1], ys[:1]) == "-0.00,0.00"
+
+
+@pytest.mark.parametrize("domain", ["unitdisc", "disc:0.5,-1,2",
+                                    "halfplane:right", "halfplane:upper"])
+def test_viewport_on_arrays_matches_scalars(domain):
+    fx, fy = _viewport(parse_domain(domain))
+    pts = np.random.default_rng(3).normal(size=300) * 3 + 1j * np.arange(300)
+    assert fx(pts.real).tolist() == [fx(p.real) for p in pts.tolist()]
+    assert fy(pts.imag).tolist() == [fy(p.imag) for p in pts.tolist()]

@@ -307,3 +307,60 @@ def test_csv_matches_per_number_reference():
         assert status.startswith("# status=")
         lines.append(status)
         assert trajectory_to_csv(traj) == "\n".join(lines) + "\n"
+
+
+# The Dormand-Prince tableau as rows, and the step as loops over them: the
+# reference for the written-out sums of semiflow._dp_step.
+_TABLEAU_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_TABLEAU_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_TABLEAU_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+              22 / 525, -1 / 40)
+
+
+def _dp_step_by_rows(rhs, y, h, k1):
+    k = [k1]
+    for row in _TABLEAU_A:
+        acc = 0
+        for a, ki in zip(row, k):
+            acc = acc + a * ki
+        k.append(rhs(y + h * acc))
+    y5 = y
+    for b, ki in zip(_TABLEAU_B, k):
+        y5 = y5 + h * b * ki
+    k7 = rhs(y5)
+    k.append(k7)
+    err = 0
+    for e, ki in zip(_TABLEAU_E, k):
+        err = err + e * ki
+    return y5, h * err, k7
+
+
+def _bits(values):
+    return [(np.float64(v.real).tobytes(), np.float64(v.imag).tobytes())
+            for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("symbol", ["-z", "1-z^2", "i*z", "z^2+0.5",
+                                    "0.1", "exp(z)", "mobius(1,0,1,-2)"])
+def test_dp_step_matches_tableau_rows_bit_for_bit(symbol):
+    # scalars on and off the real axis, then all of them as lanes
+    G = parse_symbol(symbol)
+    rng = np.random.default_rng(11)
+    lanes = np.concatenate([[0.5, -0.25, 0j, complex(0.3, -0.0)],
+                            rng.uniform(-0.6, 0.6, 12)
+                            + 1j * rng.uniform(-0.6, 0.6, 12)])
+    for y in lanes.tolist():
+        got = semiflow._dp_step(G.eval, y, 0.037, G.eval(y))
+        want = _dp_step_by_rows(G.eval, y, 0.037, G.eval(y))
+        assert _bits(got) == _bits(want), y
+    h = np.linspace(1e-3, 0.1, len(lanes))
+    k1 = G.eval(lanes)
+    got = semiflow._dp_step(G.eval, lanes, h, k1)
+    want = _dp_step_by_rows(G.eval, lanes, h, k1)
+    assert all(_bits(a) == _bits(b) for a, b in zip(got, want))

@@ -61,6 +61,13 @@ class TestApply:
         f = SeriesFn([2.5])
         assert np.array_equal(apply(TANH, 0.7, f, 1e-9).coeffs, f.coeffs)
 
+    @pytest.mark.parametrize("t,tol", [(-1.0, 1e-9), (math.nan, 1e-9),
+                                       (math.inf, 1e-9), (0.7, 1.0),
+                                       (0.7, math.nan)])
+    def test_constant_series_checks_t_and_tol(self, t, tol):
+        with pytest.raises(BadParameter):
+            apply(TANH, t, SeriesFn([2.5]), tol)
+
     def test_tanh_flow_values(self):
         out = apply(TANH, 0.5, e(1, 32), 1e-10)
         for k in range(5):
