@@ -5,31 +5,40 @@ A generator of a global semiflow of the disc factors as
     G(z) = (b - z)(1 - conj(b) z) F(z),   |b| <= 1,  Re F >= 0 on the disc
 
 (the Berkson-Porta form; b is the Denjoy-Wolff point). The classifier
-searches for b by damped-free Newton iteration on G from 32 fixed seeds
-(16 strided grid points, 16 boundary points), keeps converged roots inside
-the closed disc, and for each candidate forms the cofactor
-F = G / ((b - z)(1 - conj(b) z)) and samples Re F on the deterministic
-interior grid. Removable-singularity samples (the grid point sits on a
-zero of the factor) are replaced by the average of F over a circle of
-radius 1e-4 around the point.
+searches for b by undamped Newton iteration on G from 32 fixed seeds
+(16 strided grid points, 16 boundary points), run as lanes of one array:
+each iteration evaluates G and G' once on the lanes still running, and a
+lane whose evaluation raises fails alone. It keeps converged roots inside
+the closed disc; with none, the 8 spaced minima of |G| among 256 boundary
+points (one evaluation) are the candidates. For each candidate it forms
+the cofactor F = G / ((b - z)(1 - conj(b) z)) and samples Re F on the
+deterministic interior grid in one evaluation. Removable-singularity
+samples (the grid point sits on a zero of the factor) are replaced by the
+average of F over a circle of radius 1e-4 around the point. Seeds and
+grid are computed once per density.
 
 Epistemics: a negative sample is a conclusive failure certificate for that
-candidate, a clean sample sheet is evidence only. When no candidate
-passes, a finite exit time found by the integrator from one of 8 interior
-seeds certifies NotGlobal; otherwise the verdict is Inconclusive.
+candidate, a clean sample sheet is evidence only, and a sheet with a NaN
+sample (an overflowed evaluation) never passes. When no candidate passes,
+a finite exit time found by the integrator from one of 8 interior seeds
+(scalar runs, in order: the first usually decides) certifies NotGlobal;
+otherwise the verdict is Inconclusive.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadParameter, HoloflowError, PoleError, ToleranceError
+import numpy as np
+
+from .errors import BadParameter, PoleError, ToleranceError
 from .expr import HoloExpr, Poly, Product, Ratio
 from .geometry import Domain
-from .semiflow import _check_tol, escape_time
+from .semiflow import _EVAL_ERRORS, _check_tol, _eval_lanes, escape_time
 
 GLOBAL = "Global"
 NOT_GLOBAL = "NotGlobal"
@@ -86,22 +95,37 @@ def herglotz_check(F: HoloExpr, density: int) -> HerglotzReport:
     evidence, not a positivity proof. A pole at a grid point propagates
     as PoleError.
     """
-    grid = Domain.unit_disc().sample_grid(density)
-    return _herglotz_on(F, grid, probe_singularities=False)
+    return _herglotz_on(F, _classification_seeds(density)[1],
+                        probe_singularities=False)
 
 
 def _herglotz_on(F: HoloExpr, grid, probe_singularities: bool) -> HerglotzReport:
-    best = math.inf
-    arg = grid[0]
-    for p in grid:
-        if probe_singularities:
-            v = _eval_with_probe(F, p)
-        else:
-            v = F.eval(p)
-        if v.real < best:
-            best = v.real
-            arg = p
-    return HerglotzReport(best, arg)
+    return _lowest(_re_sheet(F, grid, probe_singularities), grid)
+
+
+def _re_sheet(F: HoloExpr, grid, probe_singularities: bool) -> np.ndarray:
+    """Re F on every grid point, in one evaluation of the grid.
+
+    With probe_singularities, a grid point where F raises PoleError takes
+    the circle average of _eval_with_probe; any other error propagates,
+    from the first failing grid point.
+    """
+    with np.errstate(all="ignore"):
+        v, errors = _eval_lanes(F.eval, np.array(grid, dtype=complex))
+    for i in sorted(errors):
+        if not (probe_singularities and isinstance(errors[i], PoleError)):
+            raise errors[i]
+        v[i] = _eval_with_probe(F, grid[i])
+    return v.real
+
+
+def _lowest(re: np.ndarray, grid) -> HerglotzReport:
+    """The least sample and its first grid point; NaN samples never count."""
+    i = int(np.argmin(np.where(np.isnan(re), math.inf, re)))
+    low = float(re[i])
+    if not low < math.inf:  # no sample below inf
+        return HerglotzReport(math.inf, grid[0])
+    return HerglotzReport(low, grid[i])
 
 
 def _eval_with_probe(F: HoloExpr, z: complex) -> complex:
@@ -118,42 +142,43 @@ def _eval_with_probe(F: HoloExpr, z: complex) -> complex:
 
 def _newton_roots(G: HoloExpr, seeds, tol_b: float):
     """Converged Newton roots of G inside |z| <= 1 + tol_b, deduplicated
-    and ordered by (|b|, arg b in [0, 2 pi))."""
+    and ordered by (|b|, arg b in [0, 2 pi)).
+
+    The seeds run as lanes of one array; a lane leaves the run when its
+    evaluation raises (a failure), when |G'| < 1e-300, when z leaves
+    |z| <= 10 or turns non-finite, or when its step falls below
+    _NEWTON_TOL (converged). ToleranceError when every seed fails.
+    """
     Gp = G.derivative()
-    roots = []
+    z = np.array(seeds, dtype=complex)
+    ids = np.arange(len(z))
+    converged = []  # (seed index, root)
     failures = 0
-    for seed in seeds:
-        z = complex(seed)
-        ok = False
-        try:
-            for _ in range(_NEWTON_ITERATIONS):
-                g = G.eval(z)
-                gp = Gp.eval(z)
-                if abs(gp) < 1e-300:
-                    break
-                step = g / gp
-                z -= step
-                if abs(z) > 10.0 or not (
-                    math.isfinite(z.real) and math.isfinite(z.imag)
-                ):
-                    break
-                if abs(step) < _NEWTON_TOL:
-                    ok = True
-                    break
-        except (HoloflowError, OverflowError, ZeroDivisionError):
-            failures += 1
-            continue
-        if not ok:
-            continue
-        try:
-            if abs(G.eval(z)) > 1e-6:
-                continue
-        except HoloflowError:
-            continue
-        if abs(z) <= 1.0 + tol_b:
-            roots.append(z)
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_ITERATIONS):
+            if not len(z):
+                break
+            g, g_errors = _eval_lanes(G.eval, z)
+            gp, gp_errors = _eval_lanes(Gp.eval, z)
+            # a lane that raised is NaN in g or gp, so it stops below
+            failures += len(g_errors.keys() | gp_errors.keys())
+            step = g / gp
+            z = z - step
+            running = (np.abs(gp) >= 1e-300) & (np.abs(z) <= 10.0)
+            done = running & (np.abs(step) < _NEWTON_TOL)
+            if done.any():
+                converged += zip(ids[done].tolist(), z[done].tolist())
+                running &= ~done
+            if not running.all():
+                ids, z = ids[running], z[running]
     if failures == len(seeds):
         raise ToleranceError("Newton failed from every seed")
+    roots = [r for _, r in sorted(converged)]
+    if roots:
+        with np.errstate(all="ignore"):
+            g, errors = _eval_lanes(G.eval, np.array(roots))
+        ok = (np.abs(g) <= 1e-6) & (np.abs(roots) <= 1.0 + tol_b)
+        roots = [r for i, r in enumerate(roots) if ok[i] and i not in errors]
     roots.sort(key=_candidate_key)
     merged: list[complex] = []
     for r in roots:
@@ -169,36 +194,38 @@ def _candidate_key(b: complex):
     return (abs(b), arg)
 
 
+@functools.lru_cache(maxsize=16)
 def _classification_seeds(density: int):
-    grid = Domain.unit_disc().sample_grid(density)
+    """(Newton seeds, Herglotz grid) of a grid density, as tuples."""
+    grid = tuple(Domain.unit_disc().sample_grid(density))
     n_grid = _NEWTON_SEEDS // 2
     stride = [grid[round(i * (len(grid) - 1) / (n_grid - 1))]
               for i in range(n_grid)]
     boundary = [cmath.exp(2j * math.pi * k / n_grid) for k in range(n_grid)]
-    return stride + boundary, grid
+    return tuple(stride + boundary), grid
+
+
+_BOUNDARY_POINTS = tuple(cmath.exp(2j * math.pi * k / _BOUNDARY_SAMPLES)
+                         for k in range(_BOUNDARY_SAMPLES))
 
 
 def _boundary_minima(G: HoloExpr):
     """Boundary points where |G| is smallest, spaced apart, ordered by
-    (|G|, angle)."""
-    values = []
-    for k in range(_BOUNDARY_SAMPLES):
-        w = cmath.exp(2j * math.pi * k / _BOUNDARY_SAMPLES)
-        try:
-            values.append((abs(G.eval(w)), k, w))
-        except HoloflowError:
-            continue
-    values.sort()
-    kept: list[tuple] = []
+    (|G|, angle); points where G raises are skipped, NaN values go last."""
+    with np.errstate(all="ignore"):
+        v, errors = _eval_lanes(G.eval, np.array(_BOUNDARY_POINTS))
+    mag = np.abs(v)
+    kept: list[int] = []
     min_spacing = _BOUNDARY_SAMPLES // 32
-    for mag, k, w in values:
-        if any(min(abs(k - kj), _BOUNDARY_SAMPLES - abs(k - kj)) < min_spacing
-               for _, kj, _w in kept):
+    for k in np.argsort(mag, kind="stable").tolist():
+        if k in errors or any(
+                min(abs(k - kj), _BOUNDARY_SAMPLES - abs(k - kj))
+                < min_spacing for kj in kept):
             continue
-        kept.append((mag, k, w))
+        kept.append(k)
         if len(kept) == _MAX_BOUNDARY_CANDIDATES:
             break
-    return [w for _, _, w in kept]
+    return [_BOUNDARY_POINTS[k] for k in kept]
 
 
 def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
@@ -224,13 +251,16 @@ def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
     for b in candidates:
         F = Ratio(G, _bp_factor(b))
         try:
-            report = _herglotz_on(F, grid, probe_singularities=True)
-        except HoloflowError:
+            sheet = _re_sheet(F, grid, probe_singularities=True)
+        except _EVAL_ERRORS:
             continue
-        if best_min_re is None or report.min_re > best_min_re:
-            best_min_re = report.min_re
-        if report.min_re >= -tol_herglotz:
-            return BPVerdict(GLOBAL, b=b, min_re_F=report.min_re)
+        low = _lowest(sheet, grid).min_re
+        if not math.isfinite(low):  # an overflowed sheet
+            continue
+        if best_min_re is None or low > best_min_re:
+            best_min_re = low
+        if low >= -tol_herglotz and not np.isnan(sheet).any():
+            return BPVerdict(GLOBAL, b=b, min_re_F=low)
     disc = Domain.unit_disc()
     n = len(grid)
     hunt = [grid[round(i * (n - 1) / (_ESCAPE_SEEDS - 1))]
@@ -238,7 +268,7 @@ def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
     for z0 in hunt:
         try:
             t_esc = escape_time(G, disc, z0, escape_t_max, escape_tol)
-        except HoloflowError:
+        except _EVAL_ERRORS:
             continue
         if t_esc is not None:
             return BPVerdict(NOT_GLOBAL, min_re_F=best_min_re,

@@ -30,7 +30,8 @@ than DELTA_WALL to the boundary; on an unbounded domain an endpoint beyond
 R_MAX ends the run as an escape to infinity. Recorded trajectories carry
 the adaptive step points plus dense output at max(64, ceil(16 * horizon))
 uniform times filled in by cubic Hermite interpolation (the final point
-is always an exact integration endpoint).
+is always an exact integration endpoint). escape_time and flow_point run
+the same rule but record nothing: they keep only how the run ends.
 
 Many trajectories (integrate_seeds): the same wall rule and dense output
 on independent lanes, one per seed, for phase portraits. A lane leaves the
@@ -521,6 +522,19 @@ def backward_integrate(G: HoloExpr, domain: Domain, z0: complex,
     return Trajectory(-traj.times, traj.points, status)
 
 
+def _final_state(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
+                 tol: float):
+    """How the run of integrate ends, as (kind, time, point), without
+    recording the trajectory."""
+    _check_run(tol, horizon)
+    if not domain.contains(z0):
+        raise DomainError("initial point %r outside the domain" % (z0,))
+    _, [(kind, t, u, _)] = _drive(
+        G.eval, complex(z0), [horizon], tol, _wall_rule(domain, _ONE),
+        domain.signed_distance)
+    return kind, t, u
+
+
 def escape_time(G: HoloExpr, domain: Domain, z0: complex, t_max: float,
                 tol: float) -> Optional[float]:
     """Escape time if the flow leaves before t_max, else None.
@@ -528,10 +542,8 @@ def escape_time(G: HoloExpr, domain: Domain, z0: complex, t_max: float,
     None means no escape was detected before t_max, not that the flow is
     global.
     """
-    traj = integrate(G, domain, z0, t_max, tol)
-    if traj.escaped:
-        return float(traj.status.t_escape)
-    return None
+    kind, t, _ = _final_state(G, domain, z0, t_max, tol)
+    return None if kind == _COMPLETED else float(t)
 
 
 def flow_point(G: HoloExpr, domain: Domain, z0: complex, t: float,
@@ -541,13 +553,11 @@ def flow_point(G: HoloExpr, domain: Domain, z0: complex, t: float,
         if not domain.contains(z0):
             raise DomainError("initial point %r outside the domain" % (z0,))
         return complex(z0)
-    traj = integrate(G, domain, z0, t, tol)
-    if traj.escaped:
+    kind, t_end, u = _final_state(G, domain, z0, t, tol)
+    if kind != _COMPLETED:
         raise EscapeError(
-            "flow from %r escaped at t=%r before t=%r"
-            % (z0, traj.status.t_escape, t)
-        )
-    return traj.final_point
+            "flow from %r escaped at t=%r before t=%r" % (z0, t_end, t))
+    return u
 
 
 def semigroup_residual(G: HoloExpr, domain: Domain, z0: complex, t: float,

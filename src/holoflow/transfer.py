@@ -12,11 +12,14 @@ probe grids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
 
 from .errors import BadParameter
 from .expr import Compose, HoloExpr, Mobius, Ratio
 from .geometry import Domain
-from .semiflow import flow_point
+from .semiflow import _eval_lanes, flow_point
 
 _PAIR_PROBE_TOL = 1e-10
 
@@ -29,19 +32,45 @@ class ConformalPair:
     target: Domain
 
     def __post_init__(self):
-        for z in self.source.sample_grid(1):
-            w = self.h.eval(z)
-            if not self.target.contains(w):
+        # Probes run as lanes; the first failing probe in grid order is
+        # reported, with the checks of each probe in the order below.
+        z = np.array(self.source.sample_grid(1))
+        with np.errstate(all="ignore"):
+            w, w_errors = _eval_lanes(self.h.eval, z)
+            back, back_errors = _eval_lanes(self.h_inv.eval, w)
+        outside = ~(self.target.signed_distance(w) > 0)
+        i = _first_fault(outside | (abs(back - z) > _PAIR_PROBE_TOL),
+                         w_errors, back_errors)
+        if i is not None:
+            if i in w_errors:
+                raise w_errors[i]
+            if outside[i]:
                 raise BadParameter(
                     "map sends source probe %r to %r outside the target"
-                    % (z, w))
-            if abs(self.h_inv.eval(w) - z) > _PAIR_PROBE_TOL:
-                raise BadParameter(
-                    "inverse fails on source probe %r" % (z,))
-        for w in self.target.sample_grid(1):
-            if abs(self.h.eval(self.h_inv.eval(w)) - w) > _PAIR_PROBE_TOL:
-                raise BadParameter(
-                    "inverse fails on target probe %r" % (w,))
+                    % (z[i].item(), w[i].item()))
+            if i in back_errors:
+                raise back_errors[i]
+            raise BadParameter(
+                "inverse fails on source probe %r" % (z[i].item(),))
+        w = np.array(self.target.sample_grid(1))
+        with np.errstate(all="ignore"):
+            z, z_errors = _eval_lanes(self.h_inv.eval, w)
+            back, back_errors = _eval_lanes(self.h.eval, z)
+        i = _first_fault(abs(back - w) > _PAIR_PROBE_TOL, z_errors,
+                         back_errors)
+        if i is not None:
+            if i in z_errors:
+                raise z_errors[i]
+            if i in back_errors:
+                raise back_errors[i]
+            raise BadParameter(
+                "inverse fails on target probe %r" % (w[i].item(),))
+
+
+def _first_fault(bad: np.ndarray, *errors: dict) -> Optional[int]:
+    """The first probe that is bad or raised, or None."""
+    faults = np.flatnonzero(bad).tolist() + [i for e in errors for i in e]
+    return min(faults) if faults else None
 
 
 def cayley() -> ConformalPair:

@@ -1,4 +1,6 @@
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,13 +9,17 @@ from holoflow import (
     BadParameter,
     Const,
     Domain,
+    HoloflowError,
     Mobius,
     PoleError,
+    ToleranceError,
     bp_build,
     bp_classify,
     herglotz_check,
     parse_symbol,
 )
+from holoflow import classify
+from holoflow.expr import Poly, Product, Ratio
 
 HALF_PLANE_MAP = Mobius(1, 1, -1, 1)  # (1+z)/(1-z), Herglotz on the disc
 
@@ -145,3 +151,201 @@ def test_bad_escape_parameters_raise_before_any_work(kwargs):
     # read as Inconclusive
     with pytest.raises(BadParameter):
         bp_classify(parse_symbol("z"), **kwargs)
+
+
+# -- lanes against the scalar classifier -------------------------------------
+#
+# The classifier runs its Newton seeds and its boundary scan as lanes of one
+# array. The references below are the scalar loops they replaced, one seed
+# and one boundary point at a time.
+
+
+def scalar_newton_roots(G, seeds, tol_b):
+    Gp = G.derivative()
+    roots = []
+    failures = 0
+    for seed in seeds:
+        z = complex(seed)
+        ok = False
+        try:
+            for _ in range(classify._NEWTON_ITERATIONS):
+                g = G.eval(z)
+                gp = Gp.eval(z)
+                if abs(gp) < 1e-300:
+                    break
+                step = g / gp
+                z -= step
+                if abs(z) > 10.0 or not (
+                    math.isfinite(z.real) and math.isfinite(z.imag)
+                ):
+                    break
+                if abs(step) < classify._NEWTON_TOL:
+                    ok = True
+                    break
+        except (HoloflowError, OverflowError, ZeroDivisionError):
+            failures += 1
+            continue
+        if not ok:
+            continue
+        try:
+            if abs(G.eval(z)) > 1e-6:
+                continue
+        except HoloflowError:
+            continue
+        if abs(z) <= 1.0 + tol_b:
+            roots.append(z)
+    if failures == len(seeds):
+        raise ToleranceError("Newton failed from every seed")
+    roots.sort(key=classify._candidate_key)
+    merged = []
+    for r in roots:
+        if all(abs(r - m) > classify._ROOT_MERGE_DISTANCE for m in merged):
+            merged.append(r)
+    return merged
+
+
+def scalar_boundary_minima(G):
+    n = classify._BOUNDARY_SAMPLES
+    values = []
+    for k in range(n):
+        w = cmath.exp(2j * math.pi * k / n)
+        try:
+            values.append((abs(G.eval(w)), k, w))
+        except HoloflowError:
+            continue
+    values.sort()
+    kept = []
+    for mag, k, w in values:
+        if any(min(abs(k - kj), n - abs(k - kj)) < n // 32
+               for _, kj, _w in kept):
+            continue
+        kept.append((mag, k, w))
+        if len(kept) == classify._MAX_BOUNDARY_CANDIDATES:
+            break
+    return [w for _, _, w in kept]
+
+
+HAND_SYMBOLS = [
+    "-z", "z", "1-z^2", "-z*(1-1.05*z^50)",
+    "(0.5-z)*(1-0.5*z)*(1-1.1*z^40)", "-z*(1-1.2*z^20)", "z^2+0.5",
+    "1/(z-0.5)", "exp(z)", "0", "1", "i*z", "mobius(1,0,1,-0.5)",
+    "(1+z)/(1-z)", "z^3-z",
+]
+
+
+def ctext(c):
+    return "(%r%s%ri)" % (c.real, "+" if c.imag >= 0 else "-", abs(c.imag))
+
+
+def bench_style_bp_symbols():
+    """Berkson-Porta symbols written as the benchmark writes them, with b
+    inside the disc and on its boundary."""
+    rng = np.random.default_rng(8)
+    out = []
+    for k in range(20):
+        if k % 2:
+            b = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        else:
+            b = cmath.rect(0.9 * math.sqrt(rng.uniform()),
+                           rng.uniform(0, 2 * math.pi))
+        kappa = cmath.rect(0.8 * math.sqrt(rng.uniform()),
+                           rng.uniform(0, 2 * math.pi))
+        F = ("%r" % (0.5 + abs(kappa)), "poly(1,%s)" % ctext(kappa),
+             "mobius(%s,1,%s,1)" % (ctext(kappa), ctext(-kappa)))[k % 3]
+        out.append("poly(%s,-1)*poly(1,%s)*%s"
+                   % (ctext(b), ctext(-b.conjugate()), F))
+    return out
+
+
+SEEDS, GRID = classify._classification_seeds(2)
+# a pole on the fifth Newton seed: only that lane fails
+POLE_ON_SEED = Ratio(parse_symbol("z-0.3"), Poly((-SEEDS[4], 1.0)))
+
+
+def assert_same_roots(G):
+    # roots of equal modulus may swap places when |b| rounds differently,
+    # so each root is matched to its nearest counterpart
+    lanes = classify._newton_roots(G, SEEDS, 1e-8)
+    scalar = scalar_newton_roots(G, SEEDS, 1e-8)
+    assert len(lanes) == len(scalar)
+    for a in lanes:
+        assert min(abs(a - b) for b in scalar) <= 1e-12
+    for b in scalar:
+        assert min(abs(a - b) for a in lanes) <= 1e-12
+
+
+@pytest.mark.parametrize("text", HAND_SYMBOLS + bench_style_bp_symbols())
+def test_newton_lanes_match_scalar(text):
+    assert_same_roots(parse_symbol(text))
+
+
+@pytest.mark.parametrize("text", HAND_SYMBOLS + bench_style_bp_symbols())
+def test_boundary_lanes_match_scalar(text):
+    # |G| ties on the circle (|-z| = 1, |exp| at conjugate angles) break by
+    # rounding, which numpy and Python do differently, so the candidates
+    # are compared by their |G| profile
+    G = parse_symbol(text)
+    lanes = classify._boundary_minima(G)
+    scalar = scalar_boundary_minima(G)
+    assert len(lanes) == len(scalar)
+    for a, b in zip(lanes, scalar):
+        assert abs(G.eval(a)) == pytest.approx(abs(G.eval(b)), rel=1e-12)
+
+
+def test_newton_pole_on_one_seed_fails_that_lane_only():
+    with pytest.raises(PoleError):
+        POLE_ON_SEED.eval(SEEDS[4])
+    assert_same_roots(POLE_ON_SEED)
+    assert classify._newton_roots(POLE_ON_SEED, SEEDS, 1e-8) == [
+        pytest.approx(0.3, abs=1e-12)]
+
+
+def test_newton_fails_from_every_seed():
+    den = Const(1.0)
+    for s in SEEDS:
+        den = Product(den, Poly((-s, 1.0)))
+    G = Ratio(Const(1.0), den)
+    for reference in (classify._newton_roots, scalar_newton_roots):
+        with pytest.raises(ToleranceError):
+            reference(G, SEEDS, 1e-8)
+
+
+def test_seeds_and_grid_are_cached_tuples():
+    seeds = classify._classification_seeds
+    assert seeds(2) is seeds(2)
+    assert isinstance(SEEDS, tuple) and isinstance(GRID, tuple)
+    assert list(GRID) == Domain.unit_disc().sample_grid(2)
+    assert len(SEEDS) == classify._NEWTON_SEEDS
+
+
+def test_grid_point_root_takes_the_probe_average():
+    # b = 0.5 is a grid point, so F = G / ((b - z)(1 - b z)) is 0/0 there
+    b = 0.5 + 0j
+    assert b in GRID
+    v = bp_classify(bp_build(b, Const(1.0)))
+    assert v.status == "Global" and v.b == b
+    assert abs(v.min_re_F - 1.0) <= 1e-12
+
+
+def test_herglotz_argmin_is_first_and_skips_nan():
+    grid = (0.1, 0.2, 0.3, 0.4)
+    report = classify._lowest(np.array([math.nan, 2.0, 1.0, 1.0]), grid)
+    assert (report.min_re, report.argmin) == (1.0, 0.3)
+    report = classify._lowest(np.array([math.nan, math.nan]), grid)
+    assert (report.min_re, report.argmin) == (math.inf, 0.1)
+
+
+def test_herglotz_error_names_first_failing_grid_point():
+    grid = Domain.unit_disc().sample_grid(1)
+    F = Const(1.0) / ((parse_symbol("z") - Const(grid[7]))
+                      * (parse_symbol("z") - Const(grid[3])))
+    with pytest.raises(PoleError, match=re.escape(repr(grid[3]))):
+        herglotz_check(F, 1)
+
+
+def test_nan_sheet_never_passes():
+    # Re F = 1 wherever 0 * exp(800 z) does not overflow, NaN where it does
+    F = parse_symbol("1+0*exp(800*z)")
+    sheet = classify._re_sheet(F, GRID, True)
+    assert np.isnan(sheet).any() and np.nanmin(sheet) == 1.0
+    assert bp_classify(bp_build(0j, F)).status != "Global"

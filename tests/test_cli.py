@@ -238,3 +238,18 @@ def test_transfer_check_golden(tmp_path, schema, capsys, argv, transferred):
     H = parse_symbol(doc["transferred_symbol"])
     for z in (0j, 0.3 + 0.2j, -0.5j):
         assert H.eval(z) == pytest.approx(transferred(z), abs=1e-12)
+
+
+@pytest.mark.parametrize("symbol", [
+    "exp(800*z)", "z*exp(-900*z)", "-z*exp(800*z)"])
+def test_classify_overflowing_symbols_get_a_report(tmp_path, schema, capsys,
+                                                   symbol):
+    # Re e^(800 z) < 0 at points of the disc, so none is a generator;
+    # their evaluation overflows in the boundary scan and the escape hunt
+    out = tmp_path / "classify.json"
+    code, summary, (data,) = _run_twice(
+        capsys, ["classify", "--symbol", symbol, "--out", str(out)], [out])
+    doc = json.loads(data)
+    jsonschema.validate(doc, schema)
+    assert doc == summary
+    assert (code, doc["status"]) in ((0, "NotGlobal"), (4, "Inconclusive"))

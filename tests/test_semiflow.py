@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import time
 
 import numpy as np
@@ -16,8 +17,10 @@ from holoflow import (
     Trajectory,
     backward_integrate,
     escape_time,
+    flow_point,
     flow_series,
     integrate,
+    parse_domain,
     parse_symbol,
     semigroup_residual,
     trajectory_to_csv,
@@ -364,3 +367,38 @@ def test_dp_step_matches_tableau_rows_bit_for_bit(symbol):
     got = semiflow._dp_step(G.eval, lanes, h, k1)
     want = _dp_step_by_rows(G.eval, lanes, h, k1)
     assert all(_bits(a) == _bits(b) for a, b in zip(got, want))
+
+
+# escape_time and flow_point run the driver without recording a trajectory;
+# they must end exactly where integrate ends
+END_CONFIGS = [
+    ("z", "unitdisc", 0.5), ("-z", "unitdisc", 0.5),
+    ("1-z^2", "unitdisc", 0.2j), ("z^2", "unitdisc", 0.9),
+    ("(0.3+1i)*z", "unitdisc", 0.3 + 0.1j),
+    ("z^2+0.5", "unitdisc", -0.2j), ("2*z", "halfplane:right", 1 + 1j),
+    ("z^2", "halfplane:right", 1.0),
+]
+
+
+@pytest.mark.parametrize("symbol,domain,z0", END_CONFIGS)
+@pytest.mark.parametrize("t", [0.5, 2.0, 9.0])
+@pytest.mark.parametrize("tol", [1e-9, 1e-11])
+def test_escape_time_and_flow_point_end_where_integrate_ends(symbol, domain,
+                                                             z0, t, tol):
+    G, D = parse_symbol(symbol), parse_domain(domain)
+    traj = integrate(G, D, z0, t, tol)
+    assert escape_time(G, D, z0, t, tol) == traj.status.t_escape
+    if traj.escaped:
+        with pytest.raises(EscapeError, match=re.escape(
+                "escaped at t=%r" % traj.status.t_escape)):
+            flow_point(G, D, z0, t, tol)
+    else:
+        assert repr(flow_point(G, D, z0, t, tol)) == repr(traj.final_point)
+
+
+def test_escape_time_and_flow_point_check_first():
+    for f in (escape_time, flow_point):
+        with pytest.raises(BadParameter):
+            f(LINEAR, DISC, 0.5, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            f(LINEAR, DISC, 1.5, 1.0, 1e-9)
