@@ -56,7 +56,7 @@ from .semigroup import (
     operator_matrix,
 )
 from .semiflow import integrate, trajectory_to_csv
-from .series import SeriesFn, coeff_extraction_radius, taylor
+from .series import SeriesFn, coeff_extraction_radius, series_compose, taylor
 from .spaces import parse_space
 from .transfer import cayley, conjugation_residual, mobius_pair, transfer_symbol
 
@@ -321,13 +321,18 @@ def _seed_series(text: str, degree: int) -> SeriesFn:
 def cmd_evolve(v: dict) -> tuple[int, dict]:
     G = parse_symbol(v["symbol"])
     seed = _seed_series(v["f"], v["N"])
-    result = semigroup_apply(G, v["t"], seed, v["tol"])
+    matrix = matrix_doc = None
+    if v["matrix-out"] is None:
+        result = semigroup_apply(G, v["t"], seed, v["tol"])
+    else:
+        # column 1 of the matrix is the flow series: one integration serves
+        # both the matrix and the composition
+        matrix = operator_matrix(G, v["t"], v["N"], v["tol"])
+        result = series_compose(seed, SeriesFn(matrix.entries[:, 1]))
     norm = None
     if v["space"] is not None:
         norm = parse_space(v["space"]).norm(result)
-    matrix_doc = None
-    if v["matrix-out"] is not None:
-        matrix = operator_matrix(G, v["t"], v["N"], v["tol"])
+    if matrix is not None:
         _write(v["matrix-out"], matrix_to_csv(matrix))
         matrix_doc = matrix_summary(matrix)
     report = _report("evolve", dict(v), {

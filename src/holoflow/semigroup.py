@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import BadParameter
 from .expr import HoloExpr
-from .series import SeriesFn, coeff_extraction_radius, series_compose, taylor
+from .series import (SeriesFn, coeff_extraction_radius, series_compose,
+                     taylor, truncated_powers)
 from .semiflow import _check_tol, _flow_series_path, flow_series
 from .spaces import CoefSpace
 
@@ -48,7 +49,9 @@ def apply(G: HoloExpr, t: float, f: SeriesFn, tol: float) -> SeriesFn:
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Matrix of T(t) on the monomial basis; column k holds the truncated
-    coefficients of phi(t, .)^k.
+    coefficients of phi(t, .)^k. Column 1 is the flow series itself, so
+    `matrix_summary` and the CLI's `evolve --matrix-out` take the flow from
+    the matrix instead of integrating it again.
 
     Truncated matrices compose exactly, M_{t+s} = M_s M_t, only when
     phi(t, 0) = 0, which makes them triangular. Otherwise entry (j, k) of
@@ -61,7 +64,7 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=np.complex128)
+        m = np.array(self.entries, dtype=np.complex128, order="C")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -79,15 +82,7 @@ def operator_matrix(G: HoloExpr, t: float, degree: int,
     if degree < 1:
         raise BadParameter("operator matrices need degree >= 1")
     flow = flow_series(G, t, degree, tol).coeffs.coeffs
-    n = degree + 1
-    m = np.zeros((n, n), dtype=np.complex128)
-    col = np.zeros(n, dtype=np.complex128)
-    col[0] = 1.0
-    m[:, 0] = col
-    for k in range(1, n):
-        col = np.convolve(col, flow)[:n]
-        m[:, k] = col
-    return OperatorMatrix(t, degree, m)
+    return OperatorMatrix(t, degree, truncated_powers(flow, degree).T)
 
 
 def generator_action(G: HoloExpr, f: SeriesFn) -> SeriesFn:
@@ -144,6 +139,8 @@ def transport_pde_residual(G: HoloExpr, f: SeriesFn, z: complex, t: float,
     pass at a fixed internal tolerance of 1e-11 so the difference
     quotients are dominated by the h^2 discretization error.
     """
+    if not (0 < h_t < math.inf and 0 < h_z < math.inf):
+        raise BadParameter("h_t and h_z must be positive and finite")
     if abs(z) + h_z >= 1.0:
         raise BadParameter("need |z| + h_z < 1")
     if t < h_t:

@@ -1,11 +1,18 @@
 """Truncated Taylor series of fixed degree.
 
 A SeriesFn holds coefficients a_0..a_N about 0. Arithmetic truncates to
-degree N and never reads beyond it; composition makes no convergence
-claim when the inner constant term is nonzero (numerical validity is the
-caller's concern). Coefficients of an expression are extracted by
-trapezoidal sampling on a circle: with M = max(4N, 64) equispaced samples
-at radius r,
+degree N and never reads beyond it. Composition gives the truncated
+composition [f_N o g_N]_N, the first N + 1 coefficients of the polynomial
+f_N(g_N(z)); it makes no convergence claim when the inner constant term is
+nonzero (numerical validity is the caller's concern). It runs the
+Paterson-Stockmeyer scheme: with n = N + 1 and s about sqrt(n), the
+truncated powers g^0 .. g^s are formed once, one matrix product turns the
+blocks of s coefficients of f into the polynomials C_j = sum_i f_{js+i} g^i,
+and Horner in g^s over the blocks adds them up, so a composition costs
+about 2 sqrt(n) truncated products instead of n.
+
+Coefficients of an expression are extracted by trapezoidal sampling on a
+circle: with M = max(4N, 64) equispaced samples at radius r,
 
     a_k = (1 / (M r^k)) * sum_j f(r e^{2 pi i j / M}) e^{-2 pi i j k / M},
 
@@ -127,19 +134,36 @@ class SeriesFn:
 
 
 def series_compose(f: SeriesFn, g: SeriesFn) -> SeriesFn:
-    """Coefficients of f(g(z)) truncated to the shared degree (Horner)."""
+    """Coefficients of f(g(z)) truncated to the shared degree.
+
+    Paterson-Stockmeyer evaluation; see the module docstring.
+    """
     if f.degree != g.degree:
         raise DegreeMismatch("degrees differ: %d vs %d" % (f.degree, g.degree))
     return SeriesFn(_compose_arrays(f.coeffs, g.coeffs))
 
 
+def truncated_powers(g: np.ndarray, k: int) -> np.ndarray:
+    """Rows g^0 .. g^k, each cut to len(g) coefficients."""
+    n = len(g)
+    powers = np.zeros((k + 1, n), dtype=np.complex128)
+    powers[0, 0] = 1.0
+    for j in range(1, k + 1):
+        powers[j] = np.convolve(powers[j - 1], g)[:n]
+    return powers
+
+
 def _compose_arrays(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     n = len(f)
-    acc = np.zeros(n, dtype=np.complex128)
-    acc[0] = f[-1]
-    for k in range(n - 2, -1, -1):
-        acc = np.convolve(acc, g)[:n]
-        acc[0] += f[k]
+    s = math.isqrt(n - 1) + 1
+    m = -(-n // s)
+    powers = truncated_powers(g, s)
+    padded = np.zeros(m * s, dtype=np.complex128)
+    padded[:n] = f
+    blocks = padded.reshape(m, s) @ powers[:s]
+    acc = blocks[-1]
+    for j in range(m - 2, -1, -1):
+        acc = np.convolve(acc, powers[s])[:n] + blocks[j]
     return acc
 
 

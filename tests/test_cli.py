@@ -5,7 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from holoflow import parse_symbol
+from holoflow import parse_symbol, semiflow
 from holoflow.cli import _build_parser, main
 
 
@@ -217,6 +217,46 @@ def test_evolve_golden(tmp_path, schema, capsys, symbol, phi0, dphi0):
         assert complex(row0[2 * k], row0[2 * k + 1]) == pytest.approx(
             phi0 ** k, abs=1e-8)
     assert complex(row1[2], row1[3]) == pytest.approx(dphi0, abs=1e-8)
+
+
+def _evolve_counting_flows(tmp_path, capsys, monkeypatch, symbol, *extra):
+    calls = []
+    path = semiflow._flow_series_path
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return path(*args, **kwargs)
+
+    monkeypatch.setattr(semiflow, "_flow_series_path", counted)
+    out = tmp_path / "evolve.json"
+    code = main(["evolve", "--symbol", symbol, "--f", "1/(1-0.5*z)",
+                 "--t", "0.5", "--N", "48", "--out", str(out), *extra])
+    capsys.readouterr()
+    return code, len(calls), json.loads(out.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("symbol", ["-z", "1-z^2"])
+def test_evolve_matrix_out_integrates_the_flow_once(tmp_path, capsys,
+                                                    monkeypatch, symbol):
+    matrix = tmp_path / "matrix.csv"
+    code, flows, doc = _evolve_counting_flows(
+        tmp_path, capsys, monkeypatch, symbol, "--matrix-out", str(matrix))
+    assert (code, flows) == (0, 1)
+    assert matrix.exists() and doc["matrix"] is not None
+    code, flows, plain = _evolve_counting_flows(
+        tmp_path, capsys, monkeypatch, symbol)
+    assert (code, flows) == (0, 1)
+    assert plain["coeffs"] == doc["coeffs"]
+
+
+def test_evolve_matrix_out_needs_degree_one(tmp_path, capsys):
+    out = tmp_path / "evolve.json"
+    matrix = tmp_path / "matrix.csv"
+    assert main(["evolve", "--symbol=-z", "--f", "z", "--N", "0",
+                 "--out", str(out), "--matrix-out", str(matrix)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
+    assert not matrix.exists()
 
 
 @pytest.mark.parametrize("argv,transferred", [

@@ -11,6 +11,7 @@ from holoflow import (
     OperatorMatrix,
     SeriesFn,
     apply,
+    flow_series,
     generator_action,
     generator_residual,
     matrix_summary,
@@ -97,6 +98,27 @@ class TestOperatorMatrix:
     def test_time_zero_identity(self):
         m = operator_matrix(TANH, 0.0, 5, 1e-10)
         assert np.array_equal(m.entries, np.eye(6))
+
+    @pytest.mark.parametrize("symbol,t,degree", [
+        ("-z", 0.7, 6), ("1-z^2", 0.3, 8), ("1-z^2", 3.0, 48),
+        ("-z*(1+0.3*z)", 1.0, 64), ("0.1", 0.5, 16),
+    ])
+    def test_matches_column_loop_bit_for_bit(self, symbol, t, degree):
+        # reference: the matrix built column by column, one convolution each
+        G = parse_symbol(symbol)
+        flow = flow_series(G, t, degree, 1e-10).coeffs.coeffs
+        n = degree + 1
+        want = np.zeros((n, n), dtype=np.complex128)
+        col = np.zeros(n, dtype=np.complex128)
+        col[0] = 1.0
+        want[:, 0] = col
+        for k in range(1, n):
+            col = np.convolve(col, flow)[:n]
+            want[:, k] = col
+        m = operator_matrix(G, t, degree, 1e-10)
+        assert np.array_equal(m.entries, want)
+        assert m.entries.flags.c_contiguous
+        assert np.array_equal(m.entries[:, 1], flow)
 
     def test_column_zero_fixed(self):
         m = operator_matrix(TANH, 0.3, 8, 1e-10)
@@ -229,6 +251,25 @@ class TestTransport:
     def test_probe_validation(self):
         with pytest.raises(BadParameter):
             transport_pde_residual(LINEAR, e(1, 8), 0.9999, 0.5, 1e-3, 1e-3)
+
+    def test_zero_time_step_is_refused(self):
+        with pytest.raises(BadParameter):
+            transport_pde_residual(LINEAR, e(1, 8), 0.5, 0.5, 0.0, 1e-3)
+
+    def test_zero_space_step_is_refused(self):
+        with pytest.raises(BadParameter):
+            transport_pde_residual(LINEAR, e(1, 8), 0.5, 0.5, 1e-3, 0.0)
+
+    def test_negative_space_step_is_refused(self):
+        # |z| + h_z < 1 holds, yet z - h_z lies at |z| = 1.009
+        with pytest.raises(BadParameter):
+            transport_pde_residual(LINEAR, e(1, 8), 0.999, 0.5, 1e-3, -0.01)
+
+    def test_non_finite_steps_are_refused(self):
+        for h_t, h_z in ((math.nan, 1e-3), (1e-3, math.nan),
+                         (math.inf, 1e-3)):
+            with pytest.raises(BadParameter):
+                transport_pde_residual(LINEAR, e(1, 8), 0.5, 0.5, h_t, h_z)
 
 
 class TestStrongContinuity:

@@ -1,5 +1,7 @@
 import cmath
+import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from holoflow import (
     series_compose,
     taylor,
 )
+from holoflow.series import _compose_arrays
 
 GEOM = Ratio(Const(1.0), Poly((1, -1)))  # 1/(1-z)
 
@@ -101,6 +104,64 @@ def test_compose_associative_when_constant_terms_vanish():
     left = series_compose(series_compose(f, g), h)
     right = series_compose(f, series_compose(g, h))
     assert close(left.coeffs, right.coeffs, 1e-10)
+
+
+def horner_compose(f, g):
+    """Reference: Horner in g, one full truncated product per coefficient."""
+    n = len(f)
+    acc = np.zeros(n, dtype=np.complex128)
+    acc[0] = f[-1]
+    for k in range(n - 2, -1, -1):
+        acc = np.convolve(acc, g)[:n]
+        acc[0] += f[k]
+    return acc
+
+
+def tanh_flow_coeffs(a, n):
+    """The Mobius map (z + a)/(1 + a z): a + sum_k (1 - a^2)(-a)^(k-1) z^k."""
+    g = np.empty(n, dtype=np.complex128)
+    g[0] = a
+    g[1:] = (1 - a * a) * (-a) ** np.arange(n - 1)
+    return g
+
+
+@pytest.mark.parametrize("inner", ["vanishing", "tanh"])
+def test_paterson_stockmeyer_matches_horner(inner):
+    # every n = 1..130 covers each block shape, among them n = s^2, s^2 + 1
+    rng = np.random.default_rng(0)
+    for n in range(1, 131):
+        f = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / (
+            1.0 + np.arange(n))
+        if inner == "vanishing":
+            g = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
+                0.5 ** np.arange(n))
+            g[0] = 0.0
+        else:
+            g = tanh_flow_coeffs(0.98, n)
+        ref = horner_compose(f, g)
+        got = _compose_arrays(f, g)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), n
+
+
+def test_composition_against_mpmath_on_tanh_flow():
+    # both schemes against the exact truncated composition of the same
+    # double inputs: the tanh flow at t = 3 (phi(0) = 0.995) and N = 32
+    n = 33
+    f = (0.5 ** np.arange(n)).astype(np.complex128)
+    g = tanh_flow_coeffs(math.tanh(3.0), n)
+    with mpmath.workdps(50):
+        gm = [mpmath.mpc(c.real, c.imag) for c in g]
+        acc = [mpmath.mpc(f[-1].real)] + [mpmath.mpc(0)] * (n - 1)
+        for k in range(n - 2, -1, -1):
+            acc = [mpmath.fsum(acc[i] * gm[j - i] for i in range(j + 1))
+                   for j in range(n)]
+            acc[0] += f[k].real
+        scale = max(abs(c) for c in acc)
+        for got in (_compose_arrays(f, g), horner_compose(f, g)):
+            err = max(abs(mpmath.mpc(x.real, x.imag) - c)
+                      for x, c in zip(got, acc))
+            assert err <= 1e-15 * scale
 
 
 def test_arithmetic_truncates():
