@@ -7,14 +7,13 @@ share one step sequence; and an array of independent lanes, each with its
 own time, step size and step count. A step passes when
 tol * (1 + |u|) / |err| >= 1 (least over shared lanes, lane by lane for
 independent ones); a step whose endpoint the caller's admission rule
-refuses, or whose evaluation fails, is halved. When the step size
-underflows H_MIN within ESCAPE_DISTANCE of the boundary the run ends in an
-escape at the current time (the reject/halve cascade bisects the last
-accepted step, so the crossing is bracketed to within H_MIN); underflow
-farther away, or more than _MAX_STEPS steps, raises StiffnessError (an
-independent lane fails alone instead). An escape is a solver-tolerance
-certificate, never a proof. The step-control rules are written once, as
-expressions that hold for Python scalars and elementwise for arrays.
+refuses, or whose evaluation fails, is halved, except at a wall (below).
+When the step size underflows H_MIN within ESCAPE_DISTANCE of the boundary
+the run ends in an escape at the current time; underflow farther away, or
+more than _MAX_STEPS steps, raises StiffnessError (an independent lane
+fails alone instead). An escape is a solver-tolerance certificate, never a
+proof. The step-control rules are written once, as expressions that hold
+for Python scalars and elementwise for arrays.
 
 Fixed constants:
 
@@ -32,6 +31,24 @@ the adaptive step points plus dense output at max(64, ceil(16 * horizon))
 uniform times filled in by cubic Hermite interpolation (the final point
 is always an exact integration endpoint). escape_time and flow_point run
 the same rule but record nothing: they keep only how the run ends.
+
+Wall endgame: the wall crossing is located as an event (Hairer, Norsett &
+Wanner, Solving ODEs I, sec. II.6). The gap d(u(t)) - DELTA_WALL, with d
+the signed distance that the wall rule computes anyway, is interpolated
+linearly in time through its last two accurate values: the state and a
+step endpoint, or two endpoints refused at the wall. A step refused at
+the wall is retried with the length that reaches the predicted crossing,
+less H_MIN / 2, instead of half its own length. From then on, while the
+crossing stays ahead, the step after an accepted one is no longer than
+that. The run escapes once the predicted crossing is less than H_MIN
+ahead, or once the gap of a state is within rounding of 0
+(2^-52 (1 + |u|)); the latter ends orbits too slow to cross the wall in
+floating point, such as the tanh flow of 1 - z^2 near t = 10.7. The
+secant converges superlinearly; halving converges linearly, and the step
+grown after each acceptance overshoots again. Over 73 escaping orbits in
+the unit disc and the right half-plane, 2 to 6 steps follow the first
+wall refusal, where halving takes 76 to 106. The open-disc rule of
+flow_series has no wall and keeps halving.
 
 Many trajectories (integrate_seeds): the same wall rule and dense output
 on independent lanes, one per seed, for phase portraits. A lane leaves the
@@ -259,11 +276,18 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
     step size and step count, and leaves the run as soon as it ends
     (independent lanes take one stop time). admit(y) judges each step
     endpoint with _ACCEPT, _REJECT or _STOP (one verdict per independent
-    lane); boundary_distance(u) decides escape against stiffness at step
+    lane) and returns it with the endpoint's gap to the wall (its signed
+    distance minus DELTA_WALL), or with None under a rule without a wall;
+    boundary_distance(u) decides escape against stiffness at step
     underflow; accepted(m, ids, t, h, u, k, t_next, y, k_y) sees every
     accepted step, with slopes k and k_y (on independent lanes: arrays of
     the running lanes, m marking those that accepted and ids giving
     their positions in the initial u).
+
+    Under a rule with a wall, the gaps drive the wall endgame of the
+    module docstring: a predicted crossing less than H_MIN ahead is a step
+    underflow. Where the secant has no zero within a refused step, or
+    none ahead of an accepted one, the usual rule applies.
 
     Returns (states, ends): the state at every stop time reached, and how
     each lane ended as (kind, time, point, reason). The kind is _COMPLETED,
@@ -278,10 +302,16 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
     if lanes:
         ids, t, steps = np.arange(len(u)), np.zeros(len(u)), np.zeros(
             len(u), np.intp)
+        aim, back = np.zeros(len(u), bool), np.zeros(len(u))
     else:
-        ids, t, steps = 0, 0.0, 0
+        ids, t, steps, aim, back = 0, 0.0, 0, False, 0.0
     ends = [None] * (len(u) if lanes else 1)
     h = t + min(1e-3, stops[-1])
+    # the last point of the wall secant, back ahead of the current time,
+    # and its gap: the current state (back = 0) or an endpoint refused at
+    # the wall; aim marks a run in the wall endgame
+    _, gap = admit(u)
+    walled = gap is not None
 
     def end(mask, kind, t, u, why=""):
         if not lanes:
@@ -299,11 +329,11 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
             h = minimum(h, stop - t)
             try:
                 y5, err, k7 = _dp_step(rhs, u, h, k1)
-                verdict = admit(y5)
+                verdict, gap_y = admit(y5)
                 ratio = (_error_ratio(u, err, tol, lanes)
-                         if any_(verdict == _ACCEPT) else math.nan)
+                         if any_(verdict != _STOP) else math.nan)
             except _EVAL_ERRORS:
-                verdict, ratio = _REJECT, math.nan
+                verdict, ratio, gap_y = _REJECT, math.nan, math.nan
             passed = (verdict == _ACCEPT) & (ratio >= 1.0)
             stopped = verdict == _STOP
             if any_(stopped):
@@ -315,13 +345,40 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
                 t, u, k1 = xp.advance(passed, (t_next, y5, k7), (t, u, k1))
             # a refused endpoint halves the step
             scale = where(verdict == _ACCEPT, 0.9 * ratio ** 0.2, 0.5)
-            h = h * where(passed, minimum(5.0, maximum(0.2, scale)),
-                          minimum(0.7, maximum(0.1, scale)))
+            h_next = h * where(passed, minimum(5.0, maximum(0.2, scale)),
+                               minimum(0.7, maximum(0.1, scale)))
+            if walled and any_(aim | (verdict == _REJECT)):
+                # the wall endgame (see above). From the new state, the
+                # step endpoint is ahead by `ahead` and the secant's zero
+                # by `reach`; a new state within rounding of the wall has
+                # reached it.
+                ahead = where(passed, 0.0, h)
+                fall = gap - gap_y
+                reach = ahead + gap_y * (h - back) / where(
+                    fall != 0.0, fall, math.nan)
+                reach = where(passed & (gap_y <= 2.0 ** -52 * (1.0 + abs(u))),
+                              0.0, reach)
+                sure = ((ratio >= 1.0) & (reach >= 0.0)
+                        & (reach < where(passed, math.inf, ahead)))
+                at_wall = sure & (verdict == _REJECT)
+                aim = where(passed, aim & sure, aim | at_wall)
+                # half of H_MIN short: a good prediction lands inside and
+                # leaves less than H_MIN to go
+                aimed = reach - 0.5 * H_MIN
+                h_next = where(at_wall, aimed, where(
+                    aim & passed, minimum(h_next, aimed), h_next))
+                back = where(at_wall, h, where(passed, 0.0, back))
+                gap = where(passed | at_wall, gap_y, gap)
+            elif walled:
+                gap = where(passed, gap_y, gap)
+            h = h_next
             # rare: a stop, an underflow, the step limit, or (independent
             # lanes) a lane that reached the stop time
             ending = stopped | (h < H_MIN) | (steps >= _MAX_STEPS)
             if any_((ending | (t >= stop)) if lanes else ending):
-                tiny = where(stopped | passed, False, h < H_MIN)
+                # an accepted step underflows only at the wall
+                tiny = where(stopped, False, where(
+                    passed, aim & (t < stop), True)) & (h < H_MIN)
                 escaped = tiny & (boundary_distance(u) < ESCAPE_DISTANCE)
                 ended = stopped | tiny
                 over = where(ended, False,
@@ -343,8 +400,9 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
                         return states, ends
                 else:
                     keep = ~ended
-                    ids, t, h, steps, u, k1 = (
-                        x[keep] for x in (ids, t, h, steps, u, k1))
+                    ids, t, h, steps, u, k1, aim, back, gap = (
+                        x[keep] for x in (ids, t, h, steps, u, k1, aim, back,
+                                          gap))
         states.append(u)
     if not lanes:
         ends[0] = (_COMPLETED, t, u, "")
@@ -363,10 +421,11 @@ def _wall_rule(domain: Domain, xp):
 
     def admit(y):
         r = abs(y)
-        v = where(distance(y) >= DELTA_WALL, _ACCEPT, _REJECT)
+        gap = distance(y) - DELTA_WALL
+        v = where(gap >= 0.0, _ACCEPT, _REJECT)
         if not bounded:
             v = where(r > R_MAX, _STOP, v)
-        return where(r < math.inf, v, _REJECT)
+        return where(r < math.inf, v, _REJECT), gap
 
     return admit
 
@@ -579,8 +638,9 @@ _FLOW_NOISE_GAIN = 1e-4
 _INTERIOR_LANES = (0j, 0.25, 0.25j, -0.25, -0.25j)
 
 
-def _inside_unit_disc(y: np.ndarray) -> str:
-    return _ACCEPT if np.all(np.abs(y) < 1.0) else _REJECT  # NaN rejects
+def _inside_unit_disc(y: np.ndarray) -> tuple[int, None]:
+    # NaN rejects; no wall, so no gap
+    return (_ACCEPT if np.all(np.abs(y) < 1.0) else _REJECT), None
 
 
 def _flow_series_path(G: HoloExpr, times: list[float], degree: int,

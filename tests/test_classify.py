@@ -349,3 +349,66 @@ def test_nan_sheet_never_passes():
     sheet = classify._re_sheet(F, GRID, True)
     assert np.isnan(sheet).any() and np.nanmin(sheet) == 1.0
     assert bp_classify(bp_build(0j, F)).status != "Global"
+
+
+# Newton at a double root: a boundary b makes G = conj(b) (z - b)^2 F, where
+# plain Newton halves its step each iteration; doubling the step there
+# converges quadratically. Calls of _eval_lanes count the work: two per
+# Newton iteration, one for the root check and one per Herglotz sheet.
+
+def bp_symbols(boundary, n=24):
+    """(b, text) of Berkson-Porta symbols written as the benchmark writes
+    them, cycling through its three Herglotz factors."""
+    rng = np.random.default_rng(21 if boundary else 22)
+    out = []
+    for k in range(n):
+        if boundary:
+            b = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        else:
+            b = cmath.rect(0.9 * math.sqrt(rng.uniform()),
+                           rng.uniform(0, 2 * math.pi))
+        kappa = cmath.rect(0.8 * math.sqrt(rng.uniform()),
+                           rng.uniform(0, 2 * math.pi))
+        F = (ctext(complex(0.5 + abs(kappa), kappa.imag)),
+             "poly(1,%s)" % ctext(kappa),
+             "mobius(%s,1,%s,1)" % (ctext(kappa), ctext(-kappa)))[k % 3]
+        out.append((b, "poly(%s,-1)*poly(1,-%s)*%s"
+                    % (ctext(b), ctext(b.conjugate()), F)))
+    return out
+
+
+def classify_counting(monkeypatch, text):
+    calls = []
+    original = classify._eval_lanes
+
+    def counting(f, z):
+        calls.append(len(z))
+        return original(f, z)
+
+    monkeypatch.setattr(classify, "_eval_lanes", counting)
+    verdict = bp_classify(parse_symbol(text))
+    monkeypatch.setattr(classify, "_eval_lanes", original)
+    return verdict, len(calls)
+
+
+@pytest.mark.parametrize("b,text", bp_symbols(boundary=True))
+def test_boundary_b_newton_converges_fast(monkeypatch, b, text):
+    verdict, calls = classify_counting(monkeypatch, text)
+    assert verdict.status == "Global"
+    assert abs(verdict.b - b) <= 1e-11
+    assert calls <= 50
+    # plain Newton, the step never doubled, needs over 80 calls
+    monkeypatch.setattr(classify, "_DOUBLE_STEP", 0.0)
+    _, plain = classify_counting(monkeypatch, text)
+    assert plain > 80
+
+
+@pytest.mark.parametrize("b,text", bp_symbols(boundary=False))
+def test_interior_b_newton_is_not_slower(monkeypatch, b, text):
+    verdict, calls = classify_counting(monkeypatch, text)
+    assert verdict.status == "Global"
+    assert abs(verdict.b - b) <= 1e-11
+    monkeypatch.setattr(classify, "_DOUBLE_STEP", 0.0)
+    plain_verdict, plain = classify_counting(monkeypatch, text)
+    assert calls <= plain
+    assert plain_verdict.b == verdict.b

@@ -26,6 +26,7 @@ from holoflow import (
     trajectory_to_csv,
 )
 from holoflow import semiflow
+from holoflow.counterexample import build_counterexample
 from holoflow.semigroup import apply
 
 DISC = Domain.unit_disc()
@@ -402,3 +403,99 @@ def test_escape_time_and_flow_point_check_first():
             f(LINEAR, DISC, 0.5, 1.0, 1.0)
         with pytest.raises(DomainError):
             f(LINEAR, DISC, 1.5, 1.0, 1e-9)
+
+
+# The wall endgame: a step refused at the wall is retried at the secant's
+# predicted crossing instead of at half its length. The step-count tests
+# count _dp_step calls; the reference escape times are those of the former
+# halving endgame (printed with repr), which took 97-123 steps on these
+# runs.
+
+def _recording_steps(monkeypatch):
+    endpoints = []
+    original = semiflow._dp_step
+
+    def recording(rhs, y, h, k1):
+        out = original(rhs, y, h, k1)
+        endpoints.append(out[0])
+        return out
+
+    monkeypatch.setattr(semiflow, "_dp_step", recording)
+    return endpoints
+
+
+def _counterexample_symbol(b):
+    return build_counterexample(complex(b), parse_symbol("1"))
+
+
+HALVING_ESCAPES = [
+    # (symbol, domain, z0, escape time of the halving endgame)
+    (_counterexample_symbol(1.5), DISC, 0j, 1.436819790713521),
+    (_counterexample_symbol(1.2), DISC, 0.3, 1.9401767641636463),
+    (_counterexample_symbol(1.9), DISC, -0.6 + 0.2j, 1.299829003847229),
+    (RICCATI, DISC, 0.9, 0.1111111101075681),
+    (parse_symbol("-1+0.5i"), Domain.half_plane("right"), 1 + 0j,
+     0.999999998998833),
+]
+
+
+@pytest.mark.parametrize("G,domain,z0,t_halving", HALVING_ESCAPES)
+def test_wall_endgame_steps_and_escape_time(monkeypatch, G, domain, z0,
+                                            t_halving):
+    endpoints = _recording_steps(monkeypatch)
+    t = escape_time(G, domain, z0, 60.0, 1e-9)
+    assert len(endpoints) <= 40
+    assert t == pytest.approx(t_halving, rel=1e-10)
+    first = next(i for i, y in enumerate(endpoints)
+                 if domain.signed_distance(y) < semiflow.DELTA_WALL)
+    assert len(endpoints) - first <= 6
+
+
+def test_wall_endgame_closed_form_crossings():
+    # z^2 from 0.9 reaches |z| = 1 - DELTA_WALL at 1/0.9 - 1/(1 - 1e-9); the
+    # translation by -1 + 0.5i reaches Re z = DELTA_WALL at 1 - 1e-9
+    t = escape_time(RICCATI, DISC, 0.9, 10.0, 1e-9)
+    assert t == pytest.approx(1 / 0.9 - 1 / (1 - 1e-9), rel=1e-9)
+    t = escape_time(parse_symbol("-1+0.5i"), Domain.half_plane("right"),
+                    1 + 0j, 10.0, 1e-9)
+    assert abs(t - (1 - 1e-9)) <= 2 * semiflow.H_MIN
+
+
+@pytest.mark.parametrize("b,z0", [
+    (1.1j, 0.4 - 0.1j), (cmath.rect(1.3, 2.5), 0.2j),
+    (cmath.rect(1.6, -0.7), -0.45 - 0.2j),
+    (cmath.rect(1.05, 4.0), 0.9 * cmath.exp(1j)), (-1.4 + 0.5j, 0.95),
+])
+def test_wall_endgame_is_short_on_counterexample_orbits(monkeypatch, b, z0):
+    endpoints = _recording_steps(monkeypatch)
+    assert escape_time(_counterexample_symbol(b), DISC, z0, 60.0,
+                       1e-9) is not None
+    first = next(i for i, y in enumerate(endpoints)
+                 if DISC.signed_distance(y) < semiflow.DELTA_WALL)
+    assert len(endpoints) - first <= 6
+
+
+def test_orbit_too_slow_to_cross_the_wall_escapes(monkeypatch):
+    # 1 - tanh t falls below DELTA_WALL at t = artanh(1 - 1e-9) = 10.708;
+    # the orbit then approaches 1 by about 2e-9 per unit time, too slowly
+    # to cross the wall in floating point, and ends once its gap is within
+    # rounding of 0 instead of creeping on until the step limit
+    endpoints = _recording_steps(monkeypatch)
+    t = escape_time(TANH, DISC, 0j, 12.0, 1e-9)
+    assert abs(t - math.atanh(1 - 1e-9)) < 0.1
+    assert len(endpoints) <= 200
+    traj = integrate(TANH, DISC, 0.2j, 40.0, 1e-9)
+    assert traj.escaped
+    assert 1 - abs(traj.final_point) >= semiflow.DELTA_WALL
+
+
+def test_lanes_end_slow_orbits_like_the_scalar_path():
+    # as above, lane by lane; a last-bit difference in the state moves the
+    # time its gap falls within rounding by up to 1e-16 / 2e-9 = 5e-8
+    seeds = DISC.sample_grid(2)
+    lanes = semiflow.integrate_seeds(TANH, DISC, seeds, 12.0, 1e-9)
+    for seed, (points, status) in zip(seeds, lanes):
+        ref = integrate(TANH, DISC, seed, 12.0, 1e-9).status
+        assert status.kind == ref.kind
+        if ref.kind == "Escaped":
+            assert status.t_escape == pytest.approx(ref.t_escape, rel=1e-7)
