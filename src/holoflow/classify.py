@@ -66,8 +66,8 @@ _SINGULAR_PROBE_RADIUS = 1e-4
 _BOUNDARY_SAMPLES = 256
 _MAX_BOUNDARY_CANDIDATES = 8
 _ESCAPE_SEEDS = 8
-
-DEFAULT_TOL_HERGLOTZ = 1e-9
+# A candidate passes when its least Re F sample is at least -TOL_HERGLOTZ.
+TOL_HERGLOTZ = 1e-9
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,12 @@ def herglotz_check(F: HoloExpr, density: int) -> HerglotzReport:
     evidence, not a positivity proof. A pole at a grid point propagates
     as PoleError.
     """
-    return _herglotz_on(F, _classification_seeds(density)[1],
-                        probe_singularities=False)
+    return _herglotz_on(F, _classification_seeds(density)[1])
 
 
-def _herglotz_on(F: HoloExpr, grid, probe_singularities: bool) -> HerglotzReport:
-    return _lowest(_re_sheet(F, grid, probe_singularities), grid)
+def _herglotz_on(F: HoloExpr, grid) -> HerglotzReport:
+    """The least Re F over the grid; any evaluation error propagates."""
+    return _lowest(_re_sheet(F, grid, probe_singularities=False), grid)
 
 
 def _re_sheet(F: HoloExpr, grid, probe_singularities: bool) -> np.ndarray:
@@ -250,13 +250,13 @@ def _boundary_minima(G: HoloExpr):
 
 
 def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
-                tol_herglotz: float = DEFAULT_TOL_HERGLOTZ,
                 escape_t_max: float = 20.0,
                 escape_tol: float = 1e-9) -> BPVerdict:
     """Decide whether G generates a global semiflow of the unit disc.
 
     Returns Global with the located Denjoy-Wolff point when a candidate
-    factorization passes the sampled positivity check, NotGlobal with an
+    factorization passes the sampled positivity check (least Re F sample
+    at least -TOL_HERGLOTZ, none NaN), NotGlobal with an
     escape witness when no candidate passes and some interior seed exits
     in finite time, and Inconclusive otherwise. The escape horizon and
     tolerance are checked before any work (BadParameter).
@@ -280,7 +280,7 @@ def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
             continue
         if best_min_re is None or low > best_min_re:
             best_min_re = low
-        if low >= -tol_herglotz and not np.isnan(sheet).any():
+        if low >= -TOL_HERGLOTZ and not np.isnan(sheet).any():
             return BPVerdict(GLOBAL, b=b, min_re_F=low)
     disc = Domain.unit_disc()
     n = len(grid)

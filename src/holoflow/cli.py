@@ -97,79 +97,75 @@ def _int(text: str) -> int:
         raise ParseError("bad integer %r" % (text,)) from None
 
 
-def _str(text: str) -> str:
-    return text
-
-
 _COMMANDS: dict[str, list[_Opt]] = {
     "flow": [
-        _Opt("symbol", _str, _REQUIRED, "generator expression"),
-        _Opt("domain", _str, "unitdisc", "flow domain"),
+        _Opt("symbol", str, _REQUIRED, "generator expression"),
+        _Opt("domain", str, "unitdisc", "flow domain"),
         _Opt("z0", _cpair, _REQUIRED, "initial point re,im"),
         _Opt("horizon", _float, 10.0, "integration horizon"),
         _Opt("tol", _float, 1e-9, "solver tolerance"),
-        _Opt("out", _str, "trajectory.csv", "trajectory CSV path"),
+        _Opt("out", str, "trajectory.csv", "trajectory CSV path"),
     ],
     "portrait": [
-        _Opt("symbol", _str, _REQUIRED, "generator expression"),
-        _Opt("domain", _str, "unitdisc", "flow domain"),
+        _Opt("symbol", str, _REQUIRED, "generator expression"),
+        _Opt("domain", str, "unitdisc", "flow domain"),
         _Opt("density", _int, 2, "seed grid density"),
         _Opt("horizon", _float, 10.0, "integration horizon"),
         _Opt("tol", _float, 1e-9, "solver tolerance"),
-        _Opt("out", _str, "portrait.svg", "SVG path"),
+        _Opt("out", str, "portrait.svg", "SVG path"),
     ],
     "classify": [
-        _Opt("symbol", _str, _REQUIRED, "generator expression"),
+        _Opt("symbol", str, _REQUIRED, "generator expression"),
         _Opt("density", _int, 2, "sampling density"),
         _Opt("tol-b", _float, 1e-8, "distinguished-point tolerance"),
         _Opt("escape-tmax", _float, 20.0, "escape hunt horizon"),
         _Opt("tol", _float, 1e-9, "solver tolerance"),
-        _Opt("out", _str, "classify.json", "report path"),
+        _Opt("out", str, "classify.json", "report path"),
     ],
     "evolve": [
-        _Opt("symbol", _str, _REQUIRED, "generator expression"),
-        _Opt("f", _str, _REQUIRED, "series seed expression"),
+        _Opt("symbol", str, _REQUIRED, "generator expression"),
+        _Opt("f", str, _REQUIRED, "series seed expression"),
         _Opt("t", _float, 1.0, "semigroup time"),
         _Opt("N", _int, 64, "truncation degree"),
         _Opt("tol", _float, 1e-9, "solver tolerance"),
-        _Opt("space", _str, None, "optional norm space"),
-        _Opt("out", _str, "evolve.json", "report path"),
-        _Opt("matrix-out", _str, None, "optional operator matrix CSV path"),
+        _Opt("space", str, None, "optional norm space"),
+        _Opt("out", str, "evolve.json", "report path"),
+        _Opt("matrix-out", str, None, "optional operator matrix CSV path"),
     ],
     "check-e": [
-        _Opt("space", _str, _REQUIRED, "coefficient space"),
-        _Opt("out", _str, "check_e.json", "report path"),
+        _Opt("space", str, _REQUIRED, "coefficient space"),
+        _Opt("out", str, "check_e.json", "report path"),
     ],
     "generator-check": [
-        _Opt("symbol", _str, _REQUIRED, "generator expression"),
-        _Opt("f", _str, _REQUIRED, "series seed expression"),
-        _Opt("space", _str, "h2", "norm space"),
+        _Opt("symbol", str, _REQUIRED, "generator expression"),
+        _Opt("f", str, _REQUIRED, "series seed expression"),
+        _Opt("space", str, "h2", "norm space"),
         _Opt("h", _float, 1e-3, "difference step"),
         _Opt("N", _int, 64, "truncation degree"),
         _Opt("tol", _float, 1e-9, "solver tolerance"),
-        _Opt("out", _str, "generator_check.json", "report path"),
+        _Opt("out", str, "generator_check.json", "report path"),
     ],
     "counterexample": [
         _Opt("b", _cpair, 1.5 + 0j, "attracting point, 1 < |b| < 2"),
-        _Opt("F", _str, "1", "Herglotz factor on the radius-2 disc"),
+        _Opt("F", str, "1", "Herglotz factor on the radius-2 disc"),
         _Opt("z0", _cpair, 0j, "unit-disc seed"),
         _Opt("T", _float, 20.0, "long horizon"),
         _Opt("tol", _float, 1e-9, "solver tolerance"),
         _Opt("dw-tol", _float, 1e-3, "attraction distance target"),
-        _Opt("out", _str, "counterexample.json", "report path"),
-        _Opt("trajectory-out", _str, "counterexample_trajectory.csv",
+        _Opt("out", str, "counterexample.json", "report path"),
+        _Opt("trajectory-out", str, "counterexample_trajectory.csv",
              "trajectory CSV path"),
     ],
     "transfer-check": [
-        _Opt("symbol", _str, _REQUIRED, "generator on the target domain"),
-        _Opt("map", _str, "cayley", "cayley or mobius:a,b,c,d"),
+        _Opt("symbol", str, _REQUIRED, "generator on the target domain"),
+        _Opt("map", str, "cayley", "cayley or mobius:a,b,c,d"),
         _Opt("z0", _cpair, _REQUIRED, "source-domain seed"),
         _Opt("t", _float, 1.0, "flow time"),
         _Opt("tol", _float, 1e-9, "solver tolerance"),
-        _Opt("source", _str, "unitdisc", "source domain for mobius maps"),
-        _Opt("target", _str, "halfplane:upper",
+        _Opt("source", str, "unitdisc", "source domain for mobius maps"),
+        _Opt("target", str, "halfplane:upper",
              "target domain for mobius maps"),
-        _Opt("out", _str, "transfer_check.json", "report path"),
+        _Opt("out", str, "transfer_check.json", "report path"),
     ],
 }
 
@@ -262,10 +258,12 @@ def _write(path: str, text: str):
         handle.write(text)
 
 
-def _report(command: str, inputs: dict, body: dict) -> dict:
+def _write_report(command: str, v: dict, body: dict) -> dict:
+    """The JSON report of a command, written to v["out"]."""
     doc = {"schema_version": SCHEMA_VERSION, "command": command,
-           "inputs": inputs}
+           "inputs": dict(v)}
     doc.update(body)
+    _write(v["out"], dump_line(doc))
     return doc
 
 
@@ -304,13 +302,12 @@ def cmd_classify(v: dict) -> tuple[int, dict]:
     if verdict.witness is not None:
         witness = {"z0": verdict.witness.z0,
                    "t_escape": verdict.witness.t_escape}
-    report = _report("classify", dict(v), {
+    report = _write_report("classify", v, {
         "status": verdict.status,
         "b": verdict.b,
         "min_re_F": verdict.min_re_F,
         "witness": witness,
     })
-    _write(v["out"], dump_line(report))
     return (4 if verdict.status == INCONCLUSIVE else 0), report
 
 
@@ -335,23 +332,21 @@ def cmd_evolve(v: dict) -> tuple[int, dict]:
     if matrix is not None:
         _write(v["matrix-out"], matrix_to_csv(matrix))
         matrix_doc = matrix_summary(matrix)
-    report = _report("evolve", dict(v), {
+    report = _write_report("evolve", v, {
         "coeffs": [complex(c) for c in result.coeffs],
         "norm": norm,
         "matrix": matrix_doc,
     })
-    _write(v["out"], dump_line(report))
     return 0, report
 
 
 def cmd_check_e(v: dict) -> tuple[int, dict]:
     space = parse_space(v["space"])
     verdict = space.condition_e()
-    report = _report("check-e", dict(v), {
+    report = _write_report("check-e", v, {
         "status": verdict.status,
         "evidence": verdict.evidence,
     })
-    _write(v["out"], dump_line(report))
     return (4 if verdict.status == "Inconclusive" else 0), report
 
 
@@ -373,13 +368,12 @@ def cmd_generator_check(v: dict) -> tuple[int, dict]:
     else:
         slope_reason = ("fewer than two nonzero residuals: "
                         "no measurable order in h")
-    report = _report("generator-check", dict(v), {
+    report = _write_report("generator-check", v, {
         "residual": residuals[0]["residual"],
         "residuals": residuals,
         "slope": slope,
         "slope_reason": slope_reason,
     })
-    _write(v["out"], dump_line(report))
     return 0, report
 
 
@@ -388,13 +382,12 @@ def cmd_counterexample(v: dict) -> tuple[int, dict]:
     result = cx.run_counterexample(v["b"], F, v["z0"], t_long=v["T"],
                                    tol=v["tol"], dw_tol=v["dw-tol"])
     _write(v["trajectory-out"], trajectory_to_csv(result.trajectory))
-    report = _report("counterexample", dict(v), {
+    report = _write_report("counterexample", v, {
         "t_exit": result.t_exit,
         "dw_distance": result.dw_distance,
         "warning": result.warning,
         "trajectory_csv": v["trajectory-out"],
     })
-    _write(v["out"], dump_line(report))
     return (0 if result.conclusive else 4), report
 
 
@@ -403,14 +396,11 @@ def _parse_map(v: dict):
     if text == "cayley":
         return cayley()
     if text.startswith("mobius:"):
-        parts = text[len("mobius:"):].split(",")
-        if len(parts) != 4:
+        # the grammar's mobius(...), so the constants follow its rules
+        m = parse_symbol("mobius(%s)" % text[len("mobius:"):])
+        if not isinstance(m, Mobius):
             raise ParseError("mobius map needs 4 constants, got %r" % (text,))
-        consts = []
-        for part in parts:
-            expr = parse_symbol(part)
-            consts.append(expr.eval(0j))
-        return mobius_pair(Mobius(*consts), parse_domain(v["source"]),
+        return mobius_pair(m, parse_domain(v["source"]),
                            parse_domain(v["target"]))
     raise ParseError("unknown map %r" % (text,))
 
@@ -419,11 +409,10 @@ def cmd_transfer_check(v: dict) -> tuple[int, dict]:
     G = parse_symbol(v["symbol"])
     pair = _parse_map(v)
     residual = conjugation_residual(G, pair, v["z0"], v["t"], v["tol"])
-    report = _report("transfer-check", dict(v), {
+    report = _write_report("transfer-check", v, {
         "residual": residual,
         "transferred_symbol": str(transfer_symbol(G, pair)),
     })
-    _write(v["out"], dump_line(report))
     return 0, report
 
 
@@ -447,15 +436,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     try:
         code, summary = _HANDLERS[command](values)
-    except ParseError as exc:
-        sys.stdout.write(dump_line({"command": command, "error": str(exc)}))
-        return 1
-    except EscapeError as exc:
-        sys.stdout.write(dump_line({"command": command, "error": str(exc)}))
-        return 3
     except HoloflowError as exc:
         sys.stdout.write(dump_line({"command": command, "error": str(exc)}))
-        return 2
+        return (1 if isinstance(exc, ParseError)
+                else 3 if isinstance(exc, EscapeError) else 2)
     sys.stdout.write(dump_line(summary))
     return code
 

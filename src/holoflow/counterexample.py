@@ -39,8 +39,9 @@ from .geometry import Domain
 from .semiflow import Trajectory, escape_time, integrate
 
 BIG_RADIUS = 2.0
+# Re F is sampled on the big disc's grid of this density.
+HERGLOTZ_DENSITY = 2
 
-DEFAULT_B = 1.5 + 0j
 DEFAULT_T_LONG = 20.0
 DEFAULT_DW_TOL = 1e-3
 
@@ -66,18 +67,16 @@ def big_disc() -> Domain:
     return Domain.disc(0j, BIG_RADIUS)
 
 
-def build_counterexample(b: complex, F: HoloExpr = Const(1.0),
-                         density: int = 2) -> HoloExpr:
+def build_counterexample(b: complex, F: HoloExpr = Const(1.0)) -> HoloExpr:
     """The symbol F(z) (conj(b) z / 4 - 1)(z - b) on the radius-2 disc.
 
-    Requires 1 < |b| < 2 and Re F >= 0 on a sampling grid of the big disc
-    (a negative sample raises HerglotzError).
+    Requires 1 < |b| < 2 and Re F >= 0 on the big disc's sampling grid of
+    density HERGLOTZ_DENSITY (a negative sample raises HerglotzError).
     """
     b = complex(b)
     if not 1.0 < abs(b) < BIG_RADIUS:
         raise BadParameter("need 1 < |b| < 2, got |b| = %r" % abs(b))
-    worst = _herglotz_on(F, big_disc().sample_grid(density),
-                         probe_singularities=False)
+    worst = _herglotz_on(F, big_disc().sample_grid(HERGLOTZ_DENSITY))
     if worst.min_re < 0.0:
         raise HerglotzError("Re F = %r < 0 at z = %r on the radius-2 disc"
                             % (worst.min_re, worst.argmin))
@@ -88,8 +87,7 @@ def build_counterexample(b: complex, F: HoloExpr = Const(1.0),
 
 def run_counterexample(b: complex, F: HoloExpr, z0: complex,
                        t_long: float = DEFAULT_T_LONG, tol: float = 1e-9,
-                       dw_tol: float = DEFAULT_DW_TOL,
-                       density: int = 2) -> CounterexampleReport:
+                       dw_tol: float = DEFAULT_DW_TOL) -> CounterexampleReport:
     """Flow the counterexample symbol from a unit-disc seed.
 
     Integrates on the radius-2 disc through t_long and records the
@@ -107,7 +105,7 @@ def run_counterexample(b: complex, F: HoloExpr, z0: complex,
     z0 = complex(z0)
     if abs(z0) >= 1.0:
         raise DomainError("seed must lie in the open unit disc")
-    G = build_counterexample(b, F, density)
+    G = build_counterexample(b, F)
     domain = big_disc()
     traj = integrate(G, domain, z0, t_long, tol)
     if traj.escaped:

@@ -5,7 +5,9 @@ variable z, polynomials (ascending coefficients), quotients, Moebius maps,
 binary sums/products, composition, negation and the exponential. They
 evaluate recursively, differentiate structurally, and never simplify
 themselves. Arithmetic operators are overloaded so callers can write
-``1 - Z**2`` instead of spelling out nodes.
+``1 - Z**2`` instead of spelling out nodes. A power e ** n is the monomial
+z^n composed with e (the monomial itself when e is z), so its derivative
+grows linearly in n.
 
 ``eval`` takes a complex scalar or a numpy array of points (lanes) and
 works elementwise on arrays. A constant subtree evaluates to a scalar,
@@ -29,19 +31,25 @@ EPS_POLE = 1e-13
 
 # Probe circle used to reject quotients whose denominator is identically
 # (numerically) zero: two radii, offset angles, no special points.
-_DEN_PROBES = tuple(
+_DEN_PROBES = np.array([
     r * cmath.exp(2j * math.pi * (k + 0.317) / 8)
     for r in (0.7, 0.31)
     for k in range(8)
-)
+])
 
 
-def _raise_on_lane_pole(den: np.ndarray, z: np.ndarray, what: str):
-    """Array form of the pole check: PoleError names the first lane hit."""
-    hit = np.flatnonzero(np.abs(den) < EPS_POLE)
-    if hit.size:
-        raise PoleError("%s near z=%r"
-                        % (what, complex(z.flat[hit[0]]))) from None
+def _check_pole(den, z, what: str):
+    """PoleError when |den| < EPS_POLE, naming z (on lanes: the first lane
+    hit). The scalar test costs nothing extra; an array of lanes makes the
+    truth test raise ValueError and takes the elementwise check."""
+    try:
+        if abs(den) < EPS_POLE:
+            raise PoleError("%s near z=%r" % (what, z))
+    except ValueError:
+        hit = np.flatnonzero(np.abs(den) < EPS_POLE)
+        if hit.size:
+            raise PoleError("%s near z=%r"
+                            % (what, complex(z.flat[hit[0]]))) from None
 
 
 def _fmt_complex(v: complex) -> str:
@@ -94,10 +102,8 @@ class HoloExpr:
             raise BadParameter("expression powers take a nonnegative integer")
         if n == 0:
             return Const(1.0 + 0j)
-        out: HoloExpr = self
-        for _ in range(n - 1):
-            out = Product(out, self)
-        return out
+        monomial = Poly((0j,) * n + (1.0 + 0j,))
+        return monomial if isinstance(self, Var) else Compose(monomial, self)
 
 
 def as_expr(x) -> HoloExpr:
@@ -142,7 +148,8 @@ Z = Var()
 
 @dataclass(frozen=True)
 class Poly(HoloExpr):
-    """Polynomial sum(coeffs[k] * z**k), coefficients ascending."""
+    """Polynomial sum(coeffs[k] * z**k), coefficients ascending; z^n with
+    n >= 1 evaluates as the left-nested product z * z * ... * z."""
 
     coeffs: tuple
 
@@ -151,8 +158,12 @@ class Poly(HoloExpr):
         if not cs:
             raise BadParameter("polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", cs)
+        monomial = cs[-1] == 1 and not any(cs[:-1])
+        object.__setattr__(self, "_power", len(cs) - 1 if monomial else 0)
 
     def eval(self, z):
+        if self._power:
+            return math.prod((z,) * (self._power - 1), start=z)
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * z + c
@@ -179,7 +190,7 @@ class Mobius(HoloExpr):
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, complex(getattr(self, name)))
-        if self.a * self.d - self.b * self.c == 0:
+        if self.det == 0:
             raise BadParameter("Moebius map is degenerate (ad - bc = 0)")
 
     @property
@@ -188,13 +199,7 @@ class Mobius(HoloExpr):
 
     def eval(self, z):
         den = self.c * z + self.d
-        # The scalar test costs nothing extra; an array of lanes makes the
-        # truth test raise ValueError and takes the elementwise check.
-        try:
-            if abs(den) < EPS_POLE:
-                raise PoleError("Moebius pole near z=%r" % (z,))
-        except ValueError:
-            _raise_on_lane_pole(den, z, "Moebius pole")
+        _check_pole(den, z, "Moebius pole")
         return (self.a * z + self.b) / den
 
     def inverse(self) -> "Mobius":
@@ -216,25 +221,18 @@ class Ratio(HoloExpr):
     den: HoloExpr
 
     def __post_init__(self):
-        seen_nonzero = False
-        for p in _DEN_PROBES:
+        # an overflow is not a zero, and neither is a pole
+        with np.errstate(all="ignore"):
             try:
-                if abs(self.den.eval(p)) > EPS_POLE:
-                    seen_nonzero = True
-                    break
+                values = self.den.eval(_DEN_PROBES)
             except PoleError:
-                seen_nonzero = True  # a pole of the denominator is not zero
-                break
-        if not seen_nonzero:
+                return
+        if not np.any(np.abs(values) > EPS_POLE):
             raise BadParameter("denominator vanishes on the whole probe grid")
 
     def eval(self, z):
         dv = self.den.eval(z)
-        try:  # see Mobius.eval
-            if abs(dv) < EPS_POLE:
-                raise PoleError("denominator ~ 0 near z=%r" % (z,))
-        except ValueError:
-            _raise_on_lane_pole(dv, z, "denominator ~ 0")
+        _check_pole(dv, z, "denominator ~ 0")
         return self.num.eval(z) / dv
 
     def derivative(self):

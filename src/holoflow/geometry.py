@@ -62,10 +62,6 @@ class Domain:
         raise BadParameter("half-plane side must be 'right' or 'upper'")
 
     @property
-    def is_disc(self) -> bool:
-        return self.kind == DISC
-
-    @property
     def bounded(self) -> bool:
         return self.kind == DISC
 
@@ -143,10 +139,8 @@ def parse_domain(text: str) -> Domain:
     t = text.strip().lower()
     if t == "unitdisc":
         return Domain.unit_disc()
-    if t == HALFPLANE_RIGHT:
-        return Domain.half_plane("right")
-    if t == HALFPLANE_UPPER:
-        return Domain.half_plane("upper")
+    if t in (HALFPLANE_RIGHT, HALFPLANE_UPPER):
+        return Domain(t)
     if t.startswith("disc:"):
         body = t[len("disc:"):]
         parts = body.split(",")

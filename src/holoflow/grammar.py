@@ -15,7 +15,9 @@ Infix expressions over the variable z with the imaginary unit written i:
 NUMBER accepts decimals and exponents ("2", "0.5", "2.5e-3"); a NUMBER
 immediately followed by i is an imaginary literal ("1.5i"). Constants
 passed to mobius/poly may be any expression not mentioning z. Exponents
-are nonnegative integers up to 64. Examples: "-z", "(1-z)*(1+z)",
+are nonnegative integers up to 64; e^n is the expression power e ** n,
+so z^n is the monomial poly(0, ..., 0, 1) and any other base becomes
+compose(poly(0, ..., 0, 1), e). Examples: "-z", "(1-z)*(1+z)",
 "1-z^2", "mobius(i,i,-1,1)", "exp(z)".
 """
 
@@ -156,8 +158,6 @@ class _Parser:
             n = int(p.real)
             if n > _MAX_POWER:
                 raise ParseError("exponent larger than %d" % _MAX_POWER, tok.pos)
-            if isinstance(e, Var):
-                return Poly(tuple([0j] * n + [1.0 + 0j])) if n else Const(1 + 0j)
             return e ** n
         return e
 
@@ -223,20 +223,17 @@ def _constant_value(e: HoloExpr, pos: int) -> complex:
 
 
 def _mentions_variable(e: HoloExpr) -> bool:
-    if isinstance(e, (Var, Exp, Mobius, Poly)):
-        # Mobius/Poly act on z by definition; Exp is exp(z).
-        return not isinstance(e, Poly) or len(e.coeffs) > 1
-    if isinstance(e, Const):
-        return False
-    if isinstance(e, Neg):
-        return _mentions_variable(e.arg)
-    if isinstance(e, (Sum, Product)):
-        return _mentions_variable(e.left) or _mentions_variable(e.right)
-    if isinstance(e, Ratio):
-        return _mentions_variable(e.num) or _mentions_variable(e.den)
-    if isinstance(e, Compose):
-        return _mentions_variable(e.outer) or _mentions_variable(e.inner)
-    return True
+    # Leaves other than Const mention z (Mobius acts on z, Exp is exp(z)),
+    # except a constant Poly; a polynomial of a constant, such as a power,
+    # is a constant.
+    if isinstance(e, Poly):
+        return len(e.coeffs) > 1
+    if isinstance(e, Compose) and isinstance(e.outer, Poly):
+        return _mentions_variable(e.inner)
+    kids = [k for k in vars(e).values() if isinstance(k, HoloExpr)]
+    if kids:
+        return any(map(_mentions_variable, kids))
+    return not isinstance(e, Const)
 
 
 def parse_symbol(text: str) -> HoloExpr:

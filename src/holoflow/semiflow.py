@@ -80,10 +80,10 @@ series.taylor does for an expression:
     drawn towards a boundary attractor (the tanh flow of 1 - z^2) keep
     advancing. Escape is judged by 1 - max |u| over lanes, and raises
     EscapeError (the flow of that lane leaves the disc).
-  * Radius. r = max(0.5, (1e-4)^(1/N)). Since |phi(t, z)| < 1, the
-    roundoff noise of coefficient N is about 1e-16 / r^N = 1e-12 at
-    every degree (Bornemann, FoCM 2011), without the 0.9 cap of
-    series.coeff_extraction_radius.
+  * Radius. r = series.noise_floor_radius(N) = max(0.5, (1e-4)^(1/N)).
+    Since |phi(t, z)| < 1, the roundoff noise of coefficient N is about
+    1e-16 / r^N = 1e-12 at every degree (Bornemann, FoCM 2011), without
+    the 0.9 cap of series.coeff_extraction_radius.
 
 Time 0 gives the exact identity series. Checking all M circle lanes for
 escape is stricter than checking the interior points alone: the flow of
@@ -109,7 +109,8 @@ from .errors import (
 )
 from .expr import HoloExpr, Neg
 from .geometry import Domain
-from .series import SeriesFn, circle_points, coeffs_from_samples
+from .series import (SeriesFn, circle_points, coeffs_from_samples,
+                     noise_floor_radius)
 
 DELTA_WALL = 1e-9
 ESCAPE_DISTANCE = 1e-6
@@ -223,6 +224,11 @@ def _check_run(tol: float, horizon: float):
     _check_tol(tol)
     if not 0 < horizon < math.inf:
         raise BadParameter("horizon must be positive and finite")
+
+
+def _check_start(domain: Domain, z0: complex):
+    if not domain.contains(z0):
+        raise DomainError("initial point %r outside the domain" % (z0,))
 
 
 # Verdicts of an admission rule on the endpoint of a proposed step.
@@ -445,10 +451,7 @@ def _status(kind: int, horizon: float, t: float, u: complex) -> Status:
 def integrate(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
               tol: float) -> Trajectory:
     """Integrate u' = G(u) from z0 until the horizon or a boundary escape."""
-    _check_run(tol, horizon)
-    if not domain.contains(z0):
-        raise DomainError("initial point %r outside the domain" % (z0,))
-
+    _check_run(tol, horizon)  # before the dense times are computed
     dense = _dense_times(horizon)
     times = [0.0]
     points = [complex(z0)]
@@ -462,9 +465,7 @@ def integrate(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
             times.append(t_next)
             points.append(y)
 
-    _, [(kind, t, u, _)] = _drive(
-        G.eval, complex(z0), [horizon], tol, _wall_rule(domain, _ONE),
-        domain.signed_distance, record)
+    kind, t, u = _final_state(G, domain, z0, horizon, tol, record)
     if kind == _STOPPED:
         times.append(t)
         points.append(u)
@@ -515,9 +516,10 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
     with np.errstate(all="ignore"):
         _, errors = _eval_lanes(G.eval, z)
     for i, z0 in enumerate(seeds):
-        if not domain.contains(z0):
-            errors[i] = DomainError("initial point %r outside the domain"
-                                    % (z0,))
+        try:
+            _check_start(domain, z0)
+        except DomainError as exc:
+            errors[i] = exc
     live = [i for i in range(len(seeds)) if i not in errors]
     dense = np.array(_dense_times(horizon))
     lane_type = np.min_scalar_type(max(len(live) - 1, 0))
@@ -582,15 +584,14 @@ def backward_integrate(G: HoloExpr, domain: Domain, z0: complex,
 
 
 def _final_state(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
-                 tol: float):
-    """How the run of integrate ends, as (kind, time, point), without
-    recording the trajectory."""
+                 tol: float, record=None):
+    """How the run of integrate ends, as (kind, time, point); record, the
+    accepted-step hook of _drive, sees every accepted step."""
     _check_run(tol, horizon)
-    if not domain.contains(z0):
-        raise DomainError("initial point %r outside the domain" % (z0,))
+    _check_start(domain, z0)
     _, [(kind, t, u, _)] = _drive(
         G.eval, complex(z0), [horizon], tol, _wall_rule(domain, _ONE),
-        domain.signed_distance)
+        domain.signed_distance, record)
     return kind, t, u
 
 
@@ -609,8 +610,7 @@ def flow_point(G: HoloExpr, domain: Domain, z0: complex, t: float,
                tol: float) -> complex:
     """Value of the flow at time t; raises EscapeError if it leaves first."""
     if t == 0.0:
-        if not domain.contains(z0):
-            raise DomainError("initial point %r outside the domain" % (z0,))
+        _check_start(domain, z0)
         return complex(z0)
     kind, t_end, u = _final_state(G, domain, z0, t, tol)
     if kind != _COMPLETED:
@@ -632,9 +632,6 @@ def semigroup_residual(G: HoloExpr, domain: Domain, z0: complex, t: float,
 
 # -- truncated Taylor coefficients of the flow map ---------------------------
 
-# 1 / r^N at the largest sampling radius: the top coefficient's roundoff
-# noise stays near 1e-16 * 1e4 = 1e-12.
-_FLOW_NOISE_GAIN = 1e-4
 _INTERIOR_LANES = (0j, 0.25, 0.25j, -0.25, -0.25j)
 
 
@@ -664,7 +661,7 @@ def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
     positive = [x for x in times if x > 0.0]
     if not positive:
         return [identity] * len(times)
-    r = max(0.5, _FLOW_NOISE_GAIN ** (1.0 / degree))
+    r = noise_floor_radius(degree)
     circle = circle_points(degree, r)
     lanes = np.concatenate([circle, _INTERIOR_LANES])
     with np.errstate(all="ignore"):  # non-finite lanes are rejected

@@ -31,7 +31,8 @@ from .series import (SeriesFn, coeff_extraction_radius, series_compose,
 from .semiflow import _check_tol, _flow_series_path, flow_series
 from .spaces import CoefSpace
 
-DEFAULT_DEGREE = 64
+# Seeded random series that matrix_summary checks the matrix action on.
+_SUMMARY_SAMPLES = 10
 
 
 def apply(G: HoloExpr, t: float, f: SeriesFn, tol: float) -> SeriesFn:
@@ -188,14 +189,14 @@ def matrix_to_csv(m: OperatorMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_summary(m: OperatorMatrix, samples: int = 10) -> dict:
+def matrix_summary(m: OperatorMatrix) -> dict:
     """Summary dict: t, degree, spectral radius estimate, and the worst
-    deviation between the matrix action and direct composition over a few
-    seeded random series."""
+    deviation between the matrix action and direct composition over
+    _SUMMARY_SAMPLES seeded random series."""
     rng = np.random.default_rng(20240601)
     flow = SeriesFn(m.entries[:, 1])
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(_SUMMARY_SAMPLES):
         c = rng.standard_normal(m.degree + 1) / (
             1.0 + np.arange(m.degree + 1)
         )

@@ -37,22 +37,26 @@ DEFAULT_SAMPLE_RADIUS = 0.5
 
 # Circle sampling divides roundoff noise by r^k, so degree-k coefficients
 # carry an absolute error near machine_eps / r^k. Internal consumers that
-# call taylor() for a full degree-N tail pick the radius below, which pins
-# the noise floor around 1e-12 for N up to about 87 and asks for
-# analyticity only up to |z| = 0.9; above that the 0.9 cap lets the noise
-# grow as 1e-16 / 0.9^N. The cap concerns taylor() only: flow maps send
-# the disc into itself and are sampled closer to |z| = 1 (see
-# semiflow.flow_series).
+# call taylor() for a full degree-N tail pick coeff_extraction_radius,
+# which pins the noise floor around 1e-12 for N up to about 87 and asks
+# for analyticity only up to |z| = 0.9; above that the 0.9 cap lets the
+# noise grow as 1e-16 / 0.9^N. Flow maps send the disc into itself and
+# are sampled at the uncapped noise_floor_radius (semiflow.flow_series).
 _EPS_MACHINE = 1e-16
 _NOISE_FLOOR = 1e-12
 
 
+def noise_floor_radius(degree: int) -> float:
+    """Radius >= 0.5 keeping degree-`degree` coefficient noise ~1e-12."""
+    r = (_EPS_MACHINE / _NOISE_FLOOR) ** (1.0 / degree)
+    return max(DEFAULT_SAMPLE_RADIUS, r)
+
+
 def coeff_extraction_radius(degree: int) -> float:
-    """Sampling radius keeping degree-`degree` coefficient noise ~1e-12."""
+    """noise_floor_radius capped at 0.9 (0.5 below degree 1)."""
     if degree < 1:
         return DEFAULT_SAMPLE_RADIUS
-    r = (_EPS_MACHINE / _NOISE_FLOOR) ** (1.0 / degree)
-    return min(0.9, max(DEFAULT_SAMPLE_RADIUS, r))
+    return min(0.9, noise_floor_radius(degree))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +117,7 @@ class SeriesFn:
             )
         return SeriesFn(self.coeffs * complex(other))
 
-    def __rmul__(self, other):
-        return SeriesFn(self.coeffs * complex(other))
-
-    def scale(self, factor: complex) -> "SeriesFn":
-        return SeriesFn(self.coeffs * complex(factor))
+    __rmul__ = __mul__  # only a scalar stands on the left
 
     def deriv(self) -> "SeriesFn":
         """Coefficient derivative (k+1) a_{k+1}, same degree, top entry 0."""

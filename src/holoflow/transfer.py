@@ -12,7 +12,6 @@ probe grids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,16 +31,25 @@ class ConformalPair:
     target: Domain
 
     def __post_init__(self):
-        # Probes run as lanes; the first failing probe in grid order is
-        # reported, with the checks of each probe in the order below.
-        z = np.array(self.source.sample_grid(1))
-        with np.errstate(all="ignore"):
-            w, w_errors = _eval_lanes(self.h.eval, z)
-            back, back_errors = _eval_lanes(self.h_inv.eval, w)
-        outside = ~(self.target.signed_distance(w) > 0)
-        i = _first_fault(outside | (abs(back - z) > _PAIR_PROBE_TOL),
-                         w_errors, back_errors)
-        if i is not None:
+        # Probes run as lanes, first the source probes (mapped, tested for
+        # membership of the target, mapped back), then the target probes
+        # (the round trip the other way); the first failing probe in grid
+        # order is reported, with the checks of each probe in that order.
+        for side, there, back, into in (
+                ("source", self.h, self.h_inv, self.target),
+                ("target", self.h_inv, self.h, None)):
+            z = np.array(getattr(self, side).sample_grid(1))
+            with np.errstate(all="ignore"):
+                w, w_errors = _eval_lanes(there.eval, z)
+                z_back, back_errors = _eval_lanes(back.eval, w)
+            outside = np.zeros(len(z), bool) if into is None else ~(
+                into.signed_distance(w) > 0)
+            faults = np.flatnonzero(
+                outside | (abs(z_back - z) > _PAIR_PROBE_TOL)).tolist()
+            faults += [*w_errors, *back_errors]
+            if not faults:
+                continue
+            i = min(faults)
             if i in w_errors:
                 raise w_errors[i]
             if outside[i]:
@@ -51,26 +59,7 @@ class ConformalPair:
             if i in back_errors:
                 raise back_errors[i]
             raise BadParameter(
-                "inverse fails on source probe %r" % (z[i].item(),))
-        w = np.array(self.target.sample_grid(1))
-        with np.errstate(all="ignore"):
-            z, z_errors = _eval_lanes(self.h_inv.eval, w)
-            back, back_errors = _eval_lanes(self.h.eval, z)
-        i = _first_fault(abs(back - w) > _PAIR_PROBE_TOL, z_errors,
-                         back_errors)
-        if i is not None:
-            if i in z_errors:
-                raise z_errors[i]
-            if i in back_errors:
-                raise back_errors[i]
-            raise BadParameter(
-                "inverse fails on target probe %r" % (w[i].item(),))
-
-
-def _first_fault(bad: np.ndarray, *errors: dict) -> Optional[int]:
-    """The first probe that is bad or raised, or None."""
-    faults = np.flatnonzero(bad).tolist() + [i for e in errors for i in e]
-    return min(faults) if faults else None
+                "inverse fails on %s probe %r" % (side, z[i].item()))
 
 
 def cayley() -> ConformalPair:

@@ -293,3 +293,39 @@ def test_classify_overflowing_symbols_get_a_report(tmp_path, schema, capsys,
     jsonschema.validate(doc, schema)
     assert doc == summary
     assert (code, doc["status"]) in ((0, "NotGlobal"), (4, "Inconclusive"))
+
+
+@pytest.mark.parametrize("constants,message", [
+    ("i+z,i,-1,1", "argument must not mention z at position 7"),
+    ("i,i,-1", "mobius takes 4 constants at position 0"),
+    ("i,i,-1,1)*(2", "mobius map needs 4 constants"),
+])
+def test_transfer_check_map_constants_follow_the_grammar(tmp_path, capsys,
+                                                         constants, message):
+    out = tmp_path / "transfer.json"
+    assert main(["transfer-check", "--symbol", "i*z", "--z0", "0.3,0.2",
+                 "--map", "mobius:" + constants, "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and message in json.loads(lines[0])["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["flow", "--z0", "0.1,0"], 0),
+    (["classify"], 4),
+], ids=["flow", "classify"])
+def test_overflowing_denominator_gets_a_report(tmp_path, schema, capsys,
+                                               argv, expected):
+    # the denominator probes of 1/exp(2000 z) overflow on half the circle
+    out = tmp_path / "artifact"
+    code, summary, (data,) = _run_twice(
+        capsys, argv + ["--symbol", "1/exp(2000*z)", "--out", str(out)],
+        [out])
+    assert code == expected
+    if argv[0] == "flow":
+        assert summary["status"] == "Completed"
+        assert data.decode("utf-8").endswith("# status=Completed horizon=10\n")
+    else:
+        doc = json.loads(data)
+        jsonschema.validate(doc, schema)
+        assert doc == summary and doc["status"] == "Inconclusive"

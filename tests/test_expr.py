@@ -10,6 +10,7 @@ from holoflow import (
     Compose,
     Const,
     Exp,
+    HoloExpr,
     Mobius,
     Neg,
     Poly,
@@ -19,6 +20,7 @@ from holoflow import (
     Sum,
     Var,
     Z,
+    parse_symbol,
 )
 
 CAYLEY = Mobius(1j, 1j, -1.0, 1.0)
@@ -84,6 +86,7 @@ _VARIANTS = [
     Exp(),
     Compose(Exp(), Poly((0, 0, 1))),
     Compose(Mobius(1, 0, 0.5, 1.0), Poly((0, 2))),
+    (1 - 0.5 * Z) ** 3,
 ]
 
 
@@ -103,12 +106,60 @@ def test_mobius_derivative_closed_form():
 
 
 def test_str_round_trips_through_grammar():
-    from holoflow import parse_symbol
     for f in [Poly((1, -2, 0.5)), CAYLEY, Sum(Const(1), Neg(Poly((0, 0, 1)))),
-              Compose(Exp(), Poly((0, 2))), Ratio(Const(1), Poly((1, -1)))]:
+              Compose(Exp(), Poly((0, 2))), Ratio(Const(1), Poly((1, -1))),
+              (1 - 0.5 * Z) ** 3]:
         g = parse_symbol(str(f))
         for z in _PROBES:
             assert g.eval(z) == pytest.approx(f.eval(z), rel=1e-12, abs=1e-12)
+
+
+# -- powers -------------------------------------------------------------------
+
+
+def _size(f):
+    kids = [k for k in vars(f).values() if isinstance(k, HoloExpr)]
+    return 1 + sum(map(_size, kids))
+
+
+def test_power_derivative_stays_linear_in_size():
+    d = parse_symbol("-z*(1-0.5*z)^64").derivative()
+    assert _size(d) <= 50
+    for z in (0.3, -0.7j, 0.5 + 0.5j, -0.9):
+        u = 1 - 0.5 * z
+        want = -u ** 64 + 32 * z * u ** 63
+        assert abs(d.eval(z) - want) <= 1e-12 * abs(want)
+
+
+def test_powers_of_z_are_monomials():
+    assert Z**3 == parse_symbol("z^3") == Poly((0, 0, 0, 1))
+    assert Z**0 == parse_symbol("z^0") == Const(1)
+
+
+def _bits(v) -> bytes:
+    return np.atleast_1d(np.asarray(v, dtype=complex)).tobytes()
+
+
+# Real points with both signs of zero: there Horner's rule, 1 * u + 0, and
+# the product chain can differ in the sign of a zero part.
+_SIGNED_ZERO_POINTS = [complex(x, s) for x in (-1.5, -0.4, -0.0, 0.0, 0.7, 1.9)
+                       for s in (0.0, -0.0)] + [complex(-0.0, 0.5), -0.5j]
+
+
+@pytest.mark.parametrize("base", ["1-0.5*z", "-z", "(0.3+1i)*z-2", "exp(z)",
+                                  "z/(2-z)", "mobius(1,2,3,4)"])
+def test_power_evaluates_as_the_nested_product(base):
+    e = parse_symbol(base)
+    points = _PROBES + _SIGNED_ZERO_POINTS
+    lanes = np.array(points)
+    chain = e
+    for n in range(2, 65):
+        chain = Product(chain, e)
+        power = e ** n
+        assert isinstance(power, Compose)
+        assert _bits(power.eval(lanes)) == _bits(chain.eval(lanes))
+        for z in points:
+            assert _bits(power.eval(z)) == _bits(chain.eval(z))
 
 
 def test_trees_are_hashable_and_equal_by_structure():
