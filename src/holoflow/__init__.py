@@ -30,6 +30,7 @@ from .errors import (
     EscapeError,
     HerglotzError,
     HoloflowError,
+    NonFiniteError,
     ParseError,
     PoleError,
     StiffnessError,
@@ -117,6 +118,7 @@ __all__ = [
     "MembershipReport",
     "Mobius",
     "Neg",
+    "NonFiniteError",
     "OperatorMatrix",
     "ParseError",
     "PoleError",

@@ -11,29 +11,29 @@ Subcommands:
     counterexample   radius-2-disc flow that exits the unit disc
     transfer-check   conformal conjugation residual through a Moebius map
 
+Usage: holoflow SUBCOMMAND [--name value | --name=value]... Names are
+written in full (no abbreviations); a value may start with a dash
+("--symbol -z"). --help or -h prints this text and the subcommand's
+options.
+
 Inputs are plain text: symbols use the grammar of holoflow.grammar
 ("-z", "(1-z)*(1+z)", "1-z^2", "mobius(i,i,-1,1)", "exp(z)", "poly(0,1)"),
 domains are "unitdisc" / "disc:cx,cy,r" / "halfplane:right" /
 "halfplane:upper", spaces are "h2" / "bergman" / "dirichlet" /
 "hpbeta:p=<p>,beta=<const|pow:s|geom:r>", and complex scalars are "re,im"
-pairs. A config file of "key = value" lines may stand in for flags
-(--config PATH); explicit flags win and unknown keys are rejected.
+pairs. Every number in them must be finite. A config file of "key =
+value" lines may stand in for flags (--config PATH; blank and "#" lines
+are skipped); explicit flags win and unknown keys are rejected.
 
 One-line JSON summaries go to standard output, full artifacts to files.
 JSON reports embed schema_version "1" (schemas/report-v1.json). Exit
 codes: 0 success, 1 parse error, 2 numeric failure, 3 escape result,
 4 inconclusive verdict. Two runs with identical configs produce
 byte-identical artifacts.
-
-The argument parser is built once per process, on the first call to
-main, and reused by every later call.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
-import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -45,7 +45,7 @@ from .classify import INCONCLUSIVE, bp_classify
 from .errors import EscapeError, HoloflowError, ParseError
 from .expr import Mobius
 from .geometry import parse_domain
-from .grammar import parse_symbol
+from .grammar import parse_real, parse_symbol
 from .jsonio import dump_line
 from .portrait import render_portrait
 from .semigroup import (
@@ -77,17 +77,7 @@ def _cpair(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError("complex values are 're,im' pairs, got %r" % (text,))
-    return complex(_float(parts[0]), _float(parts[1]))
-
-
-def _float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError("bad number %r" % (text,)) from None
-    if not math.isfinite(value):
-        raise ParseError("number %r is not finite" % (text,))
-    return value
+    return complex(*map(parse_real, parts))
 
 
 def _int(text: str) -> int:
@@ -102,32 +92,32 @@ _COMMANDS: dict[str, list[_Opt]] = {
         _Opt("symbol", str, _REQUIRED, "generator expression"),
         _Opt("domain", str, "unitdisc", "flow domain"),
         _Opt("z0", _cpair, _REQUIRED, "initial point re,im"),
-        _Opt("horizon", _float, 10.0, "integration horizon"),
-        _Opt("tol", _float, 1e-9, "solver tolerance"),
+        _Opt("horizon", parse_real, 10.0, "integration horizon"),
+        _Opt("tol", parse_real, 1e-9, "solver tolerance"),
         _Opt("out", str, "trajectory.csv", "trajectory CSV path"),
     ],
     "portrait": [
         _Opt("symbol", str, _REQUIRED, "generator expression"),
         _Opt("domain", str, "unitdisc", "flow domain"),
         _Opt("density", _int, 2, "seed grid density"),
-        _Opt("horizon", _float, 10.0, "integration horizon"),
-        _Opt("tol", _float, 1e-9, "solver tolerance"),
+        _Opt("horizon", parse_real, 10.0, "integration horizon"),
+        _Opt("tol", parse_real, 1e-9, "solver tolerance"),
         _Opt("out", str, "portrait.svg", "SVG path"),
     ],
     "classify": [
         _Opt("symbol", str, _REQUIRED, "generator expression"),
         _Opt("density", _int, 2, "sampling density"),
-        _Opt("tol-b", _float, 1e-8, "distinguished-point tolerance"),
-        _Opt("escape-tmax", _float, 20.0, "escape hunt horizon"),
-        _Opt("tol", _float, 1e-9, "solver tolerance"),
+        _Opt("tol-b", parse_real, 1e-8, "distinguished-point tolerance"),
+        _Opt("escape-tmax", parse_real, 20.0, "escape hunt horizon"),
+        _Opt("tol", parse_real, 1e-9, "solver tolerance"),
         _Opt("out", str, "classify.json", "report path"),
     ],
     "evolve": [
         _Opt("symbol", str, _REQUIRED, "generator expression"),
         _Opt("f", str, _REQUIRED, "series seed expression"),
-        _Opt("t", _float, 1.0, "semigroup time"),
+        _Opt("t", parse_real, 1.0, "semigroup time"),
         _Opt("N", _int, 64, "truncation degree"),
-        _Opt("tol", _float, 1e-9, "solver tolerance"),
+        _Opt("tol", parse_real, 1e-9, "solver tolerance"),
         _Opt("space", str, None, "optional norm space"),
         _Opt("out", str, "evolve.json", "report path"),
         _Opt("matrix-out", str, None, "optional operator matrix CSV path"),
@@ -140,18 +130,18 @@ _COMMANDS: dict[str, list[_Opt]] = {
         _Opt("symbol", str, _REQUIRED, "generator expression"),
         _Opt("f", str, _REQUIRED, "series seed expression"),
         _Opt("space", str, "h2", "norm space"),
-        _Opt("h", _float, 1e-3, "difference step"),
+        _Opt("h", parse_real, 1e-3, "difference step"),
         _Opt("N", _int, 64, "truncation degree"),
-        _Opt("tol", _float, 1e-9, "solver tolerance"),
+        _Opt("tol", parse_real, 1e-9, "solver tolerance"),
         _Opt("out", str, "generator_check.json", "report path"),
     ],
     "counterexample": [
         _Opt("b", _cpair, 1.5 + 0j, "attracting point, 1 < |b| < 2"),
         _Opt("F", str, "1", "Herglotz factor on the radius-2 disc"),
         _Opt("z0", _cpair, 0j, "unit-disc seed"),
-        _Opt("T", _float, 20.0, "long horizon"),
-        _Opt("tol", _float, 1e-9, "solver tolerance"),
-        _Opt("dw-tol", _float, 1e-3, "attraction distance target"),
+        _Opt("T", parse_real, 20.0, "long horizon"),
+        _Opt("tol", parse_real, 1e-9, "solver tolerance"),
+        _Opt("dw-tol", parse_real, 1e-3, "attraction distance target"),
         _Opt("out", str, "counterexample.json", "report path"),
         _Opt("trajectory-out", str, "counterexample_trajectory.csv",
              "trajectory CSV path"),
@@ -160,35 +150,14 @@ _COMMANDS: dict[str, list[_Opt]] = {
         _Opt("symbol", str, _REQUIRED, "generator on the target domain"),
         _Opt("map", str, "cayley", "cayley or mobius:a,b,c,d"),
         _Opt("z0", _cpair, _REQUIRED, "source-domain seed"),
-        _Opt("t", _float, 1.0, "flow time"),
-        _Opt("tol", _float, 1e-9, "solver tolerance"),
+        _Opt("t", parse_real, 1.0, "flow time"),
+        _Opt("tol", parse_real, 1e-9, "solver tolerance"),
         _Opt("source", str, "unitdisc", "source domain for mobius maps"),
         _Opt("target", str, "halfplane:upper",
              "target domain for mobius maps"),
         _Opt("out", str, "transfer_check.json", "report path"),
     ],
 }
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ParseError(message)
-
-
-@functools.lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="holoflow", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    subs = parser.add_subparsers(dest="command")
-    for command, opts in _COMMANDS.items():
-        sub = subs.add_parser(command)
-        sub.add_argument("--config", default=None,
-                         help="key = value file standing in for flags")
-        for opt in opts:
-            sub.add_argument("--" + opt.name,
-                             dest=opt.name.replace("-", "_"),
-                             default=None, help=opt.help)
-    return parser
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -203,54 +172,50 @@ def _load_config(path: str) -> dict[str, str]:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ParseError(
-                "config line %d is not 'key = value'" % number)
+            raise ParseError("config line %d is not 'key = value'" % number)
         key, _, value = stripped.partition("=")
         entries[key.strip()] = value.strip()
     return entries
 
 
-def _merge_flag_values(argv: list[str]) -> list[str]:
-    """Join "--flag value" into "--flag=value" so values may start with
-    a dash (symbols like "-z" are common)."""
-    out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok.startswith("--") and "=" not in tok
-                and tok not in ("--help",) and i + 1 < len(argv)):
-            out.append(tok + "=" + argv[i + 1])
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
+def _help(opts):
+    sys.stdout.write(__doc__ + "".join(
+        "  --%s  %s\n" % (opt.name, opt.help) for opt in opts))
+    raise SystemExit(0)
 
 
 def _resolve(argv) -> tuple[str, dict]:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _build_parser().parse_args(_merge_flag_values(list(argv)))
-    if args.command is None:
+    args = list(sys.argv[1:] if argv is None else argv)
+    if not args:
         raise ParseError("a subcommand is required (try --help)")
-    opts = _COMMANDS[args.command]
-    config = _load_config(args.config) if args.config else {}
+    command, flags = args.pop(0), {}
+    if command in ("-h", "--help"):
+        _help(())
+    if command not in _COMMANDS:
+        raise ParseError("unknown subcommand %r" % (command,))
+    opts = _COMMANDS[command]
     known = {opt.name for opt in opts}
+    while args:
+        token = args.pop(0)
+        if token in ("-h", "--help"):
+            _help(opts)
+        name, eq, raw = token[2:].partition("=")
+        if token[:2] != "--" or (name not in known and name != "config"):
+            raise ParseError("unknown argument %r" % (token,))
+        if not (eq or args):
+            raise ParseError("option --%s needs a value" % name)
+        flags[name] = raw if eq else args.pop(0)
+    config = _load_config(flags.pop("config")) if "config" in flags else {}
     for key in config:
         if key not in known:
             raise ParseError("unknown config key %r" % (key,))
     values: dict[str, object] = {}
     for opt in opts:
-        raw = getattr(args, opt.name.replace("-", "_"))
-        if raw is None and opt.name in config:
-            raw = config[opt.name]
-        if raw is None:
-            if opt.default is _REQUIRED:
-                raise ParseError("missing required option --%s" % opt.name)
-            values[opt.name] = opt.default
-        else:
-            values[opt.name] = opt.convert(raw)
-    return args.command, values
+        raw = flags.get(opt.name, config.get(opt.name))
+        if raw is None and opt.default is _REQUIRED:
+            raise ParseError("missing required option --%s" % opt.name)
+        values[opt.name] = opt.default if raw is None else opt.convert(raw)
+    return command, values
 
 
 def _write(path: str, text: str):

@@ -43,5 +43,9 @@ class EscapeError(HoloflowError):
     """A flow left its domain where the operation needs it to stay."""
 
 
+class NonFiniteError(HoloflowError):
+    """A computed value left the finite floating-point range."""
+
+
 class StiffnessError(HoloflowError):
     """Step size underflow far from the domain boundary."""

@@ -14,7 +14,8 @@ works elementwise on arrays. A constant subtree evaluates to a scalar,
 which broadcasts against the lanes.
 
 Evaluation raises PoleError whenever a denominator magnitude drops below
-EPS_POLE (1e-13), on any single lane of an array.
+EPS_POLE (1e-13), on any single lane of an array, and NonFiniteError
+where the exponential of a scalar overflows (on arrays it is inf).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, PoleError
+from .errors import BadParameter, NonFiniteError, PoleError
 
 EPS_POLE = 1e-13
 
@@ -41,10 +42,13 @@ _DEN_PROBES = np.array([
 def _check_pole(den, z, what: str):
     """PoleError when |den| < EPS_POLE, naming z (on lanes: the first lane
     hit). The scalar test costs nothing extra; an array of lanes makes the
-    truth test raise ValueError and takes the elementwise check."""
+    truth test raise ValueError and takes the elementwise check. A scalar
+    whose modulus overflows is no pole."""
     try:
         if abs(den) < EPS_POLE:
             raise PoleError("%s near z=%r" % (what, z))
+    except OverflowError:
+        pass
     except ValueError:
         hit = np.flatnonzero(np.abs(den) < EPS_POLE)
         if hit.size:
@@ -298,7 +302,10 @@ class Exp(HoloExpr):
     def eval(self, z):
         if isinstance(z, np.ndarray):
             return np.exp(z)
-        return cmath.exp(z)
+        try:
+            return cmath.exp(z)
+        except OverflowError:
+            raise NonFiniteError("exp overflows at z=%r" % (z,)) from None
 
     def derivative(self):
         return Exp()

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadParameter, DomainError, ParseError
+from .grammar import parse_real
 
 DISC = "disc"
 HALFPLANE_RIGHT = "halfplane:right"
@@ -27,6 +28,8 @@ _POINTS_PER_RING = 8
 # depth 8 measured from the boundary line) refined by density.
 _BOX_HALF_WIDTH = 4.0
 _BOX_DEPTH = 8.0
+
+MAX_DENSITY = 4  # a half-plane grid has 256 d^2 + 16 d points at density d
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,8 @@ class Domain:
         bumps refine both, and disc grids for different centers/radii are
         the same pattern under the affine map center + radius*w.
         """
-        if density < 1:
-            raise BadParameter("density must be >= 1")
+        if not 1 <= density <= MAX_DENSITY:
+            raise BadParameter("density must lie in [1, %d]" % MAX_DENSITY)
         points: list[complex] = []
         if self.kind == DISC:
             m = _POINTS_PER_RING * density
@@ -142,13 +145,9 @@ def parse_domain(text: str) -> Domain:
     if t in (HALFPLANE_RIGHT, HALFPLANE_UPPER):
         return Domain(t)
     if t.startswith("disc:"):
-        body = t[len("disc:"):]
-        parts = body.split(",")
+        parts = t[len("disc:"):].split(",")
         if len(parts) != 3:
             raise ParseError("disc domain needs 'disc:cx,cy,r', got %r" % (text,))
-        try:
-            cx, cy, r = (float(p) for p in parts)
-        except ValueError:
-            raise ParseError("bad number in domain %r" % (text,)) from None
+        cx, cy, r = map(parse_real, parts)
         return Domain.disc(complex(cx, cy), r)
     raise ParseError("unknown domain %r" % (text,))

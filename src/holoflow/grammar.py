@@ -13,7 +13,9 @@ Infix expressions over the variable z with the imaginary unit written i:
             | 'compose' '(' expr ',' expr ')'
 
 NUMBER accepts decimals and exponents ("2", "0.5", "2.5e-3"); a NUMBER
-immediately followed by i is an imaginary literal ("1.5i"). Constants
+immediately followed by i is an imaginary literal ("1.5i"). Every text
+number of the package, here and in domains, spaces and CLI flags, goes
+through parse_real and must be finite ("1e999" is a ParseError). Constants
 passed to mobius/poly may be any expression not mentioning z. Exponents
 are nonnegative integers up to 64; e^n is the expression power e ** n,
 so z^n is the monomial poly(0, ..., 0, 1) and any other base becomes
@@ -23,6 +25,7 @@ compose(poly(0, ..., 0, 1), e). Examples: "-z", "(1-z)*(1+z)",
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ParseError
@@ -43,6 +46,17 @@ from .expr import (
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _MAX_POWER = 64
+
+
+def parse_real(text: str, position=None) -> float:
+    """The finite float written in text; anything else is a ParseError."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError("bad number %r" % (text,), position) from None
+    if not math.isfinite(value):
+        raise ParseError("number %r is not finite" % (text,), position)
+    return value
 
 
 class _Token:
@@ -67,7 +81,7 @@ def _tokenize(text: str) -> list[_Token]:
         m = _NUMBER.match(text, i)
         if m:
             end = m.end()
-            value = complex(float(m.group()))
+            value = complex(parse_real(m.group(), i))
             # trailing i makes an imaginary literal unless it starts a name
             if end < n and text[end] == "i" and (
                 end + 1 >= n or not (text[end + 1].isalnum() or text[end + 1] == "_")

@@ -12,10 +12,12 @@ import math
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError("non-finite float %r in a report" % (x,))
+        raise NonFiniteError("non-finite float %r in a report" % (x,))
     return "%.17g" % x
 
 

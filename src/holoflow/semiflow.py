@@ -21,6 +21,7 @@ Fixed constants:
     ESCAPE_DISTANCE = 1e-6   escape vs stiffness threshold at underflow
     H_MIN           = 1e-12  minimal step size
     R_MAX           = 1e8    escape-to-infinity cap on unbounded domains
+    MAX_HORIZON     = 100    longest recorded trajectory (BadParameter)
 
 Trajectories (integrate): the wall rule with dense output, on Python
 scalars (a one-lane array costs over ten times more per step). An
@@ -116,6 +117,7 @@ DELTA_WALL = 1e-9
 ESCAPE_DISTANCE = 1e-6
 H_MIN = 1e-12
 R_MAX = 1e8
+MAX_HORIZON = 100.0  # dense output keeps 16 points per unit time per lane
 
 _MAX_STEPS = 5_000_000
 
@@ -438,6 +440,8 @@ def _wall_rule(domain: Domain, xp):
 
 def _dense_times(horizon: float) -> list[float]:
     """Interior times of the uniform dense output of a trajectory."""
+    if horizon > MAX_HORIZON:
+        raise BadParameter("horizon must not exceed %g" % MAX_HORIZON)
     n_dense = max(64, math.ceil(16 * horizon))
     return [horizon * k / n_dense for k in range(1, n_dense)]
 
@@ -512,6 +516,7 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
     bytes each) with a 1- or 2-byte lane index, and nothing else.
     """
     _check_run(tol, horizon)
+    dense = np.array(_dense_times(horizon))
     z = np.array(seeds, dtype=complex)
     with np.errstate(all="ignore"):
         _, errors = _eval_lanes(G.eval, z)
@@ -521,7 +526,6 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
         except DomainError as exc:
             errors[i] = exc
     live = [i for i in range(len(seeds)) if i not in errors]
-    dense = np.array(_dense_times(horizon))
     lane_type = np.min_scalar_type(max(len(live) - 1, 0))
     merged = []  # (lanes, points) arrays, in the order they were recorded
     batch = [(np.arange(len(live), dtype=lane_type), z[live])]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, DegreeMismatch
+from .errors import BadParameter, DegreeMismatch, NonFiniteError
 from .expr import HoloExpr
 
 DEFAULT_SAMPLE_RADIUS = 0.5
@@ -44,6 +44,9 @@ DEFAULT_SAMPLE_RADIUS = 0.5
 # are sampled at the uncapped noise_floor_radius (semiflow.flow_series).
 _EPS_MACHINE = 1e-16
 _NOISE_FLOOR = 1e-12
+
+# Degree N samples 4N circle points and has an (N + 1)^2 operator matrix.
+MAX_DEGREE = 1024
 
 
 def noise_floor_radius(degree: int) -> float:
@@ -169,6 +172,8 @@ def _compose_arrays(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def circle_points(degree: int, r: float) -> np.ndarray:
     """The M = max(4 degree, 64) equispaced sample points on |z| = r."""
+    if degree > MAX_DEGREE:
+        raise BadParameter("degree must not exceed %d" % MAX_DEGREE)
     m = max(4 * degree, 64)
     return r * np.exp(2j * math.pi * np.arange(m) / m)
 
@@ -188,5 +193,8 @@ def taylor(f: HoloExpr, degree: int, r: float = DEFAULT_SAMPLE_RADIUS) -> Series
     if not 0.0 < r <= 1.0:
         raise BadParameter("sampling radius must lie in (0, 1]")
     z = circle_points(degree, r)
-    samples = np.broadcast_to(f.eval(z), z.shape)  # a constant is a scalar
+    with np.errstate(all="ignore"):  # non-finite samples are refused
+        samples = np.broadcast_to(f.eval(z), z.shape)  # a constant is a scalar
+    if not np.all(np.isfinite(samples)):
+        raise NonFiniteError("expression is not finite on |z| = %r" % r)
     return coeffs_from_samples(samples, degree, r)

@@ -31,7 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadParameter, ParseError
+from .errors import BadParameter, NonFiniteError, ParseError
+from .grammar import parse_real
 from .series import SeriesFn
 
 CONSTANT = "constant"
@@ -99,10 +100,14 @@ class BetaRule:
     def value(self, n: int) -> float:
         if self.kind == CONSTANT:
             return 1.0
-        if self.kind == POWER:
-            return (n + 1.0) ** self.exponent
-        if self.kind == GEOMETRIC:
-            return self.ratio ** n
+        try:
+            if self.kind == POWER:
+                return (n + 1.0) ** self.exponent
+            if self.kind == GEOMETRIC:
+                return self.ratio ** n
+        except OverflowError:
+            raise NonFiniteError("weight beta_%d of %s overflows"
+                                 % (n, self.describe())) from None
         if n < len(self.values):
             return self.values[n]
         if self.tail is not None:
@@ -313,44 +318,33 @@ def parse_space(text: str) -> CoefSpace:
         raise ParseError("unknown space %r" % (text,))
     p_value: Optional[float] = None
     rule: Optional[BetaRule] = None
-    for item in t[len("hpbeta:"):].split(","):
-        if "=" not in item:
-            raise ParseError("expected key=value in space %r" % (text,))
-        key, _, value = item.partition("=")
-        if key == "p":
-            try:
-                p_value = float(value)
-            except ValueError:
-                raise ParseError("bad p value %r" % (value,)) from None
-        elif key == "beta":
-            rule = _parse_beta(value, text)
-        else:
-            raise ParseError("unknown space key %r" % (key,))
-    if p_value is None or rule is None:
-        raise ParseError("space %r needs both p= and beta=" % (text,))
     try:
+        for item in t[len("hpbeta:"):].split(","):
+            if "=" not in item:
+                raise ParseError("expected key=value in space %r" % (text,))
+            key, _, value = item.partition("=")
+            if key == "p":
+                p_value = parse_real(value)
+            elif key == "beta":
+                rule = _parse_beta(value)
+            else:
+                raise ParseError("unknown space key %r" % (key,))
+        if p_value is None or rule is None:
+            raise ParseError("space %r needs both p= and beta=" % (text,))
         return CoefSpace(p_value, rule)
     except BadParameter as exc:
         raise ParseError(str(exc)) from None
 
 
-def _parse_beta(value: str, full: str) -> BetaRule:
+def _parse_beta(value: str) -> BetaRule:
     if value == "const":
         return BetaRule.constant()
     kind, _, param = value.partition(":")
     if not param:
         raise ParseError("beta rule %r needs a parameter" % (value,))
-    try:
-        x = float(param)
-    except ValueError:
-        raise ParseError("bad beta parameter in %r" % (full,)) from None
-    if not math.isfinite(x):
-        raise ParseError("beta parameter in %r must be finite" % (full,))
+    x = parse_real(param)
     if kind == "pow":
         return BetaRule.power(x)
     if kind == "geom":
-        try:
-            return BetaRule.geometric(x)
-        except BadParameter as exc:
-            raise ParseError(str(exc)) from None
+        return BetaRule.geometric(x)
     raise ParseError("unknown beta rule %r" % (kind,))

@@ -5,8 +5,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from holoflow import parse_symbol, semiflow
-from holoflow.cli import _build_parser, main
+from holoflow import geometry, parse_symbol, semiflow, series
+from holoflow.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -42,10 +42,6 @@ def test_generator_check_slope_is_first_order(tmp_path, schema):
     assert doc["slope_reason"] is None
 
 
-def test_parser_is_built_once():
-    assert _build_parser() is _build_parser()
-
-
 def _flow_status(tmp_path, capsys, *extra):
     out = tmp_path / "trajectory.csv"
     code = main(["flow", "--symbol=-z", "--z0", "0.5,0", "--out", str(out),
@@ -62,6 +58,33 @@ def test_cached_parser_keeps_no_values_between_calls(tmp_path, capsys):
         "# status=Completed horizon=10")
 
 
+def _one_error_line(capsys):
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
+def test_config_fills_unset_options_and_flags_win(tmp_path, capsys):
+    # the flag --symbol=-z beats the config's z, which would escape
+    config = tmp_path / "flags.cfg"
+    config.write_text("# flow settings\n\nsymbol = z\n  # indented\n"
+                      "horizon = 2\n", encoding="utf-8")
+    assert _flow_status(tmp_path, capsys, "--config", str(config)) == (
+        "# status=Completed horizon=2")
+
+
+@pytest.mark.parametrize("text", ["bogus = 1\n", "# ok\nhorizon 2\n", None],
+                         ids=["unknown-key", "no-equals", "unreadable"])
+def test_config_errors_are_parse_errors(tmp_path, capsys, text):
+    config = tmp_path / "flags.cfg"
+    if text is not None:
+        config.write_text(text, encoding="utf-8")
+    out = tmp_path / "trajectory.csv"
+    assert main(["flow", "--symbol", "-z", "--z0", "0.5,0", "--config",
+                 str(config), "--out", str(out)]) == 1
+    _one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_parse_error_then_valid_call(tmp_path, capsys):
     assert main(["check-e", "--bogus", "1"]) == 1
     assert "error" in json.loads(capsys.readouterr().out)
@@ -73,11 +96,25 @@ def test_parse_error_then_valid_call(tmp_path, capsys):
 
 
 def test_help_exits_zero_every_time(capsys):
-    for _ in range(2):
+    for argv in (["--help"], ["flow", "-h"], ["--help"]):
         with pytest.raises(SystemExit) as info:
-            main(["--help"])
+            main(argv)
         assert info.value.code == 0
-        assert "counterexample" in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert "counterexample" in text
+        assert ("--horizon  integration horizon" in text) == (len(argv) == 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--sym", "-z", "--z0", "0.5,0"],
+    ["flow", "--z0", "0.5,0", "--symbol"],
+    ["flow", "-z", "--z0", "0.5,0"],
+    ["stream", "--symbol", "-z"],
+    [],
+], ids=["abbreviated", "no-value", "stray", "unknown-command", "empty"])
+def test_malformed_command_lines_are_parse_errors(capsys, argv):
+    assert main(argv) == 1
+    _one_error_line(capsys)
 
 
 @pytest.mark.parametrize("horizon,expected", [("40", 0), ("0.5", 4)])
@@ -111,15 +148,71 @@ def test_counterexample_exit_codes_and_reruns(tmp_path, schema, capsys,
     ["counterexample", "--dw-tol", "nan"],
     ["check-e", "--space", "hpbeta:p=2,beta=pow:nan"],
     ["check-e", "--space", "hpbeta:p=2,beta=geom:inf"],
+    ["flow", "--symbol", "z", "--z0", "0.1,0", "--domain", "disc:0,0,inf"],
+    ["flow", "--symbol", "z", "--z0", "0.1,0", "--domain", "disc:0,0,nan"],
+    ["flow", "--symbol", "1e999*z", "--z0", "0.1,0"],
+    ["evolve", "--symbol", "-z", "--f", "1e999", "--N", "8"],
 ], ids=["flow-horizon-inf", "flow-z0-nan", "evolve-t-inf", "evolve-t-nan",
         "classify-tmax-nan", "counterexample-dwtol-nan", "check-e-pow-nan",
-        "check-e-geom-inf"])
+        "check-e-geom-inf", "domain-radius-inf", "domain-radius-nan",
+        "symbol-literal-overflow", "seed-literal-overflow"])
 def test_non_finite_numbers_are_parse_errors(tmp_path, capsys, argv):
     out = tmp_path / "artifact"
     assert main(argv + ["--out", str(out)]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1 and "error" in json.loads(lines[0])
+    _one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # a constant whose exponential overflows
+    ["flow", "--symbol", "exp(800)", "--z0", "0.1,0"],
+    ["classify", "--symbol", "1/exp(800)"],
+    ["evolve", "--symbol", "exp(800)", "--f", "z", "--N", "8"],
+    ["evolve", "--symbol", "-z", "--f", "exp(800)", "--N", "8"],
+    ["generator-check", "--symbol", "-z", "--f", "exp(800)", "--N", "8"],
+    ["transfer-check", "--symbol", "exp(800)", "--z0", "0.3,0.2"],
+    ["counterexample", "--F", "exp(800)"],
+    # non-finite seed coefficients and weights
+    ["evolve", "--symbol", "-z", "--f", "exp(2000*z)", "--N", "16"],
+    ["generator-check", "--symbol", "-z", "--f", "exp(2000*z)", "--N", "16"],
+    ["evolve", "--symbol", "-z", "--f", "z", "--N", "16",
+     "--space", "hpbeta:p=2,beta=pow:400"],
+    ["evolve", "--symbol", "-z", "--f", "z", "--N", "16",
+     "--space", "hpbeta:p=2,beta=geom:1e300"],
+    # a norm past the float range
+    ["evolve", "--symbol", "-z", "--f", "z", "--N", "16",
+     "--space", "hpbeta:p=2,beta=pow:200"],
+    # sizes just past their bounds
+    ["flow", "--symbol", "-z", "--z0", "0.1,0",
+     "--horizon", repr(semiflow.MAX_HORIZON * 1.001)],
+    ["portrait", "--symbol", "-z", "--density", "1",
+     "--horizon", repr(semiflow.MAX_HORIZON * 1.001)],
+    ["counterexample", "--T", repr(semiflow.MAX_HORIZON * 1.001)],
+    ["evolve", "--symbol", "-z", "--f", "z",
+     "--N", str(series.MAX_DEGREE + 1)],
+    ["generator-check", "--symbol", "-z", "--f", "z",
+     "--N", str(series.MAX_DEGREE + 1)],
+    ["portrait", "--symbol", "-z", "--density",
+     str(geometry.MAX_DENSITY + 1)],
+    ["classify", "--symbol", "-z", "--density",
+     str(geometry.MAX_DENSITY + 1)],
+], ids=lambda argv: " ".join(argv))
+def test_numeric_failures_exit_2_without_artifacts(tmp_path, capsys, argv):
+    out, traj = tmp_path / "artifact", tmp_path / "trajectory.csv"
+    extra = (["--trajectory-out", str(traj)] if argv[0] == "counterexample"
+             else [])
+    assert main(argv + ["--out", str(out)] + extra) == 2
+    _one_error_line(capsys)
+    assert not out.exists() and not traj.exists()
+
+
+def test_portrait_counts_overflowing_seeds_as_failed(tmp_path, capsys):
+    svg = tmp_path / "portrait.svg"
+    assert main(["portrait", "--symbol", "exp(800)", "--density", "1",
+                 "--out", str(svg)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "portrait", "out": str(svg), "seeds": 32,
+        "completed": 0, "escaped": 0, "failed": 32}
 
 
 def _run_twice(capsys, argv, artifacts):
