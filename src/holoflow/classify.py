@@ -48,7 +48,7 @@ import numpy as np
 from .errors import BadParameter, PoleError, ToleranceError
 from .expr import HoloExpr, Poly, Product, Ratio
 from .geometry import Domain
-from .semiflow import _EVAL_ERRORS, _check_tol, _eval_lanes, escape_time
+from .semiflow import _EVAL_ERRORS, _check_run, _eval_lanes, escape_time
 
 GLOBAL = "Global"
 NOT_GLOBAL = "NotGlobal"
@@ -259,11 +259,10 @@ def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
     at least -TOL_HERGLOTZ, none NaN), NotGlobal with an
     escape witness when no candidate passes and some interior seed exits
     in finite time, and Inconclusive otherwise. The escape horizon and
-    tolerance are checked before any work (BadParameter).
+    tolerance are checked before any work, by the rule of every run
+    (BadParameter).
     """
-    if not 0 < escape_t_max < math.inf:
-        raise BadParameter("escape_t_max must be positive and finite")
-    _check_tol(escape_tol)
+    _check_run(escape_tol, escape_t_max)
     seeds, grid = _classification_seeds(density)
     candidates = _newton_roots(G, seeds, tol_b)
     if not candidates:

@@ -27,13 +27,15 @@ are skipped); explicit flags win and unknown keys are rejected.
 
 One-line JSON summaries go to standard output, full artifacts to files.
 JSON reports embed schema_version "1" (schemas/report-v1.json). Exit
-codes: 0 success, 1 parse error, 2 numeric failure, 3 escape result,
-4 inconclusive verdict. Two runs with identical configs produce
-byte-identical artifacts.
+codes: 0 success, 1 parse error or an output path that cannot be
+written, 2 numeric failure, 3 escape result, 4 inconclusive verdict. A
+command that fails writes no artifact. Two runs with identical configs
+produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -56,7 +58,7 @@ from .semigroup import (
     operator_matrix,
 )
 from .semiflow import integrate, trajectory_to_csv
-from .series import SeriesFn, coeff_extraction_radius, series_compose, taylor
+from .series import SeriesFn, series_compose, taylor
 from .spaces import parse_space
 from .transfer import cayley, conjugation_residual, mobius_pair, transfer_symbol
 
@@ -218,25 +220,34 @@ def _resolve(argv) -> tuple[str, dict]:
     return command, values
 
 
-def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+def _write_all(files: dict[str, str]):
+    """Write every file, or, when one cannot be written, none: the files
+    written before it are removed and the OSError propagates."""
+    written = []
+    try:
+        for path, text in files.items():
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            written.append(path)
+    except OSError:
+        for path in written:
+            os.remove(path)
+        raise
 
 
-def _write_report(command: str, v: dict, body: dict) -> dict:
-    """The JSON report of a command, written to v["out"]."""
+def _report(command: str, v: dict, body: dict) -> dict:
+    """The JSON report of a command; main prints it and writes it to
+    v["out"]."""
     doc = {"schema_version": SCHEMA_VERSION, "command": command,
            "inputs": dict(v)}
     doc.update(body)
-    _write(v["out"], dump_line(doc))
     return doc
 
 
-def cmd_flow(v: dict) -> tuple[int, dict]:
+def cmd_flow(v: dict) -> tuple[int, dict, dict]:
     G = parse_symbol(v["symbol"])
     domain = parse_domain(v["domain"])
     traj = integrate(G, domain, v["z0"], v["horizon"], v["tol"])
-    _write(v["out"], trajectory_to_csv(traj))
     summary = {
         "command": "flow",
         "status": traj.status.kind,
@@ -244,21 +255,21 @@ def cmd_flow(v: dict) -> tuple[int, dict]:
         "t_escape": traj.status.t_escape,
         "out": v["out"],
     }
-    return (3 if traj.escaped else 0), summary
+    return (3 if traj.escaped else 0), summary, {
+        v["out"]: trajectory_to_csv(traj)}
 
 
-def cmd_portrait(v: dict) -> tuple[int, dict]:
+def cmd_portrait(v: dict) -> tuple[int, dict, dict]:
     G = parse_symbol(v["symbol"])
     domain = parse_domain(v["domain"])
     svg, counts = render_portrait(G, domain, v["density"], v["horizon"],
                                   v["tol"])
-    _write(v["out"], svg)
     summary = {"command": "portrait", "out": v["out"]}
     summary.update(counts)
-    return 0, summary
+    return 0, summary, {v["out"]: svg}
 
 
-def cmd_classify(v: dict) -> tuple[int, dict]:
+def cmd_classify(v: dict) -> tuple[int, dict, dict]:
     G = parse_symbol(v["symbol"])
     verdict = bp_classify(G, density=v["density"], tol_b=v["tol-b"],
                           escape_t_max=v["escape-tmax"],
@@ -267,23 +278,19 @@ def cmd_classify(v: dict) -> tuple[int, dict]:
     if verdict.witness is not None:
         witness = {"z0": verdict.witness.z0,
                    "t_escape": verdict.witness.t_escape}
-    report = _write_report("classify", v, {
+    report = _report("classify", v, {
         "status": verdict.status,
         "b": verdict.b,
         "min_re_F": verdict.min_re_F,
         "witness": witness,
     })
-    return (4 if verdict.status == INCONCLUSIVE else 0), report
+    return (4 if verdict.status == INCONCLUSIVE else 0), report, {}
 
 
-def _seed_series(text: str, degree: int) -> SeriesFn:
-    return taylor(parse_symbol(text), degree, coeff_extraction_radius(degree))
-
-
-def cmd_evolve(v: dict) -> tuple[int, dict]:
+def cmd_evolve(v: dict) -> tuple[int, dict, dict]:
     G = parse_symbol(v["symbol"])
-    seed = _seed_series(v["f"], v["N"])
-    matrix = matrix_doc = None
+    seed = taylor(parse_symbol(v["f"]), v["N"])
+    matrix_doc, files = None, {}
     if v["matrix-out"] is None:
         result = semigroup_apply(G, v["t"], seed, v["tol"])
     else:
@@ -291,34 +298,33 @@ def cmd_evolve(v: dict) -> tuple[int, dict]:
         # both the matrix and the composition
         matrix = operator_matrix(G, v["t"], v["N"], v["tol"])
         result = series_compose(seed, SeriesFn(matrix.entries[:, 1]))
+        matrix_doc = matrix_summary(matrix)
+        files[v["matrix-out"]] = matrix_to_csv(matrix)
     norm = None
     if v["space"] is not None:
         norm = parse_space(v["space"]).norm(result)
-    if matrix is not None:
-        _write(v["matrix-out"], matrix_to_csv(matrix))
-        matrix_doc = matrix_summary(matrix)
-    report = _write_report("evolve", v, {
+    report = _report("evolve", v, {
         "coeffs": [complex(c) for c in result.coeffs],
         "norm": norm,
         "matrix": matrix_doc,
     })
-    return 0, report
+    return 0, report, files
 
 
-def cmd_check_e(v: dict) -> tuple[int, dict]:
+def cmd_check_e(v: dict) -> tuple[int, dict, dict]:
     space = parse_space(v["space"])
     verdict = space.condition_e()
-    report = _write_report("check-e", v, {
+    report = _report("check-e", v, {
         "status": verdict.status,
         "evidence": verdict.evidence,
     })
-    return (4 if verdict.status == "Inconclusive" else 0), report
+    return (4 if verdict.status == "Inconclusive" else 0), report, {}
 
 
-def cmd_generator_check(v: dict) -> tuple[int, dict]:
+def cmd_generator_check(v: dict) -> tuple[int, dict, dict]:
     G = parse_symbol(v["symbol"])
     space = parse_space(v["space"])
-    seed = _seed_series(v["f"], v["N"])
+    seed = taylor(parse_symbol(v["f"]), v["N"])
     steps = [v["h"], v["h"] / 2.0, v["h"] / 4.0]
     residuals = [
         {"h": h, "residual": generator_residual(G, seed, space, h, v["tol"])}
@@ -333,27 +339,27 @@ def cmd_generator_check(v: dict) -> tuple[int, dict]:
     else:
         slope_reason = ("fewer than two nonzero residuals: "
                         "no measurable order in h")
-    report = _write_report("generator-check", v, {
+    report = _report("generator-check", v, {
         "residual": residuals[0]["residual"],
         "residuals": residuals,
         "slope": slope,
         "slope_reason": slope_reason,
     })
-    return 0, report
+    return 0, report, {}
 
 
-def cmd_counterexample(v: dict) -> tuple[int, dict]:
+def cmd_counterexample(v: dict) -> tuple[int, dict, dict]:
     F = parse_symbol(v["F"])
     result = cx.run_counterexample(v["b"], F, v["z0"], t_long=v["T"],
                                    tol=v["tol"], dw_tol=v["dw-tol"])
-    _write(v["trajectory-out"], trajectory_to_csv(result.trajectory))
-    report = _write_report("counterexample", v, {
+    report = _report("counterexample", v, {
         "t_exit": result.t_exit,
         "dw_distance": result.dw_distance,
         "warning": result.warning,
         "trajectory_csv": v["trajectory-out"],
     })
-    return (0 if result.conclusive else 4), report
+    return (0 if result.conclusive else 4), report, {
+        v["trajectory-out"]: trajectory_to_csv(result.trajectory)}
 
 
 def _parse_map(v: dict):
@@ -370,17 +376,19 @@ def _parse_map(v: dict):
     raise ParseError("unknown map %r" % (text,))
 
 
-def cmd_transfer_check(v: dict) -> tuple[int, dict]:
+def cmd_transfer_check(v: dict) -> tuple[int, dict, dict]:
     G = parse_symbol(v["symbol"])
     pair = _parse_map(v)
     residual = conjugation_residual(G, pair, v["z0"], v["t"], v["tol"])
-    report = _write_report("transfer-check", v, {
+    report = _report("transfer-check", v, {
         "residual": residual,
         "transferred_symbol": str(transfer_symbol(G, pair)),
     })
-    return 0, report
+    return 0, report, {}
 
 
+# Each handler returns (exit code, summary, {path: artifact text}); main
+# writes the artifacts only once the summary is serialized.
 _HANDLERS = {
     "flow": cmd_flow,
     "portrait": cmd_portrait,
@@ -400,12 +408,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stdout.write(dump_line({"error": str(exc)}))
         return 1
     try:
-        code, summary = _HANDLERS[command](values)
-    except HoloflowError as exc:
+        code, summary, files = _HANDLERS[command](values)
+        line = dump_line(summary)
+        if "schema_version" in summary:  # a report: its line is --out
+            files[values["out"]] = line
+        _write_all(files)
+    except (HoloflowError, OSError) as exc:
         sys.stdout.write(dump_line({"command": command, "error": str(exc)}))
-        return (1 if isinstance(exc, ParseError)
+        return (1 if isinstance(exc, (ParseError, OSError))
                 else 3 if isinstance(exc, EscapeError) else 2)
-    sys.stdout.write(dump_line(summary))
+    sys.stdout.write(line)
     return code
 
 

@@ -68,13 +68,10 @@ class Domain:
     def bounded(self) -> bool:
         return self.kind == DISC
 
-    def contains(self, z: complex) -> bool:
-        """True iff z lies in the open set."""
-        if self.kind == DISC:
-            return abs(z - self.center) < self.radius
-        if self.kind == HALFPLANE_RIGHT:
-            return z.real > 0.0
-        return z.imag > 0.0
+    def contains(self, z):
+        """True iff z lies in the open set (False for a NaN point); z may
+        be an array of points."""
+        return self.signed_distance(z) > 0.0
 
     def boundary_distance(self, z: complex) -> float:
         """Euclidean distance from an interior point to the boundary."""

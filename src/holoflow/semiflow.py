@@ -21,7 +21,11 @@ Fixed constants:
     ESCAPE_DISTANCE = 1e-6   escape vs stiffness threshold at underflow
     H_MIN           = 1e-12  minimal step size
     R_MAX           = 1e8    escape-to-infinity cap on unbounded domains
-    MAX_HORIZON     = 100    longest recorded trajectory (BadParameter)
+    MAX_HORIZON     = 100    longest run or flow-series time (BadParameter)
+
+Every entry that integrates checks its inputs first by one rule,
+_check_run: tol in [1e-13, 1e-3] and 0 < horizon <= MAX_HORIZON. At time 0
+(no run) only the tol, and the start point of flow_point, are checked.
 
 Trajectories (integrate): the wall rule with dense output, on Python
 scalars (a one-lane array costs over ten times more per step). An
@@ -84,7 +88,7 @@ series.taylor does for an expression:
   * Radius. r = series.noise_floor_radius(N) = max(0.5, (1e-4)^(1/N)).
     Since |phi(t, z)| < 1, the roundoff noise of coefficient N is about
     1e-16 / r^N = 1e-12 at every degree (Bornemann, FoCM 2011), without
-    the 0.9 cap of series.coeff_extraction_radius.
+    the 0.9 cap of series.taylor.
 
 Time 0 gives the exact identity series. Checking all M circle lanes for
 escape is stricter than checking the interior points alone: the flow of
@@ -224,8 +228,8 @@ def _check_tol(tol: float):
 
 def _check_run(tol: float, horizon: float):
     _check_tol(tol)
-    if not 0 < horizon < math.inf:
-        raise BadParameter("horizon must be positive and finite")
+    if not 0 < horizon <= MAX_HORIZON:
+        raise BadParameter("time horizon must lie in (0, %g]" % MAX_HORIZON)
 
 
 def _check_start(domain: Domain, z0: complex):
@@ -440,8 +444,6 @@ def _wall_rule(domain: Domain, xp):
 
 def _dense_times(horizon: float) -> list[float]:
     """Interior times of the uniform dense output of a trajectory."""
-    if horizon > MAX_HORIZON:
-        raise BadParameter("horizon must not exceed %g" % MAX_HORIZON)
     n_dense = max(64, math.ceil(16 * horizon))
     return [horizon * k / n_dense for k in range(1, n_dense)]
 
@@ -614,6 +616,7 @@ def flow_point(G: HoloExpr, domain: Domain, z0: complex, t: float,
                tol: float) -> complex:
     """Value of the flow at time t; raises EscapeError if it leaves first."""
     if t == 0.0:
+        _check_tol(tol)
         _check_start(domain, z0)
         return complex(z0)
     kind, t_end, u = _final_state(G, domain, z0, t, tol)
@@ -626,8 +629,6 @@ def flow_point(G: HoloExpr, domain: Domain, z0: complex, t: float,
 def semigroup_residual(G: HoloExpr, domain: Domain, z0: complex, t: float,
                        s: float, tol: float) -> float:
     """| flow(t+s, z0) - flow(t, flow(s, z0)) | from three integrations."""
-    if t < 0 or s < 0:
-        raise BadParameter("t and s must be nonnegative")
     direct = flow_point(G, domain, z0, t + s, tol)
     mid = flow_point(G, domain, z0, s, tol)
     chained = flow_point(G, domain, mid, t, tol)
@@ -648,23 +649,23 @@ def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
                       tol: float) -> list[SeriesFn]:
     """Flow coefficient series at several times in one integration pass.
 
-    times must be finite, nondecreasing and nonnegative; time 0 gives the
-    exact identity series. See the module docstring for the method.
+    times must be nondecreasing and nonnegative, and the last one a run
+    horizon unless it is 0; time 0 gives the exact identity series. See
+    the module docstring for the method.
     """
-    _check_tol(tol)
     if degree < 1:
         raise BadParameter("flow series need degree >= 1")
     if not times:
         return []
-    if not all(0 <= x < math.inf for x in times) or any(
-        b < a for a, b in zip(times, times[1:])
-    ):
-        raise BadParameter(
-            "times must be finite, nondecreasing and nonnegative")
+    if not all(0 <= x for x in times) or any(
+            b < a for a, b in zip(times, times[1:])):
+        raise BadParameter("times must be nonnegative and nondecreasing")
     identity = SeriesFn.identity(degree)
     positive = [x for x in times if x > 0.0]
     if not positive:
+        _check_tol(tol)
         return [identity] * len(times)
+    _check_run(tol, positive[-1])
     r = noise_floor_radius(degree)
     circle = circle_points(degree, r)
     lanes = np.concatenate([circle, _INTERIOR_LANES])
@@ -683,8 +684,6 @@ def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
 
 def flow_series(G: HoloExpr, t: float, degree: int, tol: float) -> FlowSeries:
     """Taylor coefficients of the time-t flow map about 0."""
-    if t < 0:
-        raise BadParameter("t must be nonnegative")
     return FlowSeries(t, _flow_series_path(G, [t], degree, tol)[0])
 
 

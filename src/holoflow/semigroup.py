@@ -26,9 +26,8 @@ import numpy as np
 
 from .errors import BadParameter
 from .expr import HoloExpr
-from .series import (SeriesFn, coeff_extraction_radius, series_compose,
-                     taylor, truncated_powers)
-from .semiflow import _check_tol, _flow_series_path, flow_series
+from .series import SeriesFn, series_compose, taylor, truncated_powers
+from .semiflow import _check_run, _check_tol, _flow_series_path, flow_series
 from .spaces import CoefSpace
 
 # Seeded random series that matrix_summary checks the matrix action on.
@@ -38,10 +37,12 @@ _SUMMARY_SAMPLES = 10
 def apply(G: HoloExpr, t: float, f: SeriesFn, tol: float) -> SeriesFn:
     """Coefficients of f o phi(t, .) truncated to the degree of f."""
     if f.degree == 0:
-        # constants are fixed by every composition operator
-        _check_tol(tol)
-        if not 0 <= t < math.inf:
-            raise BadParameter("t must be finite and nonnegative")
+        # constants are fixed by every composition operator; the time and
+        # tol are those a flow series accepts
+        if t == 0:
+            _check_tol(tol)
+        else:
+            _check_run(tol, t)
         return f
     flow = flow_series(G, t, f.degree, tol)
     return series_compose(f, flow.coeffs)
@@ -80,15 +81,13 @@ class OperatorMatrix:
 
 def operator_matrix(G: HoloExpr, t: float, degree: int,
                     tol: float) -> OperatorMatrix:
-    if degree < 1:
-        raise BadParameter("operator matrices need degree >= 1")
     flow = flow_series(G, t, degree, tol).coeffs.coeffs
     return OperatorMatrix(t, degree, truncated_powers(flow, degree).T)
 
 
 def generator_action(G: HoloExpr, f: SeriesFn) -> SeriesFn:
     """Truncated coefficients of G f' (the generator applied to f)."""
-    g = taylor(G, f.degree, coeff_extraction_radius(f.degree))
+    g = taylor(G, f.degree)
     return g * f.deriv()
 
 
@@ -165,8 +164,6 @@ def strong_continuity_report(G: HoloExpr, f: SeriesFn, space: CoefSpace,
     t ||G f'|| + O(t^2), so it decays linearly as t -> 0.
     """
     ts = list(t_list)
-    if any(t < 0 for t in ts):
-        raise BadParameter("times must be nonnegative")
     ordered = sorted(set(ts))
     flows = _flow_series_path(G, ordered, f.degree, 1e-10)
     by_time = {t: flow for t, flow in zip(ordered, flows)}

@@ -17,10 +17,10 @@ circle: with M = max(4N, 64) equispaced samples at radius r,
     a_k = (1 / (M r^k)) * sum_j f(r e^{2 pi i j / M}) e^{-2 pi i j k / M},
 
 which is spectrally accurate for functions analytic on the closed disc of
-radius r. The default sampling radius is 0.5. The same sampling turns
-the flow map of a symbol into its coefficients (semiflow.flow_series):
-there the samples come from integrating the circle points, not from an
-expression.
+radius r. taylor picks r itself, min(0.9, noise_floor_radius(N)): the
+only place that rule lives. The same sampling turns the flow map of a
+symbol into its coefficients (semiflow.flow_series): there the samples
+come from integrating the circle points, not from an expression.
 """
 
 from __future__ import annotations
@@ -33,15 +33,13 @@ import numpy as np
 from .errors import BadParameter, DegreeMismatch, NonFiniteError
 from .expr import HoloExpr
 
-DEFAULT_SAMPLE_RADIUS = 0.5
-
 # Circle sampling divides roundoff noise by r^k, so degree-k coefficients
-# carry an absolute error near machine_eps / r^k. Internal consumers that
-# call taylor() for a full degree-N tail pick coeff_extraction_radius,
-# which pins the noise floor around 1e-12 for N up to about 87 and asks
-# for analyticity only up to |z| = 0.9; above that the 0.9 cap lets the
-# noise grow as 1e-16 / 0.9^N. Flow maps send the disc into itself and
-# are sampled at the uncapped noise_floor_radius (semiflow.flow_series).
+# carry an absolute error near machine_eps / r^k. taylor samples at
+# noise_floor_radius capped at 0.9, which pins the noise floor around
+# 1e-12 for N up to about 87 and asks for analyticity only up to
+# |z| = 0.9; above that the cap lets the noise grow as 1e-16 / 0.9^N.
+# Flow maps send the disc into itself and are sampled at the uncapped
+# noise_floor_radius (semiflow.flow_series).
 _EPS_MACHINE = 1e-16
 _NOISE_FLOOR = 1e-12
 
@@ -50,16 +48,10 @@ MAX_DEGREE = 1024
 
 
 def noise_floor_radius(degree: int) -> float:
-    """Radius >= 0.5 keeping degree-`degree` coefficient noise ~1e-12."""
-    r = (_EPS_MACHINE / _NOISE_FLOOR) ** (1.0 / degree)
-    return max(DEFAULT_SAMPLE_RADIUS, r)
-
-
-def coeff_extraction_radius(degree: int) -> float:
-    """noise_floor_radius capped at 0.9 (0.5 below degree 1)."""
-    if degree < 1:
-        return DEFAULT_SAMPLE_RADIUS
-    return min(0.9, noise_floor_radius(degree))
+    """Radius >= 0.5 keeping degree-`degree` coefficient noise ~1e-12
+    (0.5 below degree 1)."""
+    r = (_EPS_MACHINE / _NOISE_FLOOR) ** (1.0 / max(degree, 1))
+    return max(0.5, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,12 +178,12 @@ def coeffs_from_samples(samples: np.ndarray, degree: int,
     return SeriesFn(hat[: degree + 1] / powers)
 
 
-def taylor(f: HoloExpr, degree: int, r: float = DEFAULT_SAMPLE_RADIUS) -> SeriesFn:
-    """Truncated Taylor coefficients of an expression about 0."""
+def taylor(f: HoloExpr, degree: int) -> SeriesFn:
+    """Truncated Taylor coefficients of an expression about 0, sampled
+    on |z| = min(0.9, noise_floor_radius(degree))."""
     if degree < 0:
         raise BadParameter("degree must be nonnegative")
-    if not 0.0 < r <= 1.0:
-        raise BadParameter("sampling radius must lie in (0, 1]")
+    r = min(0.9, noise_floor_radius(degree))
     z = circle_points(degree, r)
     with np.errstate(all="ignore"):  # non-finite samples are refused
         samples = np.broadcast_to(f.eval(z), z.shape)  # a constant is a scalar

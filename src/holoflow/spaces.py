@@ -168,10 +168,15 @@ class CoefSpace:
         return cls(2.0, BetaRule.power(0.5), "Dirichlet")
 
     def norm(self, f: SeriesFn) -> float:
-        """Truncated norm (sum_{n<=N} |a_n|^p beta_n^p)^(1/p)."""
+        """Truncated norm (sum_{n<=N} |a_n|^p beta_n^p)^(1/p);
+        NonFiniteError when it is not a finite float."""
         beta = self.beta.sequence(f.degree)
-        terms = (np.abs(f.coeffs) * beta) ** self.p
-        return float(np.sum(terms) ** (1.0 / self.p))
+        with np.errstate(all="ignore"):  # a non-finite norm is refused
+            terms = (np.abs(f.coeffs) * beta) ** self.p
+            norm = float(np.sum(terms) ** (1.0 / self.p))
+        if not math.isfinite(norm):
+            raise NonFiniteError("norm %r in %s" % (norm, self.to_text()))
+        return norm
 
     def eval_norm(self, z: complex, degree: int) -> float:
         """Truncated norm of the point-evaluation functional (p = 2 only).
@@ -220,9 +225,8 @@ class CoefSpace:
         either way."""
         if not 0 < tail_window < f.degree / 2:
             raise BadParameter("tail window must be below degree/2")
-        beta = self.beta.sequence(f.degree)
-        weighted = np.abs(f.coeffs) * beta
-        norm = float(np.sum(weighted**self.p) ** (1.0 / self.p))
+        weighted = np.abs(f.coeffs) * self.beta.sequence(f.degree)
+        norm = self.norm(f)
         ns = np.arange(f.degree - tail_window + 1, f.degree + 1)
         vals = weighted[ns]
         mask = vals > 0

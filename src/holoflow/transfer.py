@@ -42,8 +42,8 @@ class ConformalPair:
             with np.errstate(all="ignore"):
                 w, w_errors = _eval_lanes(there.eval, z)
                 z_back, back_errors = _eval_lanes(back.eval, w)
-            outside = np.zeros(len(z), bool) if into is None else ~(
-                into.signed_distance(w) > 0)
+            outside = (np.zeros(len(z), bool) if into is None
+                       else ~into.contains(w))
             faults = np.flatnonzero(
                 outside | (abs(z_back - z) > _PAIR_PROBE_TOL)).tolist()
             faults += [*w_errors, *back_errors]
@@ -85,8 +85,6 @@ def transfer_symbol(G: HoloExpr, pair: ConformalPair) -> HoloExpr:
 def conjugation_residual(G: HoloExpr, pair: ConformalPair, z0: complex,
                          t: float, tol: float) -> float:
     """|h(flow_H(t, z0)) - flow_G(t, h(z0))| from two integrations."""
-    if t == 0.0:
-        return 0.0
     H = transfer_symbol(G, pair)
     through_source = pair.h.eval(
         flow_point(H, pair.source, z0, t, tol))

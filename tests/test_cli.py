@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from importlib import resources
 
 import jsonschema
@@ -179,9 +180,11 @@ def test_non_finite_numbers_are_parse_errors(tmp_path, capsys, argv):
      "--space", "hpbeta:p=2,beta=pow:400"],
     ["evolve", "--symbol", "-z", "--f", "z", "--N", "16",
      "--space", "hpbeta:p=2,beta=geom:1e300"],
-    # a norm past the float range
+    # a norm past the float range, also with a matrix to write
     ["evolve", "--symbol", "-z", "--f", "z", "--N", "16",
      "--space", "hpbeta:p=2,beta=pow:200"],
+    ["evolve", "--symbol", "-z", "--f", "z", "--N", "16",
+     "--space", "hpbeta:p=2,beta=pow:200", "--matrix-out", "MATRIX"],
     # sizes just past their bounds
     ["flow", "--symbol", "-z", "--z0", "0.1,0",
      "--horizon", repr(semiflow.MAX_HORIZON * 1.001)],
@@ -199,11 +202,48 @@ def test_non_finite_numbers_are_parse_errors(tmp_path, capsys, argv):
 ], ids=lambda argv: " ".join(argv))
 def test_numeric_failures_exit_2_without_artifacts(tmp_path, capsys, argv):
     out, traj = tmp_path / "artifact", tmp_path / "trajectory.csv"
+    argv = [str(tmp_path / "matrix.csv") if a == "MATRIX" else a
+            for a in argv]
     extra = (["--trajectory-out", str(traj)] if argv[0] == "counterexample"
              else [])
     assert main(argv + ["--out", str(out)] + extra) == 2
     _one_error_line(capsys)
-    assert not out.exists() and not traj.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    # a time past the longest run: before, these ran for minutes
+    ["evolve", "--symbol", "-z", "--f", "z", "--N", "8", "--t", "1e7"],
+    ["classify", "--symbol", "-z*(1-1.2*z^20)", "--escape-tmax", "1e6"],
+    # time 0 checks the start point and the tol
+    ["transfer-check", "--symbol", "z", "--t", "0", "--z0", "5,0"],
+    ["transfer-check", "--symbol", "z", "--t", "0", "--z0", "0.5,0",
+     "--tol", "1"],
+], ids=lambda argv: " ".join(argv))
+def test_run_inputs_are_refused_at_once(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-e", "--space", "h2", "--out", "MISSING"],
+    ["flow", "--symbol", "-z", "--z0", "0.5,0", "--out", "MISSING"],
+    ["evolve", "--symbol", "-z", "--f", "z", "--N", "8",
+     "--matrix-out", "MISSING", "--out", "OK"],
+    ["counterexample", "--trajectory-out", "MISSING", "--out", "OK"],
+    # the trajectory is written first and must be taken back
+    ["counterexample", "--trajectory-out", "OK", "--out", "MISSING"],
+], ids=lambda argv: " ".join(argv))
+def test_unwritable_paths_exit_1_without_artifacts(tmp_path, capsys, argv):
+    paths = {"MISSING": str(tmp_path / "missing" / "artifact"),
+             "OK": str(tmp_path / "artifact")}
+    assert main([paths.get(a, a) for a in argv]) == 1
+    _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_portrait_counts_overflowing_seeds_as_failed(tmp_path, capsys):

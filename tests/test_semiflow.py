@@ -26,8 +26,10 @@ from holoflow import (
     trajectory_to_csv,
 )
 from holoflow import semiflow
+from holoflow.classify import bp_classify
 from holoflow.counterexample import build_counterexample
 from holoflow.semigroup import apply
+from holoflow.transfer import cayley, conjugation_residual
 
 DISC = Domain.unit_disc()
 LINEAR = parse_symbol("-z")        # flow z e^-t
@@ -499,3 +501,60 @@ def test_lanes_end_slow_orbits_like_the_scalar_path():
         assert status.kind == ref.kind
         if ref.kind == "Escaped":
             assert status.t_escape == pytest.approx(ref.t_escape, rel=1e-7)
+
+
+# -- one rule for the inputs of every run ------------------------------------
+
+
+def _first_seed(G, domain, z0, t, tol):
+    # integrate_seeds reports a seed's error in its place instead of raising
+    [out] = semiflow.integrate_seeds(G, domain, [z0], t, tol)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+# Each entry as run(t, tol, z0), whether it accepts t = 0, and whether it
+# takes a start point in the unit disc (conjugation_residual's lies in the
+# source disc of the Cayley map).
+_RUNS = {
+    "integrate": (lambda t, tol, z0: integrate(LINEAR, DISC, z0, t, tol),
+                  False, True),
+    "integrate_seeds": (lambda t, tol, z0: _first_seed(LINEAR, DISC, z0, t,
+                                                       tol), False, True),
+    "escape_time": (lambda t, tol, z0: escape_time(LINEAR, DISC, z0, t, tol),
+                    False, True),
+    "flow_point": (lambda t, tol, z0: flow_point(LINEAR, DISC, z0, t, tol),
+                   True, True),
+    "flow_series": (lambda t, tol, z0: flow_series(LINEAR, t, 8, tol),
+                    True, False),
+    "apply-degree-0": (lambda t, tol, z0: apply(LINEAR, t, SeriesFn([2.5]),
+                                                tol), True, False),
+    "apply": (lambda t, tol, z0: apply(LINEAR, t, SeriesFn.identity(8), tol),
+              True, False),
+    "semigroup_residual": (lambda t, tol, z0: semigroup_residual(
+        LINEAR, DISC, z0, t, t, tol), True, True),
+    "conjugation_residual": (lambda t, tol, z0: conjugation_residual(
+        DOUBLING, cayley(), z0, t, tol), True, True),
+    "bp_classify": (lambda t, tol, z0: bp_classify(
+        LINEAR, escape_t_max=t, escape_tol=tol), False, False),
+}
+
+
+def _run_rule_cases():
+    for name, (_, zero_ok, seeded) in _RUNS.items():
+        for bad in (semiflow.MAX_HORIZON * 1.001, math.nan):
+            yield pytest.param(name, bad, 1e-9, 0.5, BadParameter,
+                               id="%s-t=%r" % (name, bad))
+        for t in (0.0, 1.0) if zero_ok else (1.0,):
+            yield pytest.param(name, t, 1.0, 0.5, BadParameter,
+                               id="%s-tol=1-t=%r" % (name, t))
+            if seeded:
+                yield pytest.param(name, t, 1e-9, 1.5 + 0j, DomainError,
+                                   id="%s-outside-t=%r" % (name, t))
+
+
+@pytest.mark.parametrize("name,t,tol,z0,error", _run_rule_cases())
+def test_every_run_checks_its_inputs_first(name, t, tol, z0, error):
+    with pytest.raises(error):
+        _RUNS[name][0](t, tol, z0)
