@@ -3,13 +3,17 @@
 Seeds come from the domain sampling grid and are integrated together, as
 independent lanes of one run (semiflow.integrate_seeds). Each seed's
 trajectory is drawn as a polyline on a fixed 800 x 800 canvas with a
-fixed color ramp indexed by seed order; its vertices are the seed, the
-adaptive step points and the uniform dense samples of integrate, in time
-order, with two decimals per pixel coordinate. Escaped trajectories are
-dashed. Discs of radius above 1 additionally get a dashed unit-circle
-overlay so crossings of |z| = 1 are visible. Seeds whose integration fails
-numerically are logged in seed order and skipped. Identical inputs
-produce identical bytes.
+fixed color ramp indexed by seed order; its vertices are the seed and
+the adaptive step points of integrate, in time order, with two decimals
+per pixel coordinate. The uniform dense samples of integrate are drawn
+only on steps whose cubic Hermite curve may depart more than _CHORD_PX =
+0.25 px from the step's chord (after Ramer 1972; Douglas & Peucker 1973):
+a sample left out lies within 0.25 px of that chord, which is a segment
+of the polyline, so the text grows with curvature instead of horizon.
+Escaped trajectories are dashed. Discs of radius above 1 additionally get
+a dashed unit-circle overlay so crossings of |z| = 1 are visible. Seeds
+whose integration fails numerically are logged in seed order and
+skipped. Identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .semiflow import ESCAPED, integrate_seeds
 logger = logging.getLogger(__name__)
 
 CANVAS = 800.0
+# a dense sample is drawn only where its step bends farther from the chord
+_CHORD_PX = 0.25
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -97,7 +103,8 @@ def render_portrait(G: HoloExpr, domain: Domain, density: int,
             parts.append('<line x1="%.2f" y1="0" x2="%.2f" y2="800" '
                          'stroke="#000000" stroke-width="1.5"/>' % (x, x))
     completed = escaped = failed = 0
-    orbits = integrate_seeds(G, domain, seeds, horizon, tol)
+    orbits = integrate_seeds(G, domain, seeds, horizon, tol,
+                             _CHORD_PX / (fx(1.0) - fx(0.0)))
     for idx, (seed, orbit) in enumerate(zip(seeds, orbits)):
         if isinstance(orbit, HoloflowError):
             failed += 1

@@ -65,7 +65,7 @@ def _same_error(lane, ref):
 
 
 def _assert_lanes_match(G, D, seeds, horizon):
-    lanes = integrate_seeds(G, D, seeds, horizon, TOL)
+    lanes = integrate_seeds(G, D, seeds, horizon, TOL, 0.0)
     assert len(lanes) == len(seeds)
     for seed, lane in zip(seeds, lanes):
         ref = _scalar(G, D, seed, horizon)
@@ -103,7 +103,7 @@ def test_grid_cases_cover_every_outcome():
     for symbol, domain, density, horizon in CASES:
         G, D = parse_symbol(symbol), parse_domain(domain)
         kinds |= _kinds(integrate_seeds(G, D, D.sample_grid(density),
-                                        horizon, TOL))
+                                        horizon, TOL, 0.0))
     assert {("Completed", False), ("Escaped", False), ("Escaped", True),
             "PoleError"} <= kinds
 
@@ -118,32 +118,91 @@ def test_interior_pole_fails_only_its_lanes():
                              "PoleError"}
 
 
-def _reference_svg_polylines(G, D, density, horizon):
-    """Reference polylines: scalar integrate seed by seed, formatted point
-    by point, one line per seed that integrates."""
+def _reference_polylines(G, D, density, horizon):
+    """Reference polylines: every point the lanes record with chord_tol 0
+    (the scalar points, up to the last bits of a complex product), one per
+    seed that integrates, as (pixel points, "%.2f,%.2f" vertices)."""
     fx, fy = _viewport(D)
     lines = []
-    for seed in D.sample_grid(density):
-        traj = _scalar(G, D, seed, horizon)
-        if isinstance(traj, HoloflowError):
+    for lane in integrate_seeds(G, D, D.sample_grid(density), horizon, TOL,
+                                0.0):
+        if isinstance(lane, HoloflowError):
             continue
-        lines.append(" ".join("%.2f,%.2f" % (fx(p.real), fy(p.imag))
-                              for p in traj.points))
+        px = fx(lane[0].real) + 1j * fy(lane[0].imag)
+        lines.append((px, ["%.2f,%.2f" % (p.real, p.imag)
+                           for p in px.tolist()]))
     return lines
+
+
+def _polyline_vertices(svg):
+    return [line.split('"')[1].split(" ") for line in svg.splitlines()
+            if line.startswith("<polyline")]
+
+
+def _embedding(kept, ref):
+    """Indices of ref at which the kept vertices occur in order (the
+    earliest such), or None when kept is no subsequence of ref."""
+    at, j = [], 0
+    for v in kept:
+        while j < len(ref) and ref[j] != v:
+            j += 1
+        if j == len(ref):
+            return None
+        at.append(j)
+        j += 1
+    return at
+
+
+def _distance_to_segments(p, a, b):
+    """Distance of each point p to the segment from a to b, projecting
+    onto the segment's line and clamping to its ends."""
+    ab = b - a
+    norm2 = np.abs(ab) ** 2
+    s = np.clip(((p - a) * ab.conj()).real / np.where(norm2 > 0, norm2, 1.0),
+                0.0, 1.0)
+    return np.abs(p - (a + s * ab))
 
 
 @pytest.mark.parametrize("symbol,domain", [
     ("0.5+0.2i", "halfplane:right"),
     ("0.1-1i", "halfplane:upper"),
 ])
-def test_constant_symbol_portraits_are_byte_identical(symbol, domain):
+def test_zero_chord_tol_keeps_every_scalar_point(symbol, domain):
     # a symbol free of z involves no complex product, so lanes and the
-    # scalar path do the same arithmetic and draw the same bytes
+    # scalar path do the same arithmetic and record the same points
     G, D = parse_symbol(symbol), parse_domain(domain)
-    svg, _ = render_portrait(G, D, 1, 2.0, TOL)
-    got = [line.split('"')[1] for line in svg.splitlines()
-           if line.startswith("<polyline")]
-    assert got == _reference_svg_polylines(G, D, 1, 2.0)
+    seeds = D.sample_grid(1)
+    for seed, (points, _) in zip(
+            seeds, integrate_seeds(G, D, seeds, 2.0, TOL, 0.0)):
+        assert np.array_equal(points, integrate(G, D, seed, 2.0, TOL).points)
+
+
+@pytest.mark.parametrize("symbol,domain,density,horizon", CASES,
+                         ids=[c[0] + "@" + c[1] for c in CASES])
+def test_portrait_drops_only_samples_within_a_quarter_pixel(
+        symbol, domain, density, horizon):
+    # every polyline is a subsequence of the reference, from the same first
+    # to the same last vertex, and each reference point left out lies
+    # within 0.25 px of the segment of the polyline that spans it. (The
+    # scalar path itself is no exact reference: escapes of z^2 towards
+    # R_MAX reach 1e10 px, where a last-bit difference shows.)
+    G, D = parse_symbol(symbol), parse_domain(domain)
+    svg, _ = render_portrait(G, D, density, horizon, TOL)
+    drawn = _polyline_vertices(svg)
+    ref = _reference_polylines(G, D, density, horizon)
+    assert len(drawn) == len(ref)
+    assert sum(map(len, drawn)) < sum(len(text) for _, text in ref)
+    for kept, (px, text) in zip(drawn, ref):
+        at = _embedding(kept, text)
+        assert at is not None and at[0] == 0 and at[-1] == len(text) - 1
+        xy = np.array([complex(*map(float, v.split(","))) for v in kept])
+        # the kept segment that spans each reference point
+        seg = np.searchsorted(at, np.arange(len(text)), "right") - 1
+        seg = np.minimum(seg, len(at) - 2)
+        dropped = np.setdiff1d(np.arange(len(text)), at)
+        dist = _distance_to_segments(px[dropped], xy[seg[dropped]],
+                                     xy[seg[dropped] + 1])
+        assert np.all(dist < 0.25), (symbol, float(dist.max()))
 
 
 @pytest.mark.parametrize("symbol", ["mobius(1,0,1,-0.5)", "1/(z-0.5)"])
@@ -165,7 +224,7 @@ def test_step_limit_fails_seeds_without_traceback(monkeypatch, caplog):
     monkeypatch.setattr(semiflow, "_MAX_STEPS", 20)
     G, D = parse_symbol("i*z"), Domain.unit_disc()
     seeds = D.sample_grid(1)
-    lanes = integrate_seeds(G, D, seeds, 5.0, TOL)
+    lanes = integrate_seeds(G, D, seeds, 5.0, TOL, 0.0)
     assert all(isinstance(lane, StiffnessError)
                and str(lane) == "step limit exceeded" for lane in lanes)
     with pytest.raises(StiffnessError, match="step limit exceeded"):
@@ -181,12 +240,12 @@ def test_bad_parameters_raise_before_any_seed():
     G, D = parse_symbol("i*z"), Domain.unit_disc()
     for horizon, tol in ((0.0, TOL), (float("inf"), TOL), (1.0, 1.0)):
         with pytest.raises(HoloflowError):
-            integrate_seeds(G, D, D.sample_grid(1), horizon, tol)
+            integrate_seeds(G, D, D.sample_grid(1), horizon, tol, 0.0)
 
 
 def test_seed_outside_the_domain_fails_alone():
     G, D = parse_symbol("i*z"), Domain.unit_disc()
-    lanes = integrate_seeds(G, D, [0.5, 2.0], 1.0, TOL)
+    lanes = integrate_seeds(G, D, [0.5, 2.0], 1.0, TOL, 0.0)
     assert lanes[0][1].kind == "Completed"
     assert str(lanes[1]) == str(_scalar(G, D, 2.0, 1.0))
 

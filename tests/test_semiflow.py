@@ -142,6 +142,22 @@ def test_semigroup_residual_raises_on_escape():
         semigroup_residual(DOUBLING, DISC, 0.5, 1.0, 1.0, 1e-9)
 
 
+@pytest.mark.parametrize("t,s", [(-1.0, 50.0), (50.0, -1.0)])
+def test_semigroup_residual_refuses_bad_times_before_any_run(
+        monkeypatch, t, s):
+    horizons = []
+    original = semiflow._final_state
+
+    def recording(G, domain, z0, horizon, tol, record=None):
+        horizons.append(horizon)
+        return original(G, domain, z0, horizon, tol, record)
+
+    monkeypatch.setattr(semiflow, "_final_state", recording)
+    with pytest.raises(BadParameter):
+        semigroup_residual(LINEAR, DISC, 0.5, t, s, 1e-9)
+    assert horizons == []
+
+
 def test_semigroup_law_on_grid():
     lattice = [(0.3, 0.5), (0.5, 1.0), (1.0, 0.7)]
     for G in (LINEAR, TANH):
@@ -495,7 +511,8 @@ def test_lanes_end_slow_orbits_like_the_scalar_path():
     # as above, lane by lane; a last-bit difference in the state moves the
     # time its gap falls within rounding by up to 1e-16 / 2e-9 = 5e-8
     seeds = DISC.sample_grid(2)
-    lanes = semiflow.integrate_seeds(TANH, DISC, seeds, 12.0, 1e-9)
+    lanes = semiflow.integrate_seeds(TANH, DISC, seeds, 12.0, 1e-9,
+                                    0.0)
     for seed, (points, status) in zip(seeds, lanes):
         ref = integrate(TANH, DISC, seed, 12.0, 1e-9).status
         assert status.kind == ref.kind
@@ -503,12 +520,41 @@ def test_lanes_end_slow_orbits_like_the_scalar_path():
             assert status.t_escape == pytest.approx(ref.t_escape, rel=1e-7)
 
 
+def test_hermite_chord_distance_bound():
+    # p(theta) - (u + theta d) = theta (1-theta)^2 a - theta^2 (1-theta) b
+    # with d = y - u, a = h k1 - d and b = h k_y - d, so the curve of a
+    # step stays within (4/27) (|a| + |b|) of its chord
+    rng = np.random.default_rng(11)
+    n = 10_000
+
+    def cplx(scale):
+        return scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+    u, y = cplx(rng.lognormal(size=n)), cplx(rng.lognormal(size=n))
+    h = rng.lognormal(-3.0, 2.0, size=n)
+    k1, k_y = cplx(rng.lognormal(size=n) / h), cplx(rng.lognormal(size=n) / h)
+    d = y - u
+    bound = semiflow._CHORD_BOUND * (abs(h * k1 - d) + abs(h * k_y - d))
+    theta = np.linspace(0.0, 1.0, 101)[:, None]
+    dist = abs(semiflow._hermite(theta, u, k1, y, k_y, h) - (u + theta * d))
+    assert np.all(dist.max(axis=0) <= bound * (1 + 1e-12) + 1e-12 * (
+        abs(u) + abs(y)))
+    # b = 0: the distance at theta = 1/3 attains the bound
+    u, y, h = 0.25 + 0.5j, 1.0 - 0.75j, 0.5
+    d = y - u
+    k1, k_y = (d + 0.3 - 0.2j) / h, d / h
+    bound = semiflow._CHORD_BOUND * abs(h * k1 - d)
+    dist = abs(semiflow._hermite(theta, u, k1, y, k_y, h) - (u + theta * d))
+    assert dist.max() == pytest.approx(bound, rel=1e-2)
+    assert dist.max() <= bound
+
+
 # -- one rule for the inputs of every run ------------------------------------
 
 
 def _first_seed(G, domain, z0, t, tol):
     # integrate_seeds reports a seed's error in its place instead of raising
-    [out] = semiflow.integrate_seeds(G, domain, [z0], t, tol)
+    [out] = semiflow.integrate_seeds(G, domain, [z0], t, tol, 0.0)
     if isinstance(out, Exception):
         raise out
     return out
