@@ -15,6 +15,21 @@ fails alone instead). An escape is a solver-tolerance certificate, never a
 proof. The step-control rules are written once, as expressions that hold
 for Python scalars and elementwise for arrays.
 
+The step reads one tableau in two forms, and _drive picks one per run.
+_dp_step writes the stage sums out, one product per weight: on a Python
+complex that is the fastest form, and on independent lanes it does the
+scalar arithmetic, so a portrait's lanes agree bit for bit with scalar
+runs of their seeds up to numpy's complex product. Lanes that share one
+step (flow_series) take _dp_step_shared, which forms each stage sum as one
+matrix-vector product on the float64 view of the stacked stages; for
+-z, 1 - z^2 and a Moebius symbol at 69 to 1,029 lanes it takes 0.52 to
+0.67 of the time of the written-out sums (2-CPU Xeon, one BLAS thread).
+It sums the products in another order, so one step differs from the
+written-out sums by a few ulps of the magnitudes summed (at most 3.2e-16
+for seven symbols on lanes of modulus below 0.9 at h = 0.037), and
+flow_series coefficients by at most 7.8e-13 (N = 16, 64 and 256,
+t = 0.7, tol 1e-9).
+
 Fixed constants:
 
     DELTA_WALL      = 1e-9   wall rejection distance
@@ -128,21 +143,26 @@ MAX_HORIZON = 100.0  # dense output keeps 16 points per unit time per lane
 
 _MAX_STEPS = 5_000_000
 
-# Dormand-Prince coefficients: stage weights _Aij, fifth-order weights _Bi
-# and error weights _Ei = b5_i - b4_i (_E7 for the FSAL stage). The zero
-# weights stay in the sums: they fix the signs of zero components.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = (19372 / 6561, -25360 / 2187, 64448 / 6561,
-                          -212 / 729)
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                                49 / 176, -5103 / 18656)
-_B1, _B2, _B3, _B4, _B5, _B6 = (35 / 384, 0.0, 500 / 1113, 125 / 192,
-                                -2187 / 6784, 11 / 84)
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, 0.0, -71 / 16695,
-                                     71 / 1920, -17253 / 339200, 22 / 525,
-                                     -1 / 40)
+# The Dormand-Prince tableau by rows: the stage weights a2 .. a6, the
+# fifth-order weights b and the error weights e = b5 - b4 (e7 for the FSAL
+# stage). The zero weights stay in the sums: they fix the signs of zero
+# components.
+_ROWS = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+     -1 / 40),
+)
+((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65), (_B1, _B2, _B3, _B4, _B5, _B6),
+ (_E1, _E2, _E3, _E4, _E5, _E6, _E7)) = _ROWS
+# The same rows as an 8 x 7 matrix: row i < 6 holds the weights of stage
+# i + 1 in its first i entries (row 0 is empty), row 6 is b and row 7 e.
+_TABLEAU = np.array([(0.0,) * 7] + [r + (0.0,) * (7 - len(r)) for r in _ROWS])
 
 COMPLETED = "Completed"
 ESCAPED = "Escaped"
@@ -201,7 +221,10 @@ def _dp_step(rhs, y, h, k1):
     """One embedded step; returns (y5, error_estimate, k7).
 
     The sums are written out, in the order of the tableau rows, for speed
-    on Python scalars; they hold elementwise on arrays.
+    on Python scalars (integrate, escape_time, flow_point). They hold
+    elementwise on arrays, so independent lanes (integrate_seeds) do the
+    scalar arithmetic and agree with scalar runs of their seeds. Lanes that
+    share one step take _dp_step_shared instead (see the module docstring).
     """
     k2 = rhs(y + h * (0 + _A21 * k1))
     k3 = rhs(y + h * (0 + _A31 * k1 + _A32 * k2))
@@ -215,6 +238,27 @@ def _dp_step(rhs, y, h, k1):
     err = (0 + _E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5
            + _E6 * k6 + _E7 * k7)
     return y5, h * err, k7
+
+
+def _dp_step_shared(rhs, y, h, k1):
+    """_dp_step for a contiguous complex array of lanes with one scalar h.
+
+    The stages are the rows of K. Viewed as float64, a complex row is its
+    (re, im) pairs, and the tableau is real, so each stage sum is one
+    matrix-vector product y + (h T[i, :i]) @ K[:i] on the float view, and
+    the error is (h T[7]) @ K: a few array operations a stage instead of
+    one or more per weight. The products are summed in another order than
+    _dp_step's, so a step differs from it by a few ulps of the magnitudes
+    summed. err and k7 are arrays also where rhs gives one scalar.
+    """
+    K = np.empty((7, len(y)), complex)
+    K[0] = k1
+    Kf, yf, T = K.view(float), y.view(float), h * _TABLEAU
+    for i in range(1, 6):
+        K[i] = rhs((yf + T[i, :i] @ Kf[:i]).view(complex))
+    y5 = (yf + T[6, :6] @ Kf[:6]).view(complex)
+    K[6] = rhs(y5)
+    return y5, (T[7] @ Kf).view(complex), K[6]
 
 
 def _hermite(theta, y0, f0, y1, f1, h):
@@ -268,14 +312,12 @@ def _error_ratio(u, err, tol: float, per_lane: bool = False):
     """tol * (1 + |u|) / |err|; the step passes at >= 1.
 
     An exact zero error gives inf. For lanes that share one step it is the
-    least over lanes, and err may be a scalar (a symbol that does not
-    depend on z), which broadcasts against u. For independent lanes it is
-    taken lane by lane.
+    least over lanes; for independent lanes it is taken lane by lane.
     """
     if per_lane:
         return tol * (1.0 + abs(u)) / abs(err)
     if isinstance(u, np.ndarray):
-        m = float(np.max(np.abs(err) / (1.0 + np.abs(u))))
+        m = float((np.abs(err) / (1.0 + np.abs(u))).max())
         return tol / m if m else math.inf
     err_mag = abs(err)
     return tol * (1.0 + abs(u)) / err_mag if err_mag else math.inf
@@ -313,6 +355,8 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
     one end, and raises StiffnessError instead of failing.
     """
     xp = _LANES if lanes else _ONE
+    step = (_dp_step_shared if not lanes and isinstance(u, np.ndarray)
+            else _dp_step)
     where, minimum, maximum, any_ = xp.where, xp.minimum, xp.maximum, xp.any
     if lanes:
         ids, t, steps = np.arange(len(u)), np.zeros(len(u)), np.zeros(
@@ -343,7 +387,7 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
             steps = steps + 1
             h = minimum(h, stop - t)
             try:
-                y5, err, k7 = _dp_step(rhs, u, h, k1)
+                y5, err, k7 = step(rhs, u, h, k1)
                 verdict, gap_y = admit(y5)
                 ratio = (_error_ratio(u, err, tol, lanes)
                          if any_(verdict != _STOP) else math.nan)
@@ -660,8 +704,8 @@ _INTERIOR_LANES = (0j, 0.25, 0.25j, -0.25, -0.25j)
 
 
 def _inside_unit_disc(y: np.ndarray) -> tuple[int, None]:
-    # NaN rejects; no wall, so no gap
-    return (_ACCEPT if np.all(np.abs(y) < 1.0) else _REJECT), None
+    # a NaN lane makes the max NaN, which rejects; no wall, so no gap
+    return (_ACCEPT if np.abs(y).max() < 1.0 else _REJECT), None
 
 
 def _flow_series_path(G: HoloExpr, times: list[float], degree: int,

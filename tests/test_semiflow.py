@@ -12,6 +12,7 @@ from holoflow import (
     Domain,
     DomainError,
     EscapeError,
+    PoleError,
     Status,
     StiffnessError,
     Trajectory,
@@ -386,6 +387,70 @@ def test_dp_step_matches_tableau_rows_bit_for_bit(symbol):
     got = semiflow._dp_step(G.eval, lanes, h, k1)
     want = _dp_step_by_rows(G.eval, lanes, h, k1)
     assert all(_bits(a) == _bits(b) for a, b in zip(got, want))
+
+
+# Lanes that share one step take the tableau as a matrix, which sums the
+# products in another order: each result is checked to 4 ulps of the
+# magnitudes summed into it (y5: |y| + h sum |b_i k_i|; err: h sum |e_i k_i|;
+# k7: |k7| plus that of y5, as the symbols have Lipschitz constants near 1).
+@pytest.mark.parametrize("symbol", ["-z", "1-z^2", "i*z", "z^2+0.5",
+                                    "0.1", "exp(z)", "mobius(1,0,1,-2)"])
+def test_shared_step_matches_tableau_rows(symbol):
+    G = parse_symbol(symbol)
+    rng = np.random.default_rng(11)
+    lanes = np.concatenate([[0.5, -0.25, 0j, complex(0.3, -0.0)],
+                            rng.uniform(-0.6, 0.6, 12)
+                            + 1j * rng.uniform(-0.6, 0.6, 12)])
+    h, k1 = 0.037, G.eval(lanes)
+    stages = [np.broadcast_to(k1, lanes.shape)]
+
+    def recording(x):  # the reference's stages, broadcast to the lanes
+        v = G.eval(x)
+        stages.append(np.broadcast_to(v, x.shape))
+        return v
+
+    want = _dp_step_by_rows(recording, lanes, h, k1)
+    K = np.abs(np.array(stages))
+    mag_y5 = np.abs(lanes) + h * np.abs(_TABLEAU_B) @ K[:6]
+    mag_err = h * np.abs(_TABLEAU_E) @ K
+    mags = (mag_y5, mag_err, np.abs(want[2]) + mag_y5)
+    got = semiflow._dp_step_shared(G.eval, lanes, h, k1)
+    for g, w, mag in zip(got, want, mags):
+        assert g.shape == lanes.shape
+        assert np.all(np.abs(g - w) <= 4 * np.finfo(float).eps * mag)
+
+
+def test_shared_step_raises_at_a_pole():
+    # the second stage of the lane at 1.9 lands on the pole z = 2 of G
+    G = parse_symbol("mobius(1,0,1,-2)")
+    h = 0.05
+    lanes = np.array([0.5, 1.9, -0.3j])
+    k1 = G.eval(lanes)
+    k1[1] = 0.1 / (h * semiflow._A21)
+    for step in (semiflow._dp_step_shared, _dp_step_by_rows):
+        with pytest.raises(PoleError):
+            step(G.eval, lanes, h, k1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.2, math.nan), math.inf,
+                                 -math.inf, complex(0.0, -math.inf), 1.0,
+                                 -1j])
+def test_inside_unit_disc_rejects_non_finite_and_the_circle(bad):
+    y = np.array([0.5, 0.3j, bad, -0.99])
+    assert semiflow._inside_unit_disc(y) == (semiflow._REJECT, None)
+    assert semiflow._inside_unit_disc(np.delete(y, 2)) == (
+        semiflow._ACCEPT, None)
+
+
+def test_shared_error_ratio():
+    u = np.array([0.5, -0.25j, 0.0, 0.9 + 0.1j])
+    assert semiflow._error_ratio(u, np.zeros(4, complex), 1e-9) == math.inf
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        u = rng.normal(size=64) + 1j * rng.normal(size=64)
+        err = (rng.normal(size=64) + 1j * rng.normal(size=64)) * 1e-10
+        old = 1e-9 / float(np.max(np.abs(err) / (1.0 + np.abs(u))))
+        assert semiflow._error_ratio(u, err, 1e-9) == old
 
 
 # escape_time and flow_point run the driver without recording a trajectory;
