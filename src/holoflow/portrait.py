@@ -7,13 +7,14 @@ fixed color ramp indexed by seed order; its vertices are the seed and
 the adaptive step points of integrate, in time order, with two decimals
 per pixel coordinate. The uniform dense samples of integrate are drawn
 only on steps whose cubic Hermite curve may depart more than _CHORD_PX =
-0.25 px from the step's chord (after Ramer 1972; Douglas & Peucker 1973):
-a sample left out lies within 0.25 px of that chord, which is a segment
-of the polyline, so the text grows with curvature instead of horizon.
-Escaped trajectories are dashed. Discs of radius above 1 additionally get
-a dashed unit-circle overlay so crossings of |z| = 1 are visible. Seeds
-whose integration fails numerically are logged in seed order and
-skipped. Identical inputs produce identical bytes.
+0.25 px from the step's chord (after Ramer 1972; Douglas & Peucker
+1973): a sample left out lies within 0.25 px of that chord, which is a
+segment of the polyline, so the text grows with curvature instead of
+horizon. One template holds all polylines and one % fills it from the
+pixel coordinates of all vertices, each by "%.2f" as when formatted
+alone. Escaped trajectories are dashed; discs of radius above 1 get a
+dashed unit circle. Seeds whose integration fails are logged in seed
+order and skipped. Identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -67,12 +68,15 @@ def _circle(fx, fy, center: complex, radius: float, style: str) -> str:
         fx(center.real), fy(center.imag), r_px, style)
 
 
-def _pixel_pairs(xs: np.ndarray, ys: np.ndarray) -> str:
-    """ "x,y x,y ..." with two decimals, as "%.2f,%.2f" gives each pair."""
-    xy = np.empty(2 * len(xs))
-    xy[0::2] = xs
-    xy[1::2] = ys
-    return ("%.2f,%.2f " * len(xs))[:-1] % tuple(xy.tolist())
+def _polylines(fx, fy, drawn) -> str:
+    """The <polyline> lines of drawn, a list of (points, stroke, dash)."""
+    points = np.concatenate([p for p, _, _ in drawn])
+    xy = np.column_stack((fx(points.real), fy(points.imag)))
+    template = "\n".join(
+        '<polyline points="%s" fill="none" stroke="%s" stroke-width="1"%s/>'
+        % (("%.2f,%.2f " * len(p))[:-1], stroke, dash)
+        for p, stroke, dash in drawn)
+    return template % tuple(xy.ravel().tolist())
 
 
 def render_portrait(G: HoloExpr, domain: Domain, density: int,
@@ -102,27 +106,20 @@ def render_portrait(G: HoloExpr, domain: Domain, density: int,
             x = fx(0.0)
             parts.append('<line x1="%.2f" y1="0" x2="%.2f" y2="800" '
                          'stroke="#000000" stroke-width="1.5"/>' % (x, x))
-    completed = escaped = failed = 0
+    escaped, drawn = 0, []
     orbits = integrate_seeds(G, domain, seeds, horizon, tol,
                              _CHORD_PX / (fx(1.0) - fx(0.0)))
     for idx, (seed, orbit) in enumerate(zip(seeds, orbits)):
         if isinstance(orbit, HoloflowError):
-            failed += 1
             logger.warning("portrait seed %r skipped: %s", seed, orbit)
             continue
         points, status = orbit
-        if status.kind == ESCAPED:
-            escaped += 1
-            dash = ' stroke-dasharray="6,4"'
-        else:
-            completed += 1
-            dash = ""
-        parts.append(
-            '<polyline points="%s" fill="none" stroke="%s" '
-            'stroke-width="1"%s/>'
-            % (_pixel_pairs(fx(points.real), fy(points.imag)),
-               _PALETTE[idx % len(_PALETTE)], dash))
+        dash = ' stroke-dasharray="6,4"' if status.kind == ESCAPED else ""
+        escaped += bool(dash)
+        drawn.append((points, _PALETTE[idx % len(_PALETTE)], dash))
+    if drawn:
+        parts.append(_polylines(fx, fy, drawn))
     parts.append("</svg>\n")
-    summary = {"seeds": len(seeds), "completed": completed,
-               "escaped": escaped, "failed": failed}
+    summary = {"seeds": len(seeds), "completed": len(drawn) - escaped,
+               "escaped": escaped, "failed": len(seeds) - len(drawn)}
     return "\n".join(parts), summary

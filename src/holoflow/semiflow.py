@@ -42,15 +42,16 @@ Every entry that integrates checks its inputs first by one rule,
 _check_run: tol in [1e-13, 1e-3] and 0 < horizon <= MAX_HORIZON. At time 0
 (no run) only the tol, and the start point of flow_point, are checked.
 
-Trajectories (integrate): the wall rule with dense output, on Python
-scalars (a one-lane array costs over ten times more per step). An
-endpoint is refused when it is non-finite, outside the domain, or closer
-than DELTA_WALL to the boundary; on an unbounded domain an endpoint beyond
-R_MAX ends the run as an escape to infinity. Recorded trajectories carry
-the adaptive step points plus dense output at max(64, ceil(16 * horizon))
-uniform times filled in by cubic Hermite interpolation (the final point
-is always an exact integration endpoint). escape_time and flow_point run
-the same rule but record nothing: they keep only how the run ends.
+Trajectories (integrate): the wall rule (_wall_rule) with dense output, on
+Python scalars (a one-lane array costs over ten times more per step).
+Recorded trajectories carry the adaptive step points plus dense output at
+max(64, ceil(16 * horizon)) uniform times (the final point is always an
+exact integration endpoint). The run keeps the state after each step and
+the slopes of the steps that may hold a dense time; one array pass
+(_dense_samples) then interpolates all dense times by cubic Hermite. Each
+product in _hermite is real x complex, formed as (x + 0j) * w by numpy and
+by Python alike, so the pass writes the bytes of one scalar call per
+sample. escape_time and flow_point run the same rule but record nothing.
 
 Wall endgame: the wall crossing is located as an event (Hairer, Norsett &
 Wanner, Solving ODEs I, sec. II.6). The gap d(u(t)) - DELTA_WALL, with d
@@ -70,21 +71,18 @@ the unit disc and the right half-plane, 2 to 6 steps follow the first
 wall refusal, where halving takes 76 to 106. The open-disc rule of
 flow_series has no wall and keeps halving.
 
-Many trajectories (integrate_seeds): the same wall rule and dense output
-on independent lanes, one per seed, for phase portraits. A lane leaves the
-run when it completes, escapes or fails, so the others keep stepping on a
+Many trajectories (integrate_seeds): the same wall rule and dense output on
+independent lanes, one per seed, for phase portraits. A lane leaves the run
+when it completes, escapes or fails, so the others keep stepping on a
 smaller array. An evaluation that raises on some lane is redone lane by
 lane in scalar form, and the raising lanes turn NaN, so only those lanes
 are refused and halved; a seed whose own evaluation raises fails alone.
-Each accepted step appends the endpoint of the lanes that accepted it,
-preceded by its dense samples only where its Hermite curve may depart
-from the chord of the step by the caller's chord tolerance or more (a
-bound that costs a few array operations per step; see integrate_seeds),
-and only those points are kept: a portrait draws 0.25 px chords instead
-of 16 samples per unit time. Lanes do the arithmetic of the scalar path
-except that numpy's complex product may round the last bit differently
-from Python's, so a borderline step decision can move a step point: end
-points agree to about 1e-15 and escape times to about 1e-10 relative.
+Each accepted step keeps the endpoints of its lanes and, by one
+_dense_samples pass, the dense samples of those whose step bends from its
+chord (see integrate_seeds). Lanes do the arithmetic of the scalar path
+except that numpy's complex product may round the last bit differently from
+Python's, so a borderline step decision can move a step point: end points
+agree to about 1e-15 and escape times to about 1e-10 relative.
 
 Flow coefficients (flow_series): the open-disc rule with shared lanes.
 The degree-N Taylor coefficients of the flow map z -> phi(t, z) on the
@@ -116,7 +114,6 @@ z, e^t z, is refused at t = 1 because the lanes at r = 0.5 leave at ln 2.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
@@ -193,12 +190,10 @@ class Trajectory:
     status: Status
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float)
-        p = np.array(self.points, dtype=np.complex128)
-        t.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "points", p)
+        for name, dtype in (("times", float), ("points", complex)):
+            a = np.array(getattr(self, name), dtype=dtype)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def final_point(self) -> complex:
@@ -218,13 +213,8 @@ class FlowSeries:
 
 
 def _dp_step(rhs, y, h, k1):
-    """One embedded step; returns (y5, error_estimate, k7).
-
-    The sums are written out, in the order of the tableau rows, for speed
-    on Python scalars (integrate, escape_time, flow_point). They hold
-    elementwise on arrays, so independent lanes (integrate_seeds) do the
-    scalar arithmetic and agree with scalar runs of their seeds. Lanes that
-    share one step take _dp_step_shared instead (see the module docstring).
+    """One embedded step; returns (y5, error_estimate, k7). The sums are
+    written out in the order of the tableau rows (see the module docstring).
     """
     k2 = rhs(y + h * (0 + _A21 * k1))
     k3 = rhs(y + h * (0 + _A31 * k1 + _A32 * k2))
@@ -247,9 +237,8 @@ def _dp_step_shared(rhs, y, h, k1):
     (re, im) pairs, and the tableau is real, so each stage sum is one
     matrix-vector product y + (h T[i, :i]) @ K[:i] on the float view, and
     the error is (h T[7]) @ K: a few array operations a stage instead of
-    one or more per weight. The products are summed in another order than
-    _dp_step's, so a step differs from it by a few ulps of the magnitudes
-    summed. err and k7 are arrays also where rhs gives one scalar.
+    one or more per weight. err and k7 are arrays also where rhs gives one
+    scalar.
     """
     K = np.empty((7, len(y)), complex)
     K[0] = k1
@@ -279,9 +268,13 @@ def _check_run(tol: float, horizon: float):
         raise BadParameter("time horizon must lie in (0, %g]" % MAX_HORIZON)
 
 
+def _outside(z0) -> DomainError:
+    return DomainError("initial point %r outside the domain" % (z0,))
+
+
 def _check_start(domain: Domain, z0: complex):
     if not domain.contains(z0):
-        raise DomainError("initial point %r outside the domain" % (z0,))
+        raise _outside(z0)
 
 
 # Verdicts of an admission rule on the endpoint of a proposed step.
@@ -489,16 +482,26 @@ def _wall_rule(domain: Domain, xp):
     return admit
 
 
-def _dense_times(horizon: float) -> list[float]:
+def _dense_times(horizon: float) -> np.ndarray:
     """Interior times of the uniform dense output of a trajectory."""
     n_dense = max(64, math.ceil(16 * horizon))
-    return [horizon * k / n_dense for k in range(1, n_dense)]
+    return horizon * np.arange(1, n_dense) / n_dense
 
 
-def _status(kind: int, horizon: float, t: float, u: complex) -> Status:
-    if kind == _COMPLETED:
-        return Status.completed(horizon)
-    return Status.escaped(t, u, at_infinity=kind == _STOPPED)
+def _dense_samples(dense: np.ndarray, t, h, uky):
+    """(step, time, cubic Hermite value) arrays of the dense times in
+    (t, t + h) of accepted steps, in order; uky holds u, k1, y, k_y."""
+    lo = np.searchsorted(dense, t, "right")
+    n = np.maximum(np.searchsorted(dense, t + h, "left") - lo, 0)
+    rows = np.repeat(np.arange(len(n)), n)
+    td = dense[np.arange(len(rows)) + np.repeat(lo - np.cumsum(n) + n, n)]
+    hr = h[rows]
+    return rows, td, _hermite((td - t[rows]) / hr, *uky[:, rows], hr)
+
+
+def _status(kind: int, completed: Status, t: float, u: complex) -> Status:
+    return completed if kind == _COMPLETED else Status.escaped(
+        t, u, at_infinity=kind == _STOPPED)
 
 
 def integrate(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
@@ -506,24 +509,35 @@ def integrate(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
     """Integrate u' = G(u) from z0 until the horizon or a boundary escape."""
     _check_run(tol, horizon)  # before the dense times are computed
     dense = _dense_times(horizon)
-    times = [0.0]
-    points = [complex(z0)]
+    ts, ys, held = [0.0], [complex(z0)], []  # held: steps ending past nxt
+    upcoming = iter(dense.tolist())
+    nxt = next(upcoming)  # no dense time lies between the time and nxt
 
     def record(_passed, _ids, t, h, u, k1, t_next, y, k_y):
-        # uniform dense output in (t, t + h), then the step endpoint
-        for td in dense[bisect_right(dense, t):bisect_left(dense, t + h)]:
-            times.append(td)
-            points.append(_hermite((td - t) / h, u, k1, y, k_y, h))
-        if times[-1] != t_next:
-            times.append(t_next)
-            points.append(y)
+        nonlocal nxt
+        if t + h > nxt:
+            held.extend((t, h, u, k1, y, k_y))
+            while nxt <= t_next:
+                nxt = next(upcoming, math.inf)
+        if t_next != t:  # else the step adds no point
+            ts.append(t_next)
+            ys.append(y)
 
     kind, t, u = _final_state(G, domain, z0, horizon, tol, record)
+    times, points = np.array(ts, float), np.array(ys, complex)
+    del ts[:], ys[:]
+    if held:
+        # one complex array holds the steps; t and h are exact as reals
+        H = np.array(held, complex).reshape(-1, 6).T
+        _, td, pd = _dense_samples(dense, H[0].real, H[1].real, H[2:])
+        # two sorted runs of distinct times: a stable sort merges them
+        times = np.concatenate((times, td))
+        order = np.argsort(times, kind="stable")
+        times, points = times[order], np.concatenate((points, pd))[order]
     if kind == _STOPPED:
-        times.append(t)
-        points.append(u)
-    return Trajectory(np.array(times), np.array(points),
-                      _status(kind, horizon, t, u))
+        times, points = np.append(times, t), np.append(points, u)
+    return Trajectory(times, points,
+                      _status(kind, Status.completed(horizon), t, u))
 
 
 def _eval_lanes(f, z: np.ndarray):
@@ -545,11 +559,8 @@ def _eval_lanes(f, z: np.ndarray):
     return out, errors
 
 
-# Dense samples are interpolated at most this many at a time (bounding the
-# temporaries of long steps); recorded points are merged into one array
-# every _MERGE_BATCHES records.
-_SAMPLE_BLOCK = 4096
-_MERGE_BATCHES = 256
+_MERGE_BATCHES = 256  # lane records merged into one array at a time
+_SAMPLE_BLOCK = 4096  # lane samples a pass, bounding the temporaries
 
 # max of theta (1 - theta)^2 over [0, 1], at theta = 1/3
 _CHORD_BOUND = 4 / 27
@@ -561,28 +572,27 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
 
     One entry per seed: (points, status) with a subsequence of the points
     integrate would record (the seed, the adaptive step points and the
-    uniform dense samples, in time order; equal up to rounding, since numpy
-    and Python complex products may differ in the last bit), or the
+    uniform dense samples, in time order; equal up to rounding), or the
     HoloflowError that stopped that seed: DomainError, an evaluation error
-    at the seed, or StiffnessError. The dense samples of a step from u to
-    y = u + d of length h are dropped when its cubic Hermite curve p stays
-    within chord_tol of the chord: p(theta) - (u + theta d) =
+    at the seed, or StiffnessError; one domain.contains checks all seeds.
+    The dense samples of a step from u to y = u + d of length h are dropped
+    when its cubic Hermite curve p stays within chord_tol of the chord:
+    p(theta) - (u + theta d) =
     theta (1-theta)^2 (h k1 - d) - theta^2 (1-theta) (h k_y - d), so the
     distance is at most (4/27) (|h k1 - d| + |h k_y - d|), and the samples
     go where that is below chord_tol (chord_tol = 0 keeps them all). The
-    points of all lanes are kept as complex128 (16 bytes each) with a 1- or
-    2-byte lane index, and nothing else.
+    others come, bit for bit as in integrate, from _dense_samples, run per
+    step in passes of about _SAMPLE_BLOCK samples. Points are complex128
+    with a 1- or 2-byte lane index; completed lanes share one Status.
     """
     _check_run(tol, horizon)
-    dense = np.array(_dense_times(horizon))
+    dense = _dense_times(horizon)
     z = np.array(seeds, dtype=complex)
     with np.errstate(all="ignore"):
         _, errors = _eval_lanes(G.eval, z)
-    for i, z0 in enumerate(seeds):
-        try:
-            _check_start(domain, z0)
-        except DomainError as exc:
-            errors[i] = exc
+        outside = np.flatnonzero(~domain.contains(z))
+    for i in outside.tolist():
+        errors[i] = _outside(seeds[i])
     live = [i for i in range(len(seeds)) if i not in errors]
     lane_type = np.min_scalar_type(max(len(live) - 1, 0))
     merged = []  # (lanes, points) arrays, in the order they were recorded
@@ -595,25 +605,20 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
             batch.clear()
 
     def record(m, *step):
-        # as in integrate, lane by lane: dense samples in (t, t + h), then
-        # the endpoint unless the step left the time unchanged
+        # as in integrate: the dense samples of a step that bends by
+        # chord_tol (the bound of the docstring), then its endpoint
         ids, t, h, u, k1, t_next, y, k_y = (x[m] for x in step)
-        lo = np.searchsorted(dense, t, "right")
-        n = np.maximum(np.searchsorted(dense, t + h, "left") - lo, 0)
-        # a step whose Hermite curve stays within chord_tol of its chord
-        # keeps only its endpoint (the bound of the docstring)
         d = y - u
-        n[_CHORD_BOUND * (abs(h * k1 - d) + abs(h * k_y - d)) < chord_tol] = 0
-        width = max(1, _SAMPLE_BLOCK // max(1, int(n.max())))
-        for s in range(0, len(ids), width) if n.any() else ():
-            nb = n[s:s + width]
-            rep = s + np.repeat(np.arange(len(nb)), nb)
-            k = np.arange(len(rep)) - np.repeat(np.cumsum(nb) - nb, nb)
-            hr, tr = h[rep], t[rep]
-            keep(ids[rep], _hermite((dense[lo[rep] + k] - tr) / hr, u[rep],
-                                    k1[rep], y[rep], k_y[rep], hr))
-        last = (n > 0) | (t_next != t)
-        keep(ids[last], y[last])
+        bent = np.flatnonzero(~(_CHORD_BOUND * (
+            abs(h * k1 - d) + abs(h * k_y - d)) < chord_tol))
+        if len(bent):  # a step holds at most h / dense[0] + 1 dense times
+            width = _SAMPLE_BLOCK // int(h.max() / dense[0] + 2) + 1
+            for b in np.split(bent, range(width, len(bent), width)):
+                rows, _, points = _dense_samples(
+                    dense, t[b], h[b], np.array((u[b], k1[b], y[b], k_y[b])))
+                keep(ids[b][rows], points)
+        moved = t_next != t
+        keep(ids[moved], y[moved])
 
     with np.errstate(all="ignore"):  # non-finite lanes are rejected
         _, ends = _drive(lambda x: _eval_lanes(G.eval, x)[0], z[live],
@@ -621,20 +626,19 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
                          domain.signed_distance, record, lanes=True)
     # a stable sort by lane keeps each lane's points in time order
     lanes, points = map(np.concatenate, zip(*merged, *batch))
-    merged.clear()
-    batch.clear()
+    del merged[:], batch[:]
     points = points[np.argsort(lanes, kind="stable")]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(
-        lanes, minlength=len(live)))))
+    bounds = np.cumsum(np.bincount(lanes, minlength=len(live)))
     out = [errors.get(i) for i in range(len(seeds))]
-    for row, (i, (kind, t, u, why)) in enumerate(zip(live, ends)):
+    completed = Status.completed(horizon)
+    for i, lane, (kind, t, u, why) in zip(
+            live, np.split(points, bounds[:-1]), ends):
         if kind == _FAILED:
             out[i] = StiffnessError(why)
             continue
-        lane = points[bounds[row]:bounds[row + 1]]
         if kind == _STOPPED:
             lane = np.append(lane, u)
-        out[i] = (lane, _status(kind, horizon, t, u))
+        out[i] = (lane, _status(kind, completed, t, u))
     return out
 
 
@@ -762,9 +766,8 @@ def _status_text(status: Status) -> str:
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV text: header, one row per sample, trailing status comment."""
-    lines = ["t,re,im"]
-    for t, p in zip(traj.times.tolist(), traj.points.tolist()):
-        lines.append("%.17g,%.17g,%.17g" % (t, p.real, p.imag))
-    lines.append("# status=%s" % _status_text(traj.status))
-    return "\n".join(lines) + "\n"
+    """CSV text: header, one row per sample, trailing status comment; one
+    % formats all rows from an (n, 3) float64 array, each float as %.17g."""
+    rows = np.column_stack((traj.times, traj.points.real, traj.points.imag))
+    body = ("%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
+    return "t,re,im\n%s# status=%s\n" % (body, _status_text(traj.status))

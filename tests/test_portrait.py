@@ -20,7 +20,7 @@ from holoflow import (
     parse_symbol,
 )
 from holoflow import semiflow
-from holoflow.portrait import _pixel_pairs, _viewport, render_portrait
+from holoflow.portrait import _PALETTE, _polylines, _viewport, render_portrait
 from holoflow.semiflow import integrate_seeds
 
 TOL = 1e-9
@@ -254,7 +254,12 @@ def _per_point(xs, ys):
     return " ".join("%.2f,%.2f" % (x, y) for x, y in zip(xs, ys))
 
 
-def test_pixel_pairs_match_per_point_format():
+def _polyline(text, stroke, dash):
+    return ('<polyline points="%s" fill="none" stroke="%s" stroke-width="1"'
+            '%s/>' % (text, stroke, dash))
+
+
+def test_polylines_match_per_point_format():
     rng = np.random.default_rng(7)
     xs = np.concatenate([
         [-0.0, 0.0, -0.004, 0.005, 0.015, 0.125, 0.375, 2.675, 1.005,
@@ -266,8 +271,89 @@ def test_pixel_pairs_match_per_point_format():
          1e-300, -1e8, 7.25e15, 12345.675, -1e300],
         np.round(rng.uniform(-50.0, 850.0, 200), 3),
     ])
-    assert _pixel_pairs(xs, ys) == _per_point(xs.tolist(), ys.tolist())
-    assert _pixel_pairs(xs[:1], ys[:1]) == "-0.00,0.00"
+    points = np.empty(len(xs), complex)
+    points.real, points.imag = xs, ys
+
+    def same(v):
+        return v
+
+    # one polyline of every point, then the points split into polylines
+    # of 1 to 60 vertices, each formatted on its own
+    cuts = [0, 1, 2, 14, 15, 75, 135, 136, 196, len(xs)]
+    for pieces in ([(0, len(xs))], list(zip(cuts, cuts[1:]))):
+        drawn = [(points[a:b], _PALETTE[k % 8], ' stroke-dasharray="6,4"'
+                  if k % 3 else "") for k, (a, b) in enumerate(pieces)]
+        ref = "\n".join(
+            _polyline(_per_point(xs[a:b].tolist(), ys[a:b].tolist()),
+                      stroke, dash)
+            for (a, b), (_, stroke, dash) in zip(pieces, drawn))
+        assert _polylines(same, same, drawn) == ref
+    assert _polylines(same, same, [(points[:1], "#000000", "")]) == (
+        _polyline("-0.00,0.00", "#000000", ""))
+
+
+@pytest.mark.parametrize("symbol,domain,density,horizon", CASES,
+                         ids=[c[0] + "@" + c[1] for c in CASES])
+def test_portrait_matches_per_polyline_format(symbol, domain, density,
+                                              horizon):
+    # the SVG is the text of formatting each kept polyline on its own, per
+    # vertex, between the same frame lines
+    G, D = parse_symbol(symbol), parse_domain(domain)
+    svg, summary = render_portrait(G, D, density, horizon, TOL)
+    fx, fy = _viewport(D)
+    ref = [line for line in svg.split("\n")[:-2]
+           if not line.startswith("<polyline")]
+    frame = len(ref)
+    lanes = integrate_seeds(G, D, D.sample_grid(density), horizon, TOL,
+                            0.25 / (fx(1.0) - fx(0.0)))
+    for idx, lane in enumerate(lanes):
+        if isinstance(lane, HoloflowError):
+            continue
+        points, status = lane
+        ref.append(_polyline(
+            _per_point(fx(points.real).tolist(), fy(points.imag).tolist()),
+            _PALETTE[idx % len(_PALETTE)],
+            ' stroke-dasharray="6,4"' if status.kind == "Escaped" else ""))
+    assert svg == "\n".join(ref + ["</svg>\n"])
+    assert len(ref) - frame == summary["seeds"] - summary["failed"]
+
+
+def test_sample_passes_keep_every_point(monkeypatch):
+    # a step's lanes are sampled in passes of about _SAMPLE_BLOCK dense
+    # times; one lane a pass gives the same bits
+    G, D = parse_symbol("(-0.25+1i)*z"), Domain.unit_disc()
+    seeds = D.sample_grid(1)
+    ref = integrate_seeds(G, D, seeds, 6.0, TOL, 0.0)
+    monkeypatch.setattr(semiflow, "_SAMPLE_BLOCK", 3)
+    lanes = integrate_seeds(G, D, seeds, 6.0, TOL, 0.0)
+    for (points, status), (ref_points, ref_status) in zip(lanes, ref):
+        assert points.tobytes() == ref_points.tobytes()
+        assert status == ref_status
+
+
+def test_seed_errors_keep_their_type_text_and_place():
+    # a seed outside the domain, NaN seeds, seeds on the pole and good
+    # seeds, interleaved: each error is the one the scalar path raises, in
+    # the seed's place, and the good seeds integrate as on their own
+    G, D = parse_symbol("1/(z-0.5)"), Domain.unit_disc()
+    nan = float("nan")
+    seeds = [0.3, 2.0, 0.5, complex(nan, 0.1), -0.2 + 0.4j, 0.5 + 0j, nan,
+             1.0, 0.1j, -1.5j]
+    lanes = integrate_seeds(G, D, seeds, 2.0, TOL, 0.0)
+    good = [i for i, lane in enumerate(lanes)
+            if not isinstance(lane, HoloflowError)]
+    assert good == [0, 4, 8]
+    for seed, lane in zip(seeds, lanes):
+        ref = _scalar(G, D, seed, 2.0)
+        if isinstance(ref, HoloflowError):
+            assert type(lane) is type(ref) and str(lane) == str(ref), seed
+    assert [type(lanes[i]).__name__ for i in (1, 2, 3, 5, 6, 7, 9)] == [
+        "DomainError", "PoleError", "DomainError", "PoleError",
+        "DomainError", "DomainError", "DomainError"]
+    alone = integrate_seeds(G, D, [seeds[i] for i in good], 2.0, TOL, 0.0)
+    for i, (points, status) in zip(good, alone):
+        assert np.array_equal(lanes[i][0], points)
+        assert lanes[i][1] == status
 
 
 @pytest.mark.parametrize("domain", ["unitdisc", "disc:0.5,-1,2",

@@ -2,6 +2,8 @@ import cmath
 import math
 import re
 import time
+import tracemalloc
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -303,6 +305,116 @@ def test_half_plane_escape_to_infinity():
     assert abs(traj.status.exit_point) > 1e7
 
 
+# -- trajectory output in array passes ---------------------------------------
+#
+# integrate forms its dense samples after the run in one pass; the reference
+# is the former per-sample loop, run through the same accepted-step hook of
+# _final_state, and the two must agree bit for bit.
+
+def _per_sample_integrate(G, domain, z0, horizon, tol):
+    n_dense = max(64, math.ceil(16 * horizon))
+    dense = [horizon * k / n_dense for k in range(1, n_dense)]
+    times, points, steps = [0.0], [complex(z0)], []
+
+    def record(_passed, _ids, t, h, u, k1, t_next, y, k_y):
+        steps.append(t_next)
+        for td in dense[bisect_right(dense, t):bisect_left(dense, t + h)]:
+            times.append(td)
+            points.append(semiflow._hermite((td - t) / h, u, k1, y, k_y, h))
+        if times[-1] != t_next:
+            times.append(t_next)
+            points.append(y)
+
+    kind, t, u = semiflow._final_state(G, domain, z0, horizon, tol, record)
+    if kind == semiflow._STOPPED:
+        times.append(t)
+        points.append(u)
+    status = (Status.completed(horizon) if kind == semiflow._COMPLETED
+              else Status.escaped(t, u, kind == semiflow._STOPPED))
+    return np.array(times), np.array(points), status, len(steps)
+
+
+_HALF_RIGHT = Domain.half_plane("right")
+ARRAY_PASS_RUNS = [
+    # (symbol, domain, z0, horizon, tol, how the run ends)
+    *[(s, DISC, z0, T, 1e-9, "Completed") for s in ("-z", "i*z", "1-z^2")
+      for z0, T in ((0.5, 1.0), (0.3j, 3.0), (-0.2 + 0.6j, 7.5))],
+    ("(-0.25+1i)*z", DISC, 0.9, 6.0, 1e-12, "Completed"),
+    ("exp(z)-1", DISC, 0.1 - 0.1j, 0.5, 1e-6, "Completed"),
+    ("z", DISC, 0.5, 2.0, 1e-9, "Escaped"),
+    ("z^2", DISC, 0.9, 2.0, 1e-9, "Escaped"),
+    ("-1+0.5i", _HALF_RIGHT, 1 + 0j, 4.0, 1e-9, "Escaped"),
+    ("z^2+0.5", DISC, 0.5j, 3.0, 1e-9, "Completed"),
+    ("z", _HALF_RIGHT, 1 + 1j, 25.0, 1e-9, "at_infinity"),
+    ("z^2", _HALF_RIGHT, 2 + 0.5j, 3.0, 1e-9, "Escaped"),
+    ("1", _HALF_RIGHT, 0.5j + 1, 100.0, 1e-9, "Completed"),
+    ("2*z", _HALF_RIGHT, 3 + 0j, 12.0, 1e-9, "at_infinity"),
+    ("z^3", Domain.half_plane("upper"), 2j, 1.0, 1e-9, "Completed"),
+    # a 1-step run: the first step, 1e-3, is cut to the horizon
+    ("i*z", DISC, 0.5, 1e-4, 1e-9, "Completed"),
+    ("-z", DISC, 0.5, 1e-3, 1e-9, "Completed"),
+    # the first step, 1e-3, ends on the first dense time, 0.064 / 64
+    ("i*z", DISC, 0.5, 0.064, 1e-9, "Completed"),
+    ("1-z^2", DISC, -0.3 + 0.1j, 0.064, 1e-12, "Completed"),
+    # escapes before the first dense time, horizon / 1600
+    ("z^2", DISC, 0.99999, 100.0, 1e-9, "Escaped"),
+    ("-1", DISC, -0.999999 + 0j, 100.0, 1e-9, "Escaped"),
+    ("1", DISC, 0.5, 10.0, 1e-3, "Escaped"),
+    ("(0.5-z)*(1-0.5*z)", DISC, -0.8j, 40.0, 1e-11, "Completed"),
+    ("mobius(1,0,1,-2)", DISC, 0.4 + 0.4j, 9.0, 1e-9, "Completed"),
+    ("1/(z-0.5)", DISC, 0.3, 5.0, 1e-9, "Escaped"),
+    ("1-z^2", DISC, 0.2j, 40.0, 1e-9, "Escaped"),
+    ("-z*(1-0.5*z)", DISC, 0.95, 100.0, 1e-13, "Completed"),
+]
+
+
+def _bits_equal(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("symbol,domain,z0,horizon,tol,end", ARRAY_PASS_RUNS)
+def test_integrate_matches_per_sample_loop_bit_for_bit(symbol, domain, z0,
+                                                        horizon, tol, end):
+    G = parse_symbol(symbol)
+    times, points, status, _ = _per_sample_integrate(G, domain, z0, horizon,
+                                                     tol)
+    traj = integrate(G, domain, z0, horizon, tol)
+    assert _bits_equal(traj.times, times) and _bits_equal(traj.points, points)
+    assert traj.status == status
+    assert (status.kind if not status.at_infinity else "at_infinity") == end
+
+
+def test_array_pass_runs_cover_every_end():
+    assert len(ARRAY_PASS_RUNS) >= 30
+    seen = set()
+    for symbol, domain, z0, horizon, tol, end in ARRAY_PASS_RUNS:
+        _, _, status, steps = _per_sample_integrate(
+            parse_symbol(symbol), domain, z0, horizon, tol)
+        seen.add(end)
+        if steps == 1:
+            seen.add("one step")
+        if status.t_escape is not None and status.t_escape < horizon / max(
+                64, math.ceil(16 * horizon)):
+            seen.add("ends before the first dense time")
+    assert seen == {"Completed", "Escaped", "at_infinity", "one step",
+                    "ends before the first dense time"}
+
+
+def test_long_run_memory_is_bounded():
+    # 1i*z at tol 1e-13 takes about 8,550 steps to t = 100; the per-sample
+    # loop peaked at 1,239,510 traced bytes on this run (Python 3.11)
+    G = parse_symbol("1i*z")
+    integrate(G, DISC, 0.5, 1.0, 1e-9)  # first-call allocations
+    tracemalloc.start()
+    try:
+        traj = integrate(G, DISC, 0.5, 100.0, 1e-13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) > 8000
+    assert peak <= 1.5 * 1_239_510
+
+
 def test_csv_format():
     traj = integrate(LINEAR, DISC, 0.5, 1.0, 1e-9)
     text = trajectory_to_csv(traj)
@@ -320,9 +432,12 @@ def test_csv_matches_per_number_reference():
     times = np.array(edge + [2.0, 3.5])
     points = np.array([complex(a, b) for a, b in zip(edge, edge[::-1])]
                       + [complex(-0.0, 1e300), 0.25 - 0.5j])
+    runs = [integrate(parse_symbol(symbol), domain, z0, horizon, tol)
+            for symbol, domain, z0, horizon, tol, _ in ARRAY_PASS_RUNS[::3]]
     for traj in (Trajectory(times, points, Status.completed(3.5)),
                  Trajectory(times, points, Status.escaped(3.5, -0.0j)),
-                 integrate(TANH, DISC, 0.3j, 4.0, 1e-9)):
+                 Trajectory(times[:0], points[:0], Status.completed(1.0)),
+                 integrate(TANH, DISC, 0.3j, 4.0, 1e-9), *runs):
         lines = ["t,re,im"]
         for t, p in zip(traj.times, traj.points):
             lines.append("%.17g,%.17g,%.17g" % (t, p.real, p.imag))
