@@ -14,10 +14,12 @@ flow never misbehaves on the larger disc. The run below demonstrates
 exactly that geometry and reports the first crossing time, confinement to
 the big disc, and the distance to b at the end of the run.
 
-The crossing time is the escape time of the same flow on the unit disc:
-one integration under the wall and escape rules of semiflow.integrate,
-which stops at the crossing, so it carries the same solver-tolerance
-certificate as every other escape time.
+The crossing time is the escape time of the same flow on the unit disc,
+taken from the radius-2 run itself: integrate(..., exit_from=unit disc)
+watches the unit disc's wall rule on every step and afterwards resumes
+only that rule's wall endgame, from the last step both rules admitted.
+It is escape_time's value bit for bit, so it carries the same
+solver-tolerance certificate as every other escape time.
 
 Restricted to the unit disc the symbol has no zero in the closed disc at
 all, so the globality classifier can only reject it, via an escape
@@ -36,7 +38,7 @@ from .classify import _herglotz_on
 from .errors import BadParameter, DomainError, EscapeError, HerglotzError
 from .expr import Const, HoloExpr, Poly, Product
 from .geometry import Domain
-from .semiflow import Trajectory, escape_time, integrate
+from .semiflow import Trajectory, integrate
 
 BIG_RADIUS = 2.0
 # Re F is sampled on the big disc's grid of this density.
@@ -67,6 +69,9 @@ def big_disc() -> Domain:
     return Domain.disc(0j, BIG_RADIUS)
 
 
+_HERGLOTZ_GRID = tuple(big_disc().sample_grid(HERGLOTZ_DENSITY))
+
+
 def build_counterexample(b: complex, F: HoloExpr = Const(1.0)) -> HoloExpr:
     """The symbol F(z) (conj(b) z / 4 - 1)(z - b) on the radius-2 disc.
 
@@ -76,7 +81,7 @@ def build_counterexample(b: complex, F: HoloExpr = Const(1.0)) -> HoloExpr:
     b = complex(b)
     if not 1.0 < abs(b) < BIG_RADIUS:
         raise BadParameter("need 1 < |b| < 2, got |b| = %r" % abs(b))
-    worst = _herglotz_on(F, big_disc().sample_grid(HERGLOTZ_DENSITY))
+    worst = _herglotz_on(F, _HERGLOTZ_GRID)
     if worst.min_re < 0.0:
         raise HerglotzError("Re F = %r < 0 at z = %r on the radius-2 disc"
                             % (worst.min_re, worst.argmin))
@@ -93,11 +98,11 @@ def run_counterexample(b: complex, F: HoloExpr, z0: complex,
     Integrates on the radius-2 disc through t_long and records the
     distance to b at the end. When a recorded sample of that trajectory
     reaches |z| >= 1, the first crossing time is the escape time of the
-    flow from z0 on the unit disc (one more integration, which stops at
-    the crossing). If no sample crosses before t_long the report carries
-    a warning instead of an exit time; if the flow leaves the radius-2
-    disc the run raises EscapeError, which indicates F is not Herglotz
-    there.
+    flow from z0 on the unit disc, which the same run gives (its exit
+    time on the unit disc; a few more steps, no second integration). If
+    no sample crosses before t_long the report carries a warning instead
+    of an exit time; if the flow leaves the radius-2 disc the run raises
+    EscapeError, which indicates F is not Herglotz there.
     """
     if not 0 < dw_tol < math.inf:
         raise BadParameter("dw_tol must be positive and finite")
@@ -107,14 +112,14 @@ def run_counterexample(b: complex, F: HoloExpr, z0: complex,
         raise DomainError("seed must lie in the open unit disc")
     G = build_counterexample(b, F)
     domain = big_disc()
-    traj = integrate(G, domain, z0, t_long, tol)
+    traj = integrate(G, domain, z0, t_long, tol, exit_from=Domain.unit_disc())
     if traj.escaped:
         raise EscapeError(
             "flow left the radius-2 disc at t=%r; F fails the Herglotz "
             "condition there" % traj.status.t_escape)
     t_exit = None
     if np.any(np.abs(traj.points) >= 1.0):
-        t_exit = escape_time(G, Domain.unit_disc(), z0, t_long, tol)
+        t_exit = traj.exit_time
     warning = None
     if t_exit is None:
         warning = ("no crossing of |z| = 1 before t=%g; the seed may "

@@ -33,6 +33,8 @@ logger = logging.getLogger(__name__)
 CANVAS = 800.0
 # a dense sample is drawn only where its step bends farther from the chord
 _CHORD_PX = 0.25
+# polylines are formatted in runs of about this many vertices
+_SLICE = 2048
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -69,14 +71,25 @@ def _circle(fx, fy, center: complex, radius: float, style: str) -> str:
 
 
 def _polylines(fx, fy, drawn) -> str:
-    """The <polyline> lines of drawn, a list of (points, stroke, dash)."""
-    points = np.concatenate([p for p, _, _ in drawn])
-    xy = np.column_stack((fx(points.real), fy(points.imag)))
-    template = "\n".join(
-        '<polyline points="%s" fill="none" stroke="%s" stroke-width="1"%s/>'
-        % (("%.2f,%.2f " * len(p))[:-1], stroke, dash)
-        for p, stroke, dash in drawn)
-    return template % tuple(xy.ravel().tolist())
+    """The <polyline> lines of drawn, a list of (points, stroke, dash).
+
+    Runs of whole polylines of about _SLICE vertices share one template,
+    filled by one % from the pixel coordinates of their vertices.
+    """
+    lines, start, size = [], 0, 0
+    for stop, (p, _, _) in enumerate(drawn, 1):
+        size += len(p)
+        if size < _SLICE and stop < len(drawn):
+            continue
+        part, start, size = drawn[start:stop], stop, 0
+        points = np.concatenate([p for p, _, _ in part])
+        xy = np.column_stack((fx(points.real), fy(points.imag)))
+        template = "\n".join(
+            '<polyline points="%s" fill="none" stroke="%s" stroke-width="1"'
+            '%s/>' % (("%.2f,%.2f " * len(p))[:-1], stroke, dash)
+            for p, stroke, dash in part)
+        lines.append(template % tuple(xy.ravel().tolist()))
+    return "\n".join(lines)
 
 
 def render_portrait(G: HoloExpr, domain: Domain, density: int,

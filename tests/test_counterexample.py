@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 
@@ -7,10 +8,12 @@ import holoflow.counterexample as cx
 import holoflow.semiflow as semiflow
 from holoflow import (
     BadParameter,
+    Domain,
     DomainError,
     HerglotzError,
     parse_symbol,
     run_counterexample,
+    trajectory_to_csv,
 )
 
 ONE = parse_symbol("1")
@@ -105,20 +108,103 @@ def test_non_herglotz_factor(F):
         run_counterexample(1.5, parse_symbol(F), 0j)
 
 
-def test_at_most_two_integrations(monkeypatch):
-    calls = []
-    original = semiflow.integrate
+def test_one_integration(monkeypatch):
+    # one integrate call; its endgame on the unit disc adds at most 6
+    # steps to the radius-2 run here, where escape_time alone took 28
+    calls, steps = [], []
+    original, dp_step = semiflow.integrate, semiflow._dp_step
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
+    def counting_step(*args):
+        steps.append(args)
+        return dp_step(*args)
+
     monkeypatch.setattr(semiflow, "integrate", counting)
     monkeypatch.setattr(cx, "integrate", counting)
-    report = run_counterexample(1.3 + 0.4j, ONE, 0.2 - 0.1j, t_long=40.0)
-    assert report.t_exit is not None
-    assert 1 <= len(calls) <= 2
-    calls.clear()
-    report = run_counterexample(1.5, ONE, 0j, t_long=0.5)
-    assert report.t_exit is None
-    assert len(calls) == 1
+    monkeypatch.setattr(semiflow, "_dp_step", counting_step)
+    for b, z0, t_long, crosses in ((1.3 + 0.4j, 0.2 - 0.1j, 40.0, True),
+                                   (1.5, 0j, 0.5, False)):
+        G = cx.build_counterexample(b, ONE)
+        original(G, cx.big_disc(), z0, t_long, 1e-9)
+        big_steps = len(steps)
+        calls.clear()
+        steps.clear()
+        report = run_counterexample(b, ONE, z0, t_long=t_long)
+        assert (report.t_exit is not None) == crosses
+        assert len(calls) == 1
+        assert len(steps) <= big_steps + 6
+        steps.clear()
+
+
+# -- the exit time comes from the radius-2 run --------------------------------
+#
+# run_counterexample integrates once, on the radius-2 disc, and takes the
+# unit-disc exit from that run's endgame; it must be escape_time on the unit
+# disc bit for bit, and the trajectory that of a plain radius-2 run.
+
+_FS = {s: parse_symbol(s) for s in ("1", "2+z", "exp(0.2*z)")}
+
+
+def _exit_cases(n, seed=17):
+    rng = random.Random(seed)
+    cases = []
+    for i in range(n):
+        b = cmath.rect(rng.uniform(1.02, 1.98), rng.uniform(0, 2 * math.pi))
+        z0 = cmath.rect(0.99 * math.sqrt(rng.random()),
+                        rng.uniform(0, 2 * math.pi))
+        cases.append((b, list(_FS)[i % 3], z0, 10 ** rng.uniform(-11, -6)))
+    return cases
+
+
+def _check_one_run(b, F, z0, tol, t_long=20.0):
+    G = cx.build_counterexample(b, F)
+    unit = Domain.unit_disc()
+    expected = semiflow.escape_time(G, unit, z0, t_long, tol)
+    plain = semiflow.integrate(G, cx.big_disc(), z0, t_long, tol)
+    report = run_counterexample(b, F, z0, t_long=t_long, tol=tol)
+    traj = report.trajectory
+    assert expected is not None
+    assert traj.exit_time.hex() == expected.hex()
+    assert report.t_exit.hex() == expected.hex()
+    assert traj.times.tobytes() == plain.times.tobytes()
+    assert traj.points.tobytes() == plain.points.tobytes()
+    assert traj.status == plain.status
+    assert trajectory_to_csv(traj) == trajectory_to_csv(plain)
+
+
+@pytest.mark.parametrize("b,F,z0,tol", _exit_cases(64))
+def test_exit_time_is_escape_time_bit_for_bit(b, F, z0, tol):
+    _check_one_run(b, _FS[F], z0, tol)
+
+
+def test_exit_resumes_before_the_first_refused_attempt(monkeypatch):
+    # found by search: the first step that crosses |z| = 1 is refused by
+    # the error test, and the next accepted step stays inside, so the exit
+    # run departs from the radius-2 run before the first accepted crossing
+    b, F, z0, tol = 1.03 - 0.52j, parse_symbol("(3+z)^2"), -0.32 - 0.33j, 1e-4
+    steps, dp_step = [], semiflow._dp_step
+
+    def logging_step(rhs, u, h, k1):
+        y, err, k7 = dp_step(rhs, u, h, k1)
+        steps.append((u, y))
+        return y, err, k7
+
+    monkeypatch.setattr(semiflow, "_dp_step", logging_step)
+    semiflow.integrate(cx.build_counterexample(b, F), cx.big_disc(), z0,
+                       20.0, tol)
+    refused = 1.0 - semiflow.DELTA_WALL
+    k = next(i for i, (_, y) in enumerate(steps) if abs(y) > refused)
+    accepted = [y for i, (_, y) in enumerate(steps[:-1])
+                if i > k and steps[i + 1][0] == y]
+    assert steps[k + 1][0] == steps[k][0]  # attempt k was refused
+    assert abs(accepted[0]) < refused
+    monkeypatch.undo()
+    _check_one_run(b, F, z0, tol)
+
+
+def test_exit_before_the_first_accepted_step():
+    # the first step, 1e-3, already crosses the unit circle
+    _check_one_run(1.5, ONE, 1 - 1e-6, 1e-9)

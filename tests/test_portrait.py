@@ -7,6 +7,7 @@ the polyline text must be the per-point "%.2f,%.2f" text.
 """
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from holoflow import (
     parse_domain,
     parse_symbol,
 )
-from holoflow import semiflow
+from holoflow import portrait, semiflow
 from holoflow.portrait import _PALETTE, _polylines, _viewport, render_portrait
 from holoflow.semiflow import integrate_seeds
 
@@ -290,6 +291,33 @@ def test_polylines_match_per_point_format():
         assert _polylines(same, same, drawn) == ref
     assert _polylines(same, same, [(points[:1], "#000000", "")]) == (
         _polyline("-0.00,0.00", "#000000", ""))
+
+
+@pytest.mark.parametrize("size", [1, 5, 64, 1000])
+def test_polyline_slices_keep_the_text(monkeypatch, size):
+    # polylines are filled in runs of about _SLICE vertices; any run
+    # length gives the text of one run
+    G, D = parse_symbol("(-0.25+1i)*z"), Domain.unit_disc()
+    svg, _ = render_portrait(G, D, 1, 6.0, TOL)
+    monkeypatch.setattr(portrait, "_SLICE", size)
+    assert render_portrait(G, D, 1, 6.0, TOL)[0] == svg
+    monkeypatch.setattr(portrait, "_SLICE", 10 ** 9)
+    assert render_portrait(G, D, 1, 6.0, TOL)[0] == svg
+
+
+def test_large_portrait_memory_is_bounded():
+    # 1,056 seeds, 7,392 vertices: one % over every vertex peaked at
+    # 1,333,907 traced bytes, formatting each polyline alone at 817 KB
+    G, D = parse_symbol("0.5+0.2i"), Domain.half_plane("right")
+    render_portrait(G, D, 2, 3.0, TOL)  # first-call allocations
+    tracemalloc.start()
+    try:
+        _, summary = render_portrait(G, D, 2, 3.0, TOL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary["completed"] == 1056
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("symbol,domain,density,horizon", CASES,

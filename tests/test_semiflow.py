@@ -400,6 +400,32 @@ def test_array_pass_runs_cover_every_end():
                     "ends before the first dense time"}
 
 
+# exit_from watches a second wall rule during the run and resumes that
+# rule's run from the last step both admitted: any pair of domains, nested
+# or not, gives escape_time's value bit for bit and leaves the trajectory.
+EXIT_DOMAINS = [DISC, Domain.disc(0.3 - 0.2j, 0.6), Domain.disc(0j, 3.0),
+                _HALF_RIGHT]
+
+
+@pytest.mark.parametrize("symbol,domain,z0,horizon,tol,end", ARRAY_PASS_RUNS)
+def test_exit_from_gives_escape_time_bit_for_bit(symbol, domain, z0,
+                                                 horizon, tol, end):
+    G = parse_symbol(symbol)
+    plain = integrate(G, domain, z0, horizon, tol)
+    for exit_from in EXIT_DOMAINS:
+        if not exit_from.contains(z0):
+            with pytest.raises(DomainError):
+                integrate(G, domain, z0, horizon, tol, exit_from=exit_from)
+            continue
+        expected = escape_time(G, exit_from, z0, horizon, tol)
+        traj = integrate(G, domain, z0, horizon, tol, exit_from=exit_from)
+        assert repr(traj.exit_time) == repr(expected)
+        assert _bits_equal(traj.times, plain.times)
+        assert _bits_equal(traj.points, plain.points)
+        assert traj.status == plain.status
+    assert plain.exit_time is None
+
+
 def test_long_run_memory_is_bounded():
     # 1i*z at tol 1e-13 takes about 8,550 steps to t = 100; the per-sample
     # loop peaked at 1,239,510 traced bytes on this run (Python 3.11)
