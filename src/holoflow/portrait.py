@@ -10,11 +10,17 @@ only on steps whose cubic Hermite curve may depart more than _CHORD_PX =
 0.25 px from the step's chord (after Ramer 1972; Douglas & Peucker
 1973): a sample left out lies within 0.25 px of that chord, which is a
 segment of the polyline, so the text grows with curvature instead of
-horizon. One template holds all polylines and one % fills it from the
-pixel coordinates of all vertices, each by "%.2f" as when formatted
-alone. Escaped trajectories are dashed; discs of radius above 1 get a
-dashed unit circle. Seeds whose integration fails are logged in seed
-order and skipped. Identical inputs produce identical bytes.
+horizon. Each polyline is then trimmed to the canvas (_on_canvas): its
+leading and trailing runs of segments whose bounding box lies more than
+_MARGIN_PX outside the canvas are dropped, but for the vertex where such
+a run starts. What is drawn stays the same, and orbits that escape
+towards R_MAX, 1e10 px away, lose the vertices that draw nothing. One
+template holds a run of polylines and one % fills it from the pixel
+coordinates of their vertices, each by "%.2f" as when formatted alone.
+Escaped trajectories are dashed; discs of radius above 1 get a dashed
+unit circle. Seeds whose integration fails are logged in seed order and
+skipped. Identical inputs produce identical bytes, and a seed's polyline
+does not depend on the other seeds of the grid.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ CANVAS = 800.0
 _CHORD_PX = 0.25
 # polylines are formatted in runs of about this many vertices
 _SLICE = 2048
+# a segment whose bounding box lies farther than this outside the canvas
+# paints no pixel (the stroke is 1 px wide)
+_MARGIN_PX = 10.0
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -68,6 +77,36 @@ def _circle(fx, fy, center: complex, radius: float, style: str) -> str:
     r_px = radius * (fx(1.0) - fx(0.0))
     return '<circle cx="%.2f" cy="%.2f" r="%.2f" %s/>' % (
         fx(center.real), fy(center.imag), r_px, style)
+
+
+def _on_canvas(fx, fy, lines: list) -> list:
+    """Each polyline of lines without its leading and trailing runs of
+    segments that miss the canvas, keeping the vertex where such a run
+    starts; a polyline with no segment on the canvas keeps its first vertex.
+
+    A segment misses when its bounding box lies outside the canvas box
+    widened by _MARGIN_PX. Runs in the middle stay, since joining across
+    them would draw a chord that the orbit does not follow.
+    """
+    sizes = np.fromiter(map(len, lines), np.intp, len(lines))
+    ends = np.cumsum(sizes)
+    firsts = ends - sizes
+    p = np.concatenate(lines)
+    lo, hi = -_MARGIN_PX, CANVAS + _MARGIN_PX
+    miss = np.zeros(len(p), bool)  # segment k joins vertex k to k + 1
+    for v in (fx(p.real), fy(p.imag)):
+        a, b = v[:-1], v[1:]
+        miss[:-1] |= (np.maximum(a, b) < lo) | (np.minimum(a, b) > hi)
+    miss[ends - 1] = True  # the last vertex of a line starts no segment
+    k = np.arange(len(p))
+    first = np.minimum.reduceat(np.where(miss, len(p), k), firsts)
+    stop = np.maximum.reduceat(np.where(miss, -1, k), firsts) + 2
+    hit = stop > 1
+    first, stop = np.where(hit, first, firsts), np.where(hit, stop, firsts + 1)
+    out = list(lines)
+    for i in np.flatnonzero((first != firsts) | (stop != ends)).tolist():
+        out[i] = p[first[i]:stop[i]]
+    return out
 
 
 def _polylines(fx, fy, drawn) -> str:
@@ -131,7 +170,9 @@ def render_portrait(G: HoloExpr, domain: Domain, density: int,
         escaped += bool(dash)
         drawn.append((points, _PALETTE[idx % len(_PALETTE)], dash))
     if drawn:
-        parts.append(_polylines(fx, fy, drawn))
+        lines = _on_canvas(fx, fy, [p for p, _, _ in drawn])
+        parts.append(_polylines(fx, fy, [
+            (p, stroke, dash) for p, (_, stroke, dash) in zip(lines, drawn)]))
     parts.append("</svg>\n")
     summary = {"seeds": len(seeds), "completed": len(drawn) - escaped,
                "escaped": escaped, "failed": len(seeds) - len(drawn)}

@@ -17,18 +17,40 @@ for Python scalars and elementwise for arrays.
 
 The step reads one tableau in two forms, and _drive picks one per run.
 _dp_step writes the stage sums out, one product per weight: on a Python
-complex that is the fastest form, and on independent lanes it does the
-scalar arithmetic, so a portrait's lanes agree bit for bit with scalar
-runs of their seeds up to numpy's complex product. Lanes that share one
-step (flow_series) take _dp_step_shared, which forms each stage sum as one
-matrix-vector product on the float64 view of the stacked stages; for
--z, 1 - z^2 and a Moebius symbol at 69 to 1,029 lanes it takes 0.52 to
-0.67 of the time of the written-out sums (2-CPU Xeon, one BLAS thread).
-It sums the products in another order, so one step differs from the
-written-out sums by a few ulps of the magnitudes summed (at most 3.2e-16
-for seven symbols on lanes of modulus below 0.9 at h = 0.037), and
-flow_series coefficients by at most 7.8e-13 (N = 16, 64 and 256,
-t = 0.7, tol 1e-9).
+complex that is the fastest form. Arrays of lanes form each stage sum as
+one matrix-vector product on the float64 view of the stacked stages.
+Lanes that share one step (flow_series) take _dp_step_shared, which folds
+h into the tableau; for -z, 1 - z^2 and a Moebius symbol at 69 to 1,029
+lanes it takes 0.52 to 0.67 of the time of the written-out sums (2-CPU
+Xeon, one BLAS thread). Independent lanes (integrate_seeds) take
+_dp_step_lanes, which scales each row sum by the lane's own h;
+integrate_seeds then takes 0.67 to 0.81 of the time of the written-out sums
+on six bench-like portraits (same machine, median of 25 alternating
+calls). The matrix form sums the products in another order, so one step
+differs from the written-out sums by a few ulps of the magnitudes summed
+(at most 3.2e-16 for seven symbols on lanes of modulus below 0.9 at
+h = 0.037), flow_series coefficients by at most 7.8e-13 (N = 16, 64 and
+256, t = 0.7, tol 1e-9), and portrait lanes no longer repeat the bits of
+scalar runs of their seeds. The two array forms stay apart: one function
+for both, branching on the form of h, made flow_series 4% to 11% slower.
+
+Independent lanes keep one property of the written-out sums: a lane's
+bits do not depend on which other lanes run beside it, so a seed's
+portrait lane is the same whichever seeds share its run. A matrix kernel
+sums the columns of its full blocks alike wherever they sit, but it
+rounds a ragged tail of columns in another way (OpenBLAS): over random
+subsets and permutations of ten portraits' seeds, a product over the
+bare lanes changed 163 of 3,667 lane results. So K's lane axis is padded
+with zero lanes to a multiple of _LANE_BLOCK = 8 (16 float columns, two
+AVX-512 registers), and every lane is a column of a full block: 0 of
+24,233 lane results changed (a block of 2 lanes sufficed on the machine
+measured). Elementwise products summed over the stage axis would be
+exact by construction, but they take 0.79 to 0.92 of the time of the
+written-out sums on the same portraits, half the gain. One coupling is
+left: an evaluation that raises on some lane is redone in scalar form on
+every lane (below), which rounds otherwise than the array form; over
+eleven portraits, poles and seeds pulled into them included, only the
+check of the seeds raised (4 of 7,768 array evaluations).
 
 Fixed constants:
 
@@ -92,10 +114,13 @@ lane in scalar form, and the raising lanes turn NaN, so only those lanes
 are refused and halved; a seed whose own evaluation raises fails alone.
 Each accepted step keeps the endpoints of its lanes and, by one
 _dense_samples pass, the dense samples of those whose step bends from its
-chord (see integrate_seeds). Lanes do the arithmetic of the scalar path
-except that numpy's complex product may round the last bit differently from
-Python's, so a borderline step decision can move a step point: end points
-agree to about 1e-15 and escape times to about 1e-10 relative.
+chord (see integrate_seeds). Lanes take the matrix form of the step, which
+rounds otherwise than the scalar path, so a borderline step decision can
+move a step point: points agree with integrate's to a few ulps of the
+magnitudes summed, end points to about 1e-15 and escape times to about
+1e-10 relative, and a lane that underflows next to a pole stops within
+H_MIN of the scalar run's time. A lane's bits do not depend on the other
+lanes (see the step forms above).
 
 Flow coefficients (flow_series): the open-disc rule with shared lanes.
 The degree-N Taylor coefficients of the flow map z -> phi(t, z) on the
@@ -173,6 +198,8 @@ _ROWS = (
 # The same rows as an 8 x 7 matrix: row i < 6 holds the weights of stage
 # i + 1 in its first i entries (row 0 is empty), row 6 is b and row 7 e.
 _TABLEAU = np.array([(0.0,) * 7] + [r + (0.0,) * (7 - len(r)) for r in _ROWS])
+# independent lanes are stepped in blocks of this many (zero lanes pad K)
+_LANE_BLOCK = 8
 
 COMPLETED = "Completed"
 ESCAPED = "Escaped"
@@ -229,8 +256,9 @@ class FlowSeries:
 
 
 def _dp_step(rhs, y, h, k1):
-    """One embedded step; returns (y5, error_estimate, k7). The sums are
-    written out in the order of the tableau rows (see the module docstring).
+    """One embedded step of a Python complex y; returns (y5,
+    error_estimate, k7). The sums are written out in the order of the
+    tableau rows (see the module docstring).
     """
     k2 = rhs(y + h * (0 + _A21 * k1))
     k3 = rhs(y + h * (0 + _A31 * k1 + _A32 * k2))
@@ -264,6 +292,28 @@ def _dp_step_shared(rhs, y, h, k1):
     y5 = (yf + T[6, :6] @ Kf[:6]).view(complex)
     K[6] = rhs(y5)
     return y5, (T[7] @ Kf).view(complex), K[6]
+
+
+def _dp_step_lanes(rhs, y, h, k1):
+    """_dp_step_shared for independent lanes, with one h per lane.
+
+    Each lane's h scales its row sums: a stage is y + h (T[i, :i] @ K[:i])
+    and the error h (T[7] @ K). K's lane axis is padded with zero lanes to
+    a multiple of _LANE_BLOCK, so that every lane is a column of the
+    matrix kernel's full blocks, whose sums do not depend on the column's
+    place: a lane's bits do not depend on the other lanes (see the module
+    docstring).
+    """
+    n = len(y)
+    K = np.zeros((7, -(-n // _LANE_BLOCK) * _LANE_BLOCK), complex)
+    K[0, :n] = k1
+    Kf, yf, hf, m = K.view(float), y.view(float), np.repeat(h, 2), 2 * n
+    for i in range(1, 6):
+        K[i, :n] = rhs((yf + hf * (_TABLEAU[i, :i] @ Kf[:i])[:m]).view(
+            complex))
+    y5 = (yf + hf * (_TABLEAU[6, :6] @ Kf[:6])[:m]).view(complex)
+    K[6, :n] = rhs(y5)
+    return y5, (hf * (_TABLEAU[7] @ Kf)[:m]).view(complex), K[6, :n]
 
 
 def _hermite(theta, y0, f0, y1, f1, h):
@@ -312,7 +362,7 @@ _ONE = SimpleNamespace(where=lambda c, a, b: a if c else b, minimum=min,
                        maximum=max, any=bool,
                        advance=lambda m, new, old: new if m else old)
 _LANES = SimpleNamespace(where=np.where, minimum=np.fmin,
-                         maximum=np.fmax, any=np.any,
+                         maximum=np.fmax, any=np.ndarray.any,
                          advance=lambda m, new, old: [
                              np.where(m, a, b) for a, b in zip(new, old)])
 
@@ -371,8 +421,8 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
     require (module docstring).
     """
     xp = _LANES if lanes else _ONE
-    step = (_dp_step_shared if not lanes and isinstance(u, np.ndarray)
-            else _dp_step)
+    step = (_dp_step_lanes if lanes else
+            _dp_step_shared if isinstance(u, np.ndarray) else _dp_step)
     where, minimum, maximum, any_ = xp.where, xp.minimum, xp.maximum, xp.any
     if lanes:
         ids, t, steps = np.arange(len(u)), np.zeros(len(u)), np.zeros(
@@ -645,16 +695,18 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
 
     One entry per seed: (points, status) with a subsequence of the points
     integrate would record (the seed, the adaptive step points and the
-    uniform dense samples, in time order; equal up to rounding), or the
-    HoloflowError that stopped that seed: DomainError, an evaluation error
-    at the seed, or StiffnessError; one domain.contains checks all seeds.
+    uniform dense samples, in time order; equal up to the rounding of the
+    matrix form of the step), or the HoloflowError that stopped that seed:
+    DomainError, an evaluation error at the seed, or StiffnessError; one
+    domain.contains checks all seeds. An entry's bits do not depend on the
+    other seeds (see the module docstring).
     The dense samples of a step from u to y = u + d of length h are dropped
     when its cubic Hermite curve p stays within chord_tol of the chord:
     p(theta) - (u + theta d) =
     theta (1-theta)^2 (h k1 - d) - theta^2 (1-theta) (h k_y - d), so the
     distance is at most (4/27) (|h k1 - d| + |h k_y - d|), and the samples
     go where that is below chord_tol (chord_tol = 0 keeps them all). The
-    others come, bit for bit as in integrate, from _dense_samples, run per
+    others come from _dense_samples, by integrate's Hermite formula, run per
     step in passes of about _SAMPLE_BLOCK samples. Points are complex128
     with a 1- or 2-byte lane index; completed lanes share one Status.
     """
@@ -701,14 +753,14 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
     lanes, points = map(np.concatenate, zip(*merged, *batch))
     del merged[:], batch[:]
     points = points[np.argsort(lanes, kind="stable")]
-    bounds = np.cumsum(np.bincount(lanes, minlength=len(live)))
+    bounds = np.cumsum(np.bincount(lanes, minlength=len(live))).tolist()
     out = [errors.get(i) for i in range(len(seeds))]
     completed = Status.completed(horizon)
-    for i, lane, (kind, t, u, why) in zip(
-            live, np.split(points, bounds[:-1]), ends):
+    for i, a, b, (kind, t, u, why) in zip(live, [0] + bounds, bounds, ends):
         if kind == _FAILED:
             out[i] = StiffnessError(why)
             continue
+        lane = points[a:b]
         if kind == _STOPPED:
             lane = np.append(lane, u)
         out[i] = (lane, _status(kind, completed, t, u))

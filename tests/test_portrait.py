@@ -1,9 +1,11 @@
 """Portraits integrate their seeds as independent lanes of one run of _drive.
 
 Each lane must reproduce the scalar trajectory of its seed: the same
-outcome, the same error text, the same end point up to the last bits of a
-complex product (numpy and Python round some of them differently), and
-the polyline text must be the per-point "%.2f,%.2f" text.
+outcome, the same error text, the same end point up to rounding (lanes sum
+the tableau as a matrix, and numpy and Python round some complex products
+differently), and the polyline text must be the per-point "%.2f,%.2f" text
+of the polyline trimmed to the canvas. A lane's bits must not depend on
+which other seeds run beside it.
 """
 
 import logging
@@ -21,10 +23,12 @@ from holoflow import (
     parse_symbol,
 )
 from holoflow import portrait, semiflow
-from holoflow.portrait import _PALETTE, _polylines, _viewport, render_portrait
-from holoflow.semiflow import integrate_seeds
+from holoflow.portrait import (CANVAS, _MARGIN_PX, _PALETTE, _on_canvas,
+                               _polylines, _viewport, render_portrait)
+from holoflow.semiflow import H_MIN, integrate_seeds
 
 TOL = 1e-9
+EPS = np.finfo(float).eps
 
 # symbol, domain, density, horizon: the bench portrait kinds (rotations, a
 # decaying spiral, an expanding map that escapes, a radius-2 disc, both
@@ -53,15 +57,23 @@ def _scalar(G, domain, seed, horizon):
         return exc
 
 
+def _underflow_time(error):
+    return float(str(error).split("=")[1].split()[0])
+
+
 def _same_error(lane, ref):
-    """Same type and text; an underflow time may move in the last bits."""
+    """Same type and text, except that an underflow time may move by
+    H_MIN. A run fails at its last accepted time once its step falls below
+    H_MIN. Near a pole the error test accepts steps of about the time left
+    (for the seed 0.5 + 0.01i below, the last is 4.0e-12 long and ends
+    6.0e-13 before the pole time), so a run stops within about H_MIN of
+    the pole time, and lanes, which round their sums otherwise than the
+    scalar path, may stop up to H_MIN apart (7.8e-14 there)."""
     if type(lane) is not type(ref):
         return False
     got, want = str(lane), str(ref)
     if got.startswith("step size underflow at t="):
-        t_got, t_want = (float(x.split("=")[1].split()[0])
-                         for x in (got, want))
-        return abs(t_got - t_want) <= 1e-9 * t_want
+        return abs(_underflow_time(lane) - _underflow_time(ref)) <= H_MIN
     return got == want
 
 
@@ -111,12 +123,16 @@ def test_grid_cases_cover_every_outcome():
 
 def test_interior_pole_fails_only_its_lanes():
     # 1/(z - 0.5) pulls seeds next to 0.5 through the pole (underflow
-    # away from the boundary); the others escape or start on the pole
+    # away from the boundary); the others escape or start on the pole.
+    # With w = u - 0.5, (w^2)' = 2, so the seeds 0.5 +- 0.01i reach the
+    # pole at t = 0.01^2 / 2, and their lanes fail within H_MIN of it
     G, D = parse_symbol("1/(z-0.5)"), Domain.unit_disc()
     seeds = [0.5 + 0.01j, 0.3, 0.5, 0.5 - 0.01j, 0.49 + 0.001j]
     lanes = _assert_lanes_match(G, D, seeds, 5.0)
     assert _kinds(lanes) == {"StiffnessError", ("Escaped", False),
                              "PoleError"}
+    for lane in (lanes[0], lanes[3]):
+        assert abs(_underflow_time(lane) - 0.5e-4) <= H_MIN
 
 
 def _reference_polylines(G, D, density, horizon):
@@ -169,41 +185,70 @@ def _distance_to_segments(p, a, b):
     ("0.1-1i", "halfplane:upper"),
 ])
 def test_zero_chord_tol_keeps_every_scalar_point(symbol, domain):
-    # a symbol free of z involves no complex product, so lanes and the
-    # scalar path do the same arithmetic and record the same points
+    # a symbol free of z gives u(t) = seed + G t; lanes sum each step's
+    # stages as a matrix and the scalar path one weight at a time, so they
+    # record as many points with the same outcome, each point within 8 ulps
+    # of the magnitudes summed into it, |seed| + |G| t (3.7 at most), and
+    # the same escape times within 8 ulps (2 at most)
     G, D = parse_symbol(symbol), parse_domain(domain)
     seeds = D.sample_grid(1)
-    for seed, (points, _) in zip(
+    for seed, (points, status) in zip(
             seeds, integrate_seeds(G, D, seeds, 2.0, TOL, 0.0)):
-        assert np.array_equal(points, integrate(G, D, seed, 2.0, TOL).points)
+        ref = integrate(G, D, seed, 2.0, TOL)
+        assert len(points) == len(ref.points)
+        mag = abs(seed) + abs(G.eval(0j)) * ref.times
+        assert np.all(np.abs(points - ref.points) <= 8 * EPS * mag), seed
+        assert (status.kind, status.at_infinity, status.horizon) == (
+            ref.status.kind, ref.status.at_infinity, ref.status.horizon)
+        if ref.escaped:
+            assert status.exit_point == points[-1]
+            assert abs(status.t_escape - ref.status.t_escape) <= (
+                8 * EPS * ref.status.t_escape), seed
+
+
+def _off_canvas(px, inset):
+    """Whether each pixel point lies outside the canvas box widened by
+    _MARGIN_PX less inset."""
+    lo, hi = inset - _MARGIN_PX, CANVAS + _MARGIN_PX - inset
+    return ((px.real < lo) | (px.real > hi) | (px.imag < lo)
+            | (px.imag > hi))
 
 
 @pytest.mark.parametrize("symbol,domain,density,horizon", CASES,
                          ids=[c[0] + "@" + c[1] for c in CASES])
 def test_portrait_drops_only_samples_within_a_quarter_pixel(
         symbol, domain, density, horizon):
-    # every polyline is a subsequence of the reference, from the same first
-    # to the same last vertex, and each reference point left out lies
-    # within 0.25 px of the segment of the polyline that spans it. (The
-    # scalar path itself is no exact reference: escapes of z^2 towards
-    # R_MAX reach 1e10 px, where a last-bit difference shows.)
+    # every polyline is a subsequence of the reference, and each reference
+    # point left out between its first and last vertex lies within 0.25 px
+    # of the segment of the polyline that spans it. Before its first and
+    # after its last vertex the reference lies off the canvas: there the
+    # trimmed segments missed the canvas box, and the reference points
+    # they span lie within 0.25 px of them. (z^2 escapes towards R_MAX,
+    # 1e10 px away; its polylines are the ones trimmed.)
     G, D = parse_symbol(symbol), parse_domain(domain)
     svg, _ = render_portrait(G, D, density, horizon, TOL)
     drawn = _polyline_vertices(svg)
     ref = _reference_polylines(G, D, density, horizon)
     assert len(drawn) == len(ref)
     assert sum(map(len, drawn)) < sum(len(text) for _, text in ref)
+    trimmed = 0
     for kept, (px, text) in zip(drawn, ref):
         at = _embedding(kept, text)
-        assert at is not None and at[0] == 0 and at[-1] == len(text) - 1
+        assert at is not None
+        assert np.all(_off_canvas(px[:at[0]], 0.25))
+        assert np.all(_off_canvas(px[at[-1] + 1:], 0.25))
+        trimmed += at[0] > 0 or at[-1] < len(text) - 1
+        if len(at) == 1:
+            continue
         xy = np.array([complex(*map(float, v.split(","))) for v in kept])
         # the kept segment that spans each reference point
         seg = np.searchsorted(at, np.arange(len(text)), "right") - 1
         seg = np.minimum(seg, len(at) - 2)
-        dropped = np.setdiff1d(np.arange(len(text)), at)
+        dropped = np.setdiff1d(np.arange(at[0], at[-1] + 1), at)
         dist = _distance_to_segments(px[dropped], xy[seg[dropped]],
                                      xy[seg[dropped] + 1])
         assert np.all(dist < 0.25), (symbol, float(dist.max()))
+    assert bool(trimmed) == (symbol == "z^2" and domain == "halfplane:right")
 
 
 @pytest.mark.parametrize("symbol", ["mobius(1,0,1,-0.5)", "1/(z-0.5)"])
@@ -320,6 +365,17 @@ def test_large_portrait_memory_is_bounded():
     assert peak < 1_000_000
 
 
+def _trim(xs, ys):
+    """(a, b): the vertices a .. b - 1 of a polyline of pixel points, one
+    segment at a time, without its leading and trailing segments whose
+    bounding box lies outside the canvas box widened by _MARGIN_PX."""
+    lo, hi = -_MARGIN_PX, CANVAS + _MARGIN_PX
+    hits = [k for k in range(len(xs) - 1) if not (
+        max(xs[k], xs[k + 1]) < lo or min(xs[k], xs[k + 1]) > hi
+        or max(ys[k], ys[k + 1]) < lo or min(ys[k], ys[k + 1]) > hi)]
+    return (hits[0], hits[-1] + 2) if hits else (0, 1)
+
+
 @pytest.mark.parametrize("symbol,domain,density,horizon", CASES,
                          ids=[c[0] + "@" + c[1] for c in CASES])
 def test_portrait_matches_per_polyline_format(symbol, domain, density,
@@ -338,6 +394,8 @@ def test_portrait_matches_per_polyline_format(symbol, domain, density,
         if isinstance(lane, HoloflowError):
             continue
         points, status = lane
+        a, b = _trim(fx(points.real).tolist(), fy(points.imag).tolist())
+        points = points[a:b]
         ref.append(_polyline(
             _per_point(fx(points.real).tolist(), fy(points.imag).tolist()),
             _PALETTE[idx % len(_PALETTE)],
@@ -391,3 +449,81 @@ def test_viewport_on_arrays_matches_scalars(domain):
     pts = np.random.default_rng(3).normal(size=300) * 3 + 1j * np.arange(300)
     assert fx(pts.real).tolist() == [fx(p.real) for p in pts.tolist()]
     assert fy(pts.imag).tolist() == [fy(p.imag) for p in pts.tolist()]
+
+
+# a rotation, a pole (seeds pulled into it fail, a seed on it fails at
+# once), an escape from the disc, an escape to infinity through R_MAX and a
+# z-free half-plane symbol
+NEIGHBOUR_CASES = [
+    ("(-0.25+1i)*z", "unitdisc", 1, 6.0),
+    ("1/(z-0.5)", "unitdisc", 1, 5.0),
+    ("(1.1+0.2i)*z", "unitdisc", 1, 4.0),
+    ("z^2", "halfplane:right", 1, 0.5),
+    ("0.1-1i", "halfplane:upper", 1, 1.3),
+]
+
+
+@pytest.mark.parametrize("symbol,domain,density,horizon", NEIGHBOUR_CASES,
+                         ids=[c[0] + "@" + c[1] for c in NEIGHBOUR_CASES])
+def test_lanes_do_not_depend_on_their_neighbours(symbol, domain, density,
+                                                 horizon):
+    # each seed's points and status, bit for bit, or its error text, are
+    # the same over random subsets of the seeds in random order
+    G, D = parse_symbol(symbol), parse_domain(domain)
+    seeds = D.sample_grid(density) + [0.5 + 0.01j, 0.5 - 0.01j]
+    ref = integrate_seeds(G, D, seeds, horizon, TOL, 0.0)
+    rng = np.random.default_rng(18)
+    for size in (1, 3, 11, len(seeds) // 2, len(seeds) - 1):
+        pick = rng.permutation(len(seeds))[:size].tolist()
+        lanes = integrate_seeds(G, D, [seeds[i] for i in pick], horizon, TOL,
+                                0.0)
+        for i, lane in zip(pick, lanes):
+            if isinstance(ref[i], HoloflowError):
+                assert type(lane) is type(ref[i])
+                assert str(lane) == str(ref[i])
+            else:
+                assert lane[0].tobytes() == ref[i][0].tobytes(), seeds[i]
+                assert lane[1] == ref[i][1], seeds[i]
+    if symbol == "1/(z-0.5)":
+        assert _kinds(ref) == {"StiffnessError", "PoleError",
+                               ("Escaped", False)}
+
+
+def test_on_canvas_trims_only_the_ends():
+    # pixel points: z = x + iy is the pixel (x, y); the canvas box is
+    # [-10, 810]^2
+    def line(*pts):
+        return np.array(pts, complex)
+
+    inside = line(100 + 100j, 200 + 300j, 400 + 400j)
+    leaving = line(400 + 400j, 790 + 400j, 900 + 400j, 1e6 + 400j,
+                   1e10 + 1e10j)
+    entering = leaving[::-1]
+    # out and back: the middle run past the right edge stays
+    detour = line(400 + 400j, 900 + 400j, 1e4 + 400j, 900 + 500j,
+                  400 + 500j)
+    across = line(-50 - 50j, 850 + 850j, 1e3 + 1e3j)  # bounding box overlaps
+    outside = line(-20 + 400j, -1e3 + 400j, -30 + 900j)
+    single = line(-1e3 + 0j)
+    lines = [inside, leaving, entering, detour, across, outside, single]
+    got = _on_canvas(lambda x: x, lambda y: y, lines)
+    want = [inside, leaving[:3], entering[2:], detour, across[:2],
+            outside[:1], single]
+    assert [g.tolist() for g in got] == [w.tolist() for w in want]
+    # one point at a time, as in test_portrait_matches_per_polyline_format
+    for p, g in zip(lines, got):
+        a, b = _trim(p.real.tolist(), p.imag.tolist())
+        assert g.tolist() == p[a:b].tolist()
+
+
+def test_escapes_to_infinity_keep_few_vertices_off_the_canvas():
+    # 263 of the 272 seeds escape towards R_MAX, up to 1e10 px away; drawn
+    # in full, the portrait was 331,119 bytes with 15,561 of its 19,627
+    # vertices outside the canvas box (83,293 bytes and 215 of 4,281 now)
+    G, D = parse_symbol("z^2"), Domain.half_plane("right")
+    svg, summary = render_portrait(G, D, 1, 0.5, TOL)
+    assert summary["escaped"] == 263
+    xy = np.array([complex(*map(float, v.split(",")))
+                   for kept in _polyline_vertices(svg) for v in kept])
+    assert len(svg) < 100_000 and len(xy) < 5_000
+    assert np.count_nonzero(_off_canvas(xy, 0.0)) < 300

@@ -485,6 +485,8 @@ _TABLEAU_A = (
 _TABLEAU_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _TABLEAU_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
               22 / 525, -1 / 40)
+_STEP_SYMBOLS = ["-z", "1-z^2", "i*z", "z^2+0.5", "0.1", "exp(z)",
+                 "mobius(1,0,1,-2)"]
 
 
 def _dp_step_by_rows(rhs, y, h, k1):
@@ -510,55 +512,90 @@ def _bits(values):
             for v in np.ravel(values)]
 
 
-@pytest.mark.parametrize("symbol", ["-z", "1-z^2", "i*z", "z^2+0.5",
-                                    "0.1", "exp(z)", "mobius(1,0,1,-2)"])
+def _step_lanes(n=19):
+    # signed zeros, the real axis and random points; 19 lanes is no
+    # multiple of semiflow._LANE_BLOCK
+    rng = np.random.default_rng(11)
+    return np.concatenate([[0.5, -0.25, 0j, complex(0.3, -0.0)],
+                           rng.uniform(-0.6, 0.6, n - 4)
+                           + 1j * rng.uniform(-0.6, 0.6, n - 4)])
+
+
+@pytest.mark.parametrize("symbol", _STEP_SYMBOLS)
 def test_dp_step_matches_tableau_rows_bit_for_bit(symbol):
-    # scalars on and off the real axis, then all of them as lanes
+    # Python scalars on and off the real axis, at one step size and then
+    # each at its own (the step sizes of test_lane_step_matches_tableau_rows)
     G = parse_symbol(symbol)
-    rng = np.random.default_rng(11)
-    lanes = np.concatenate([[0.5, -0.25, 0j, complex(0.3, -0.0)],
-                            rng.uniform(-0.6, 0.6, 12)
-                            + 1j * rng.uniform(-0.6, 0.6, 12)])
-    for y in lanes.tolist():
-        got = semiflow._dp_step(G.eval, y, 0.037, G.eval(y))
-        want = _dp_step_by_rows(G.eval, y, 0.037, G.eval(y))
-        assert _bits(got) == _bits(want), y
-    h = np.linspace(1e-3, 0.1, len(lanes))
-    k1 = G.eval(lanes)
-    got = semiflow._dp_step(G.eval, lanes, h, k1)
-    want = _dp_step_by_rows(G.eval, lanes, h, k1)
-    assert all(_bits(a) == _bits(b) for a, b in zip(got, want))
+    lanes = _step_lanes()
+    sizes = np.linspace(1e-3, 0.1, len(lanes)).tolist()
+    for y, h in zip(lanes.tolist() * 2, [0.037] * len(lanes) + sizes):
+        got = semiflow._dp_step(G.eval, y, h, G.eval(y))
+        want = _dp_step_by_rows(G.eval, y, h, G.eval(y))
+        assert _bits(got) == _bits(want), (y, h)
 
 
-# Lanes that share one step take the tableau as a matrix, which sums the
-# products in another order: each result is checked to 4 ulps of the
-# magnitudes summed into it (y5: |y| + h sum |b_i k_i|; err: h sum |e_i k_i|;
-# k7: |k7| plus that of y5, as the symbols have Lipschitz constants near 1).
-@pytest.mark.parametrize("symbol", ["-z", "1-z^2", "i*z", "z^2+0.5",
-                                    "0.1", "exp(z)", "mobius(1,0,1,-2)"])
-def test_shared_step_matches_tableau_rows(symbol):
-    G = parse_symbol(symbol)
-    rng = np.random.default_rng(11)
-    lanes = np.concatenate([[0.5, -0.25, 0j, complex(0.3, -0.0)],
-                            rng.uniform(-0.6, 0.6, 12)
-                            + 1j * rng.uniform(-0.6, 0.6, 12)])
-    h, k1 = 0.037, G.eval(lanes)
+def _recorded_stages(G, lanes, h, k1):
+    """The reference step with its stages broadcast to the lanes, and the
+    magnitudes summed into y5, err and k7 (k7: |k7| plus that of y5, as
+    the symbols have Lipschitz constants near 1)."""
     stages = [np.broadcast_to(k1, lanes.shape)]
 
-    def recording(x):  # the reference's stages, broadcast to the lanes
+    def recording(x):
         v = G.eval(x)
         stages.append(np.broadcast_to(v, x.shape))
         return v
 
     want = _dp_step_by_rows(recording, lanes, h, k1)
     K = np.abs(np.array(stages))
-    mag_y5 = np.abs(lanes) + h * np.abs(_TABLEAU_B) @ K[:6]
-    mag_err = h * np.abs(_TABLEAU_E) @ K
-    mags = (mag_y5, mag_err, np.abs(want[2]) + mag_y5)
+    mag_y5 = np.abs(lanes) + h * (np.abs(_TABLEAU_B) @ K[:6])
+    mag_err = h * (np.abs(_TABLEAU_E) @ K)
+    return want, (mag_y5, mag_err, np.abs(want[2]) + mag_y5)
+
+
+# Lanes take the tableau as a matrix, which sums the products in
+# another order: each result is checked to 4 ulps of the magnitudes summed
+# into it (y5: |y| + h sum |b_i k_i|; err: h sum |e_i k_i|).
+@pytest.mark.parametrize("symbol", _STEP_SYMBOLS)
+def test_shared_step_matches_tableau_rows(symbol):
+    G = parse_symbol(symbol)
+    lanes = _step_lanes(16)
+    h, k1 = 0.037, G.eval(lanes)
+    want, mags = _recorded_stages(G, lanes, h, k1)
     got = semiflow._dp_step_shared(G.eval, lanes, h, k1)
     for g, w, mag in zip(got, want, mags):
         assert g.shape == lanes.shape
         assert np.all(np.abs(g - w) <= 4 * np.finfo(float).eps * mag)
+
+
+@pytest.mark.parametrize("symbol", _STEP_SYMBOLS)
+def test_lane_step_matches_tableau_rows(symbol):
+    # one step size per lane, as independent lanes take it
+    G = parse_symbol(symbol)
+    lanes = _step_lanes()
+    h, k1 = np.linspace(1e-3, 0.1, len(lanes)), G.eval(lanes)
+    want, mags = _recorded_stages(G, lanes, h, k1)
+    got = semiflow._dp_step_lanes(G.eval, lanes, h, k1)
+    for g, w, mag in zip(got, want, mags):
+        assert g.shape == lanes.shape
+        assert np.all(np.abs(g - w) <= 4 * np.finfo(float).eps * mag)
+
+
+@pytest.mark.parametrize("symbol", _STEP_SYMBOLS)
+def test_lane_step_does_not_depend_on_its_neighbours(symbol):
+    # each lane of a step with one h per lane has the bits it has among
+    # any other lanes, in any order (a plain product over the unpadded
+    # lanes rounds a ragged tail of lanes differently)
+    G = parse_symbol(symbol)
+    rng = np.random.default_rng(18)
+    lanes = rng.uniform(-0.6, 0.6, 67) + 1j * rng.uniform(-0.6, 0.6, 67)
+    h = rng.uniform(1e-3, 0.1, len(lanes))
+    full = semiflow._dp_step_lanes(G.eval, lanes, h, G.eval(lanes))
+    for size in (1, 2, 7, 9, 30, 66, 67):
+        pick = rng.permutation(len(lanes))[:size]
+        got = semiflow._dp_step_lanes(G.eval, lanes[pick], h[pick],
+                                      G.eval(lanes[pick]))
+        for g, f in zip(got, full):
+            assert np.asarray(g).tobytes() == f[pick].tobytes(), size
 
 
 def test_shared_step_raises_at_a_pole():
@@ -810,3 +847,4 @@ def _run_rule_cases():
 def test_every_run_checks_its_inputs_first(name, t, tol, z0, error):
     with pytest.raises(error):
         _RUNS[name][0](t, tol, z0)
+
