@@ -52,7 +52,7 @@ from .jsonio import dump_line
 from .portrait import render_portrait
 from .semigroup import (
     apply as semigroup_apply,
-    generator_residual,
+    generator_residuals,
     matrix_summary,
     matrix_to_csv,
     operator_matrix,
@@ -327,8 +327,8 @@ def cmd_generator_check(v: dict) -> tuple[int, dict, dict]:
     seed = taylor(parse_symbol(v["f"]), v["N"])
     steps = [v["h"], v["h"] / 2.0, v["h"] / 4.0]
     residuals = [
-        {"h": h, "residual": generator_residual(G, seed, space, h, v["tol"])}
-        for h in steps
+        {"h": h, "residual": r} for h, r in zip(
+            steps, generator_residuals(G, seed, space, steps, v["tol"]))
     ]
     pairs = [(r["h"], r["residual"]) for r in residuals if r["residual"] > 0]
     slope = slope_reason = None

@@ -25,6 +25,7 @@ does not depend on the other seeds of the grid.
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
@@ -131,10 +132,17 @@ def _polylines(fx, fy, drawn) -> str:
     return "\n".join(lines)
 
 
+@functools.lru_cache(maxsize=16)
+def _seeds(domain: Domain, density: int) -> tuple:
+    """The seeds of a portrait: the domain's sample grid, built once per
+    (domain, density)."""
+    return tuple(domain.sample_grid(density))
+
+
 def render_portrait(G: HoloExpr, domain: Domain, density: int,
                     horizon: float, tol: float) -> tuple[str, dict]:
     """SVG text plus a small summary dict (seed counts by outcome)."""
-    seeds = domain.sample_grid(density)
+    seeds = _seeds(domain, density)
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
         'viewBox="0 0 800 800">',

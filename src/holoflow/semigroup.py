@@ -2,10 +2,19 @@
 
 T(t) f = f o phi(t, .) where phi is the flow of the symbol G on the unit
 disc. Everything here acts on degree-N truncations: applying T(t) is one
-series composition with the flow coefficients, the operator becomes an
-(N+1) x (N+1) matrix on the monomial basis, and the checks below measure,
-in a chosen coefficient norm, how well the truncated action satisfies the
-identities that characterize the generator A f = G f':
+series composition with the flow coefficients, and the operator becomes an
+(N+1) x (N+1) matrix M_t on the monomial basis. Column k of M_t holds the
+coefficients of phi_t^k; they come from the flow's own circle samples, the
+lane states u of the flow-series run at the M = max(4N, 64) points of
+|z| = r. The powers u^k are the samples of phi_t^k, so one FFT along the
+sample axis, divided by M r^j, gives their coefficients, in blocks of 16
+powers (series.power_coeffs). That costs O(N^2 log N) where N products of
+coefficient series cost O(N^3), and it keeps the ~1e-12 noise floor of
+the flow series. Composition on coefficients (Paterson-Stockmeyer) is a
+separate route to the same action, so matrix_summary checks one against
+the other. The checks below measure, in a chosen coefficient norm, how
+well the truncated action satisfies the identities that characterize the
+generator A f = G f':
 
   * generator residual   ||(T(h) f - f)/h - G f'||, expected O(h);
   * integral identity    (1/t) integral_0^t T(s) (G f') ds
@@ -24,10 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# flow runs go through the module, so that a replacement of
+# semiflow._flow_series_path sees every one of them
+from . import semiflow
 from .errors import BadParameter
 from .expr import HoloExpr
-from .series import SeriesFn, series_compose, taylor, truncated_powers
-from .semiflow import _check_run, _check_tol, _flow_series_path, flow_series
+from .series import SeriesFn, _compose_arrays, series_compose, taylor
+from .semiflow import _check_run, _check_tol, flow_series
 from .spaces import CoefSpace
 
 # Seeded random series that matrix_summary checks the matrix action on.
@@ -51,7 +63,9 @@ def apply(G: HoloExpr, t: float, f: SeriesFn, tol: float) -> SeriesFn:
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Matrix of T(t) on the monomial basis; column k holds the truncated
-    coefficients of phi(t, .)^k. Column 1 is the flow series itself, so
+    coefficients of phi(t, .)^k, taken from the flow's circle samples (see
+    the module docstring). Column 0 is exactly e_0, time 0 gives exactly
+    the identity, and column 1 is the flow series bit for bit, so
     `matrix_summary` and the CLI's `evolve --matrix-out` take the flow from
     the matrix instead of integrating it again.
 
@@ -81,8 +95,8 @@ class OperatorMatrix:
 
 def operator_matrix(G: HoloExpr, t: float, degree: int,
                     tol: float) -> OperatorMatrix:
-    flow = flow_series(G, t, degree, tol).coeffs.coeffs
-    return OperatorMatrix(t, degree, truncated_powers(flow, degree).T)
+    rows = semiflow._flow_series_path(G, [t], degree, tol, powers=True)[0]
+    return OperatorMatrix(t, degree, rows.T)
 
 
 def generator_action(G: HoloExpr, f: SeriesFn) -> SeriesFn:
@@ -94,10 +108,25 @@ def generator_action(G: HoloExpr, f: SeriesFn) -> SeriesFn:
 def generator_residual(G: HoloExpr, f: SeriesFn, space: CoefSpace, h: float,
                        tol: float) -> float:
     """Norm of (T(h) f - f)/h - G f'; decays like h for smooth data."""
-    if not 1e-6 <= h <= 0.1:
+    return generator_residuals(G, f, space, [h], tol)[0]
+
+
+def generator_residuals(G: HoloExpr, f: SeriesFn, space: CoefSpace,
+                        steps: list[float], tol: float) -> list[float]:
+    """generator_residual at each step h, from one flow-series run through
+    the steps in increasing order."""
+    if not all(1e-6 <= h <= 0.1 for h in steps):
         raise BadParameter("difference step h must lie in [1e-6, 0.1]")
-    quotient = (apply(G, h, f, tol) - f) * (1.0 / h)
-    return space.norm(quotient - generator_action(G, f))
+    ordered = sorted(set(steps))
+    if f.degree == 0:  # constants are fixed: no run, as in apply
+        _check_tol(tol)
+        evolved = [f] * len(ordered)
+    else:
+        evolved = [series_compose(f, flow) for flow in
+                   semiflow._flow_series_path(G, ordered, f.degree, tol)]
+    by_step = dict(zip(ordered, evolved))
+    action = generator_action(G, f)
+    return [space.norm((by_step[h] - f) * (1.0 / h) - action) for h in steps]
 
 
 def maximality_residual(G: HoloExpr, f: SeriesFn, space: CoefSpace, t: float,
@@ -113,7 +142,7 @@ def maximality_residual(G: HoloExpr, f: SeriesFn, space: CoefSpace, t: float,
         raise BadParameter("t must be positive")
     g = generator_action(G, f)
     nodes = [t * k / quad_points for k in range(quad_points + 1)]
-    flows = _flow_series_path(G, nodes, f.degree, tol)
+    flows = semiflow._flow_series_path(G, nodes, f.degree, tol)
     width = t / quad_points
     acc = np.zeros(f.degree + 1, dtype=np.complex128)
     for k, flow in enumerate(flows):
@@ -146,8 +175,8 @@ def transport_pde_residual(G: HoloExpr, f: SeriesFn, z: complex, t: float,
     if t < h_t:
         raise BadParameter("need t >= h_t for the central time difference")
     internal_tol = 1e-11
-    flows = _flow_series_path(G, [t - h_t, t, t + h_t], f.degree,
-                              internal_tol)
+    flows = semiflow._flow_series_path(G, [t - h_t, t, t + h_t], f.degree,
+                                       internal_tol)
     u_minus = series_compose(f, flows[0]).eval_at(z)
     u_mid = series_compose(f, flows[1])
     u_plus = series_compose(f, flows[2]).eval_at(z)
@@ -165,7 +194,7 @@ def strong_continuity_report(G: HoloExpr, f: SeriesFn, space: CoefSpace,
     """
     ts = list(t_list)
     ordered = sorted(set(ts))
-    flows = _flow_series_path(G, ordered, f.degree, 1e-10)
+    flows = semiflow._flow_series_path(G, ordered, f.degree, 1e-10)
     by_time = {t: flow for t, flow in zip(ordered, flows)}
     out = []
     for t in ts:
@@ -189,22 +218,20 @@ def matrix_to_csv(m: OperatorMatrix) -> str:
 def matrix_summary(m: OperatorMatrix) -> dict:
     """Summary dict: t, degree, spectral radius estimate, and the worst
     deviation between the matrix action and direct composition over
-    _SUMMARY_SAMPLES seeded random series."""
+    _SUMMARY_SAMPLES seeded random series, composed in one batch. The
+    matrix comes from the flow's circle samples and the composition from
+    its coefficients, so the two are independent routes to T(t) f."""
     rng = np.random.default_rng(20240601)
-    flow = SeriesFn(m.entries[:, 1])
-    worst = 0.0
-    for _ in range(_SUMMARY_SAMPLES):
-        c = rng.standard_normal(m.degree + 1) / (
-            1.0 + np.arange(m.degree + 1)
-        )
-        f = SeriesFn(c.astype(np.complex128))
-        direct = series_compose(f, flow)
-        via_matrix = m.act(f)
-        worst = max(worst, float(np.max(np.abs(
-            direct.coeffs - via_matrix.coeffs))))
+    n = m.degree + 1
+    # row i is the i-th series the per-series draws of n numbers gave
+    stack = (rng.standard_normal((_SUMMARY_SAMPLES, n))
+             / (1.0 + np.arange(n))).astype(np.complex128)
+    direct = _compose_arrays(stack, m.entries[:, 1])
+    via_matrix = stack @ m.entries.T
     return {
         "t": m.t,
         "N": m.degree,
         "spectral_radius_estimate": m.spectral_radius_estimate(),
-        "residuals": {"apply_consistency": worst},
+        "residuals": {"apply_consistency": float(np.max(np.abs(
+            direct - via_matrix)))},
     }

@@ -6,10 +6,15 @@ composition [f_N o g_N]_N, the first N + 1 coefficients of the polynomial
 f_N(g_N(z)); it makes no convergence claim when the inner constant term is
 nonzero (numerical validity is the caller's concern). It runs the
 Paterson-Stockmeyer scheme: with n = N + 1 and s about sqrt(n), the
-truncated powers g^0 .. g^s are formed once, one matrix product turns the
-blocks of s coefficients of f into the polynomials C_j = sum_i f_{js+i} g^i,
-and Horner in g^s over the blocks adds them up, so a composition costs
-about 2 sqrt(n) truncated products instead of n.
+truncated powers g^0 .. g^s are formed once (truncated_powers, which serves
+this scheme only), one matrix product turns the blocks of s coefficients of
+f into the polynomials C_j = sum_i f_{js+i} g^i, and Horner in g^s over the
+blocks adds them up, so a composition costs about 2 sqrt(n) truncated
+products instead of n. A stack of outer series (k, n) is composed with one
+inner series in one pass: each Horner step is then one matrix product with
+the upper-triangular Toeplitz matrix of g^s. One series keeps np.convolve,
+which is faster for a single row (a one-row Toeplitz product took 1.2 to
+2.3 times as long), so the shape of f picks the form.
 
 Coefficients of an expression are extracted by trapezoidal sampling on a
 circle: with M = max(4N, 64) equispaced samples at radius r,
@@ -20,7 +25,11 @@ which is spectrally accurate for functions analytic on the closed disc of
 radius r. taylor picks r itself, min(0.9, noise_floor_radius(N)): the
 only place that rule lives. The same sampling turns the flow map of a
 symbol into its coefficients (semiflow.flow_series): there the samples
-come from integrating the circle points, not from an expression.
+come from integrating the circle points, not from an expression. The
+powers u^0 .. u^k of the samples u give the coefficients of the powers of
+the sampled function the same way (power_coeffs): the samples of a power
+are the powers of the samples, so the operator matrix of the flow needs no
+products of coefficient series.
 """
 
 from __future__ import annotations
@@ -149,16 +158,22 @@ def truncated_powers(g: np.ndarray, k: int) -> np.ndarray:
 
 
 def _compose_arrays(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    n = len(f)
+    """[f o g]_N for one outer series f (n,) or a stack of them (k, n)."""
+    n = f.shape[-1]
     s = math.isqrt(n - 1) + 1
     m = -(-n // s)
     powers = truncated_powers(g, s)
-    padded = np.zeros(m * s, dtype=np.complex128)
-    padded[:n] = f
-    blocks = padded.reshape(m, s) @ powers[:s]
-    acc = blocks[-1]
+    padded = np.zeros(f.shape[:-1] + (m * s,), dtype=np.complex128)
+    padded[..., :n] = f
+    blocks = padded.reshape(f.shape[:-1] + (m, s)) @ powers[:s]
+    if f.ndim > 1:  # (a @ top)_l = sum_{i <= l} a_i (g^s)_{l - i}
+        k = np.arange(n)
+        top = np.triu(powers[s][np.abs(k - k[:, None])])
+    acc = blocks[..., -1, :]
     for j in range(m - 2, -1, -1):
-        acc = np.convolve(acc, powers[s])[:n] + blocks[j]
+        carried = (np.convolve(acc, powers[s])[:n] if f.ndim == 1
+                   else acc @ top)
+        acc = carried + blocks[..., j, :]
     return acc
 
 
@@ -176,6 +191,39 @@ def coeffs_from_samples(samples: np.ndarray, degree: int,
     hat = np.fft.fft(samples) / len(samples)
     powers = r ** np.arange(degree + 1)
     return SeriesFn(hat[: degree + 1] / powers)
+
+
+# powers per FFT pass of power_coeffs: bounds the temporaries at
+# _POWER_BLOCK x M samples
+_POWER_BLOCK = 16
+
+
+def power_coeffs(samples: np.ndarray, k: int, degree: int,
+                 r: float) -> np.ndarray:
+    """Rows 0 .. k: the degree-`degree` coefficients of the powers u^j of
+    the function whose values at circle_points(degree, r) are samples.
+
+    Row 0 is exactly e_0, and row 1 is coeffs_from_samples(samples, degree,
+    r) bit for bit. Each pass forms _POWER_BLOCK powers, each as the
+    previous one times the samples, carrying the last power into the next
+    pass, and takes their coefficients by one FFT along the sample axis, so
+    every block size gives the same bits. (np.multiply.accumulate down the
+    block would round otherwise than row by row products.)
+    """
+    m, block = len(samples), _POWER_BLOCK
+    out = np.zeros((k + 1, degree + 1), dtype=np.complex128)
+    out[0, 0] = 1.0
+    scale = r ** np.arange(degree + 1)
+    run = np.empty((block + 1, m), dtype=np.complex128)
+    run[0] = 1.0  # the power carried from the previous pass
+    for lo in range(1, k + 1, block):
+        b = min(block, k + 1 - lo)
+        for i in range(1, b + 1):
+            np.multiply(run[i - 1], samples, out=run[i])
+        hat = np.fft.fft(run[1:b + 1], axis=1)[:, :degree + 1] / m
+        out[lo:lo + b] = hat / scale
+        run[0] = run[b]
+    return out
 
 
 def taylor(f: HoloExpr, degree: int) -> SeriesFn:

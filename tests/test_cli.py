@@ -43,6 +43,21 @@ def test_generator_check_slope_is_first_order(tmp_path, schema):
     assert doc["slope_reason"] is None
 
 
+def test_generator_check_integrates_the_flow_once(tmp_path, monkeypatch):
+    calls = []
+    path = semiflow._flow_series_path
+
+    def counted(*args, **kwargs):
+        calls.append(list(args[1]))
+        return path(*args, **kwargs)
+
+    monkeypatch.setattr(semiflow, "_flow_series_path", counted)
+    code, doc = _generator_check(tmp_path, "poly(0.5,1,0.25)")
+    assert code == 0
+    assert calls == [[2.5e-4, 5e-4, 1e-3]]
+    assert [r["h"] for r in doc["residuals"]] == [1e-3, 5e-4, 2.5e-4]
+
+
 def _flow_status(tmp_path, capsys, *extra):
     out = tmp_path / "trajectory.csv"
     code = main(["flow", "--symbol=-z", "--z0", "0.5,0", "--out", str(out),

@@ -527,3 +527,13 @@ def test_escapes_to_infinity_keep_few_vertices_off_the_canvas():
                    for kept in _polyline_vertices(svg) for v in kept])
     assert len(svg) < 100_000 and len(xy) < 5_000
     assert np.count_nonzero(_off_canvas(xy, 0.0)) < 300
+
+
+@pytest.mark.parametrize("domain", ["unitdisc", "disc:0.5,-0.25,2",
+                                    "halfplane:right", "halfplane:upper"])
+def test_seed_grids_are_built_once(domain):
+    D = parse_domain(domain)
+    seeds = portrait._seeds(D, 2)
+    assert isinstance(seeds, tuple)
+    assert seeds == tuple(D.sample_grid(2))
+    assert portrait._seeds(parse_domain(domain), 2) is seeds

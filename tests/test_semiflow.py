@@ -620,6 +620,52 @@ def test_inside_unit_disc_rejects_non_finite_and_the_circle(bad):
         semiflow._ACCEPT, None)
 
 
+@pytest.mark.parametrize("c", ["-1", "(0.3-2i)", "-40"])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_start_step_closed_form_on_linear_symbols(c, tol):
+    # G = c z: |G(u)| = |c| |u| on every lane, and the Euler probe changes
+    # the slope by c^2 h0 u, so h0 = 0.01 / |c| and
+    # h = min(1 / |c|, (0.01 / (max(1, |c|) |c| d0))^(1/5))
+    lanes = np.concatenate([semiflow.circle_points(16, 0.6),
+                            semiflow._INTERIOR_LANES])
+    G = parse_symbol(c + "*z")
+    c = G.eval(1.0)
+    t, h, k1 = semiflow._start_step(G.eval, lanes, tol)
+    d0 = float(np.max(np.abs(lanes) / (tol * (1 + np.abs(lanes)))))
+    want = min(1 / abs(c), (0.01 / (max(1, abs(c)) * abs(c) * d0)) ** 0.2)
+    assert t == 0.0 and np.array_equal(k1, G.eval(lanes))
+    assert h == pytest.approx(want, rel=1e-12)
+
+
+def test_start_step_of_a_zero_symbol():
+    lanes = np.concatenate([semiflow.circle_points(16, 0.6),
+                            semiflow._INTERIOR_LANES])
+    assert semiflow._start_step(parse_symbol("0").eval, lanes, 1e-9)[1] == 1e-6
+
+
+@pytest.mark.parametrize("probe", [PoleError("pole"), math.inf, math.nan])
+def test_start_step_leaves_out_a_probe_that_meets_a_pole(probe):
+    # G = -z, but the Euler probe raises or is not finite: the slope
+    # change is left out, h = min(100 h0, (0.01 / d1)^(1/5)), d1 = d0
+    lanes = np.concatenate([semiflow.circle_points(16, 0.6),
+                            semiflow._INTERIOR_LANES])
+    calls = []
+
+    def rhs(u):
+        calls.append(u)
+        if len(calls) == 1:
+            return -u
+        if isinstance(probe, Exception):
+            raise probe
+        return np.full(len(u), probe, complex)
+
+    with np.errstate(all="ignore"):
+        _, h, _ = semiflow._start_step(rhs, lanes, 1e-9)
+    d0 = float(np.max(np.abs(lanes) / (1e-9 * (1 + np.abs(lanes)))))
+    assert len(calls) == 2
+    assert h == pytest.approx(min(1.0, (0.01 / d0) ** 0.2), rel=1e-12)
+
+
 def test_shared_error_ratio():
     u = np.array([0.5, -0.25j, 0.0, 0.9 + 0.1j])
     assert semiflow._error_ratio(u, np.zeros(4, complex), 1e-9) == math.inf

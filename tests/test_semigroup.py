@@ -48,6 +48,29 @@ def tanh_flow_series(t, n):
     return SeriesFn(c)
 
 
+def tanh_flow_extended(t, n):
+    """tanh_flow_series in extended precision (np.longdouble)."""
+    a = np.tanh(np.longdouble(t))
+    c = np.empty(n + 1, np.longdouble)
+    c[0] = a
+    c[1:] = (1 - a * a) * (-a) ** np.arange(n, dtype=np.longdouble)
+    return c
+
+
+def column_loop(flow):
+    """The matrix of phi^0 .. phi^N built column by column, one truncated
+    convolution each, in the dtype of the flow coefficients."""
+    n = len(flow)
+    want = np.zeros((n, n), dtype=flow.dtype)
+    col = np.zeros(n, dtype=flow.dtype)
+    col[0] = 1
+    want[:, 0] = col
+    for k in range(1, n):
+        col = np.convolve(col, flow)[:n]
+        want[:, k] = col
+    return want
+
+
 class TestApply:
     def test_linear_eigenvector(self):
         out = apply(LINEAR, math.log(2), e(1, 1), 1e-10)
@@ -104,21 +127,38 @@ class TestOperatorMatrix:
         ("-z*(1+0.3*z)", 1.0, 64), ("0.1", 0.5, 16),
     ])
     def test_matches_column_loop_bit_for_bit(self, symbol, t, degree):
-        # reference: the matrix built column by column, one convolution each
+        # column 1 is the flow series bit for bit; the other columns come
+        # from the flow's circle samples, and stay within 1e-11 of the
+        # matrix built column by column, one convolution each
         G = parse_symbol(symbol)
         flow = flow_series(G, t, degree, 1e-10).coeffs.coeffs
-        n = degree + 1
-        want = np.zeros((n, n), dtype=np.complex128)
-        col = np.zeros(n, dtype=np.complex128)
-        col[0] = 1.0
-        want[:, 0] = col
-        for k in range(1, n):
-            col = np.convolve(col, flow)[:n]
-            want[:, k] = col
         m = operator_matrix(G, t, degree, 1e-10)
-        assert np.array_equal(m.entries, want)
-        assert m.entries.flags.c_contiguous
         assert np.array_equal(m.entries[:, 1], flow)
+        assert m.entries.flags.c_contiguous
+        assert np.max(np.abs(m.entries - column_loop(flow))) <= 1e-11
+        if G.eval(0j) == 0:  # phi(0) = 0: every phi^k vanishes to order k
+            assert np.max(np.abs(np.triu(m.entries, 1))) <= 1e-14
+
+    @pytest.mark.parametrize("symbol,c", [
+        ("-z", -1.0), ("(-0.5+1i)*z", -0.5 + 1j), ("-i*z", -1j)])
+    @pytest.mark.parametrize("degree", [16, 64, 256])
+    def test_linear_symbol_closed_form(self, symbol, c, degree):
+        # phi_t(z) = e^{ct} z, so M_t is diagonal with entries e^{kct}; a
+        # rotation keeps its phase error, about 4e-13 k
+        t = 0.7
+        m = operator_matrix(parse_symbol(symbol), t, degree, 1e-12).entries
+        want = np.diag(np.exp(c * t * np.arange(degree + 1)))
+        assert np.max(np.abs(m - want)) <= 1e-12 * (degree + 1)
+        assert np.max(np.abs(np.triu(m, 1))) <= 1e-14
+
+    @pytest.mark.parametrize("t", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("degree", [16, 64, 256])
+    def test_tanh_closed_form(self, t, degree):
+        # column k: the coefficients of ((z + a)/(1 + a z))^k, a = tanh t,
+        # formed from the closed-form coefficients in extended precision
+        m = operator_matrix(TANH, t, degree, 1e-13).entries
+        want = column_loop(tanh_flow_extended(t, degree))
+        assert np.max(np.abs(m - want.astype(np.complex128))) <= 5e-11
 
     def test_column_zero_fixed(self):
         m = operator_matrix(TANH, 0.3, 8, 1e-10)
@@ -181,6 +221,22 @@ class TestOperatorMatrix:
         doc = matrix_summary(m)
         assert doc["N"] == 12
         assert doc["residuals"]["apply_consistency"] <= 1e-9
+
+    @pytest.mark.parametrize("symbol,t,degree", [
+        ("1-z^2", 0.4, 12), ("-z*(1+0.3*z)", 1.0, 64), ("1-z^2", 2.0, 96)])
+    def test_batched_summary_matches_series_loop(self, symbol, t, degree):
+        # the summary's batch against its ten draws composed one by one
+        m = operator_matrix(parse_symbol(symbol), t, degree, 1e-10)
+        rng = np.random.default_rng(20240601)
+        flow = SeriesFn(m.entries[:, 1])
+        worst = 0.0
+        for _ in range(10):
+            c = rng.standard_normal(degree + 1) / (1.0 + np.arange(degree + 1))
+            f = SeriesFn(c.astype(np.complex128))
+            worst = max(worst, float(np.max(np.abs(
+                series_compose(f, flow).coeffs - m.act(f).coeffs))))
+        got = matrix_summary(m)["residuals"]["apply_consistency"]
+        assert abs(got - worst) <= 1e-13
 
 
 class TestGeneratorResidual:

@@ -17,7 +17,10 @@ from holoflow import (
     series_compose,
     taylor,
 )
-from holoflow.series import _compose_arrays
+from holoflow import series
+from holoflow.series import (_compose_arrays, circle_points,
+                             coeffs_from_samples, noise_floor_radius,
+                             power_coeffs)
 
 GEOM = Ratio(Const(1.0), Poly((1, -1)))  # 1/(1-z)
 
@@ -140,6 +143,46 @@ def test_paterson_stockmeyer_matches_horner(inner):
         got = _compose_arrays(f, g)
         assert got.shape == (n,)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), n
+
+
+def test_stacked_composition_matches_rows():
+    # a stack takes Toeplitz products where one row takes np.convolve
+    rng = np.random.default_rng(3)
+    for n in range(1, 100, 7):
+        f = (rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+             ) / (1.0 + np.arange(n))
+        g = tanh_flow_coeffs(0.9, n)
+        got = _compose_arrays(f, g)
+        assert got.shape == (4, n)
+        for row, fr in zip(got, f):
+            ref = _compose_arrays(fr, g)
+            assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref)), n
+
+
+@pytest.mark.parametrize("degree", [8, 64, 256])
+def test_power_coeffs_blocks_give_the_same_bits(degree, monkeypatch):
+    # samples of the Moebius self-map (z + 0.3i) / (1 - 0.3i z) of the disc
+    r = noise_floor_radius(degree)
+    z = circle_points(degree, r)
+    u = (z + 0.3j) / (1 - 0.3j * z)
+    rows = []
+    for block in (1, 5, degree):
+        monkeypatch.setattr(series, "_POWER_BLOCK", block)
+        rows.append(power_coeffs(u, degree, degree, r))
+    for other in rows[1:]:
+        assert rows[0].tobytes() == other.tobytes()
+    assert np.array_equal(rows[0][0], np.eye(1, degree + 1)[0])
+    assert rows[0][1].tobytes() == coeffs_from_samples(
+        u, degree, r).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("degree", [8, 64, 256])
+def test_power_coeffs_of_a_dilation(degree):
+    # u = 0.9 z: row k is 0.9^k e_k
+    r = noise_floor_radius(degree)
+    rows = power_coeffs(0.9 * circle_points(degree, r), degree, degree, r)
+    want = np.diag(0.9 ** np.arange(degree + 1))
+    assert np.max(np.abs(rows - want)) <= 1e-12
 
 
 def test_composition_against_mpmath_on_tanh_flow():
