@@ -69,7 +69,6 @@ from .semigroup import (
     apply,
     generator_action,
     generator_residual,
-    generator_residuals,
     matrix_summary,
     matrix_to_csv,
     maximality_residual,
@@ -146,7 +145,6 @@ __all__ = [
     "flow_series",
     "generator_action",
     "generator_residual",
-    "generator_residuals",
     "herglotz_check",
     "integrate",
     "matrix_summary",

@@ -333,9 +333,11 @@ def cmd_generator_check(v: dict) -> tuple[int, dict, dict]:
     pairs = [(r["h"], r["residual"]) for r in residuals if r["residual"] > 0]
     slope = slope_reason = None
     if len(pairs) >= 2:
-        slope = float(np.polyfit(
-            np.log([p[0] for p in pairs]),
-            np.log([p[1] for p in pairs]), 1)[0])
+        # the least-squares slope in closed form: np.polyfit would load
+        # LAPACK (some 0.9 MB resident) to fit a line through three points
+        x, y = np.log(pairs).T
+        dx = x - x.mean()
+        slope = float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
     else:
         slope_reason = ("fewer than two nonzero residuals: "
                         "no measurable order in h")

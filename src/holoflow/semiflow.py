@@ -897,12 +897,15 @@ def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
     if not all(0 <= x for x in times) or any(
             b < a for a, b in zip(times, times[1:])):
         raise BadParameter("times must be nonnegative and nondecreasing")
-    identity = (np.eye(degree + 1, dtype=np.complex128) if powers
-                else SeriesFn.identity(degree))
     positive = [x for x in times if x > 0.0]
+    # the identity only when some time is 0: an idle (N+1) x (N+1) one
+    # would raise the peak memory of a matrix run
+    identity = [] if len(positive) == len(times) else [
+        np.eye(degree + 1, dtype=np.complex128) if powers
+        else SeriesFn.identity(degree)]
     if not positive:
         _check_tol(tol)
-        return [identity] * len(times)
+        return identity * len(times)
     _check_run(tol, positive[-1])
     r = noise_floor_radius(degree)
     circle = circle_points(degree, r)
@@ -918,10 +921,10 @@ def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
                           % (complex(lanes[lane]), t, positive[-1]))
     m = len(circle)
     if powers:
-        flows = [power_coeffs(u[:m], degree, degree, r) for u in states]
+        flows = [power_coeffs(u[:m], degree, r) for u in states]
     else:
         flows = [coeffs_from_samples(u[:m], degree, r) for u in states]
-    return [identity] * (len(times) - len(positive)) + flows
+    return identity * (len(times) - len(positive)) + flows
 
 
 def flow_series(G: HoloExpr, t: float, degree: int, tol: float) -> FlowSeries:

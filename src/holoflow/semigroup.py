@@ -208,11 +208,13 @@ def strong_continuity_report(G: HoloExpr, f: SeriesFn, space: CoefSpace,
 
 def matrix_to_csv(m: OperatorMatrix) -> str:
     """Row-major CSV; each entry contributes a re,im pair of columns."""
-    row_format = ",".join(["%.17g"] * (2 * m.entries.shape[1]))
-    rows = np.ascontiguousarray(m.entries).view(np.float64).tolist()
-    lines = ["# t=%.17g N=%d" % (m.t, m.degree)]
-    lines.extend(row_format % tuple(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    row_format = ",".join(["%.17g"] * (2 * m.entries.shape[1])) + "\n"
+    lines = ["# t=%.17g N=%d\n" % (m.t, m.degree)]
+    # row by row, so that an export never holds the whole matrix as
+    # Python floats
+    lines.extend(row_format % tuple(row.tolist())
+                 for row in m.entries.view(np.float64))
+    return "".join(lines)
 
 
 def matrix_summary(m: OperatorMatrix) -> dict:

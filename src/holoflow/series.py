@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadParameter, DegreeMismatch, NonFiniteError
 from .expr import HoloExpr
@@ -167,8 +168,10 @@ def _compose_arrays(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     padded[..., :n] = f
     blocks = padded.reshape(f.shape[:-1] + (m, s)) @ powers[:s]
     if f.ndim > 1:  # (a @ top)_l = sum_{i <= l} a_i (g^s)_{l - i}
-        k = np.arange(n)
-        top = np.triu(powers[s][np.abs(k - k[:, None])])
+        # row i of top is g^s shifted right by i places
+        shifted = np.concatenate([np.zeros(n - 1, dtype=np.complex128),
+                                  powers[s]])
+        top = np.ascontiguousarray(sliding_window_view(shifted, n)[::-1])
     acc = blocks[..., -1, :]
     for j in range(m - 2, -1, -1):
         carried = (np.convolve(acc, powers[s])[:n] if f.ndim == 1
@@ -193,15 +196,14 @@ def coeffs_from_samples(samples: np.ndarray, degree: int,
     return SeriesFn(hat[: degree + 1] / powers)
 
 
-# powers per FFT pass of power_coeffs: bounds the temporaries at
-# _POWER_BLOCK x M samples
+# powers per FFT pass of power_coeffs: its one work array holds
+# _POWER_BLOCK + 1 rows of M samples, and the FFT runs in place in it
 _POWER_BLOCK = 16
 
 
-def power_coeffs(samples: np.ndarray, k: int, degree: int,
-                 r: float) -> np.ndarray:
-    """Rows 0 .. k: the degree-`degree` coefficients of the powers u^j of
-    the function whose values at circle_points(degree, r) are samples.
+def power_coeffs(samples: np.ndarray, degree: int, r: float) -> np.ndarray:
+    """Rows 0 .. degree: the degree-`degree` coefficients of the powers u^j
+    of the function whose values at circle_points(degree, r) are samples.
 
     Row 0 is exactly e_0, and row 1 is coeffs_from_samples(samples, degree,
     r) bit for bit. Each pass forms _POWER_BLOCK powers, each as the
@@ -211,18 +213,20 @@ def power_coeffs(samples: np.ndarray, k: int, degree: int,
     block would round otherwise than row by row products.)
     """
     m, block = len(samples), _POWER_BLOCK
-    out = np.zeros((k + 1, degree + 1), dtype=np.complex128)
+    out = np.zeros((degree + 1, degree + 1), dtype=np.complex128)
     out[0, 0] = 1.0
     scale = r ** np.arange(degree + 1)
     run = np.empty((block + 1, m), dtype=np.complex128)
     run[0] = 1.0  # the power carried from the previous pass
-    for lo in range(1, k + 1, block):
-        b = min(block, k + 1 - lo)
+    for lo in range(1, degree + 1, block):
+        b = min(block, degree + 1 - lo)
         for i in range(1, b + 1):
             np.multiply(run[i - 1], samples, out=run[i])
-        hat = np.fft.fft(run[1:b + 1], axis=1)[:, :degree + 1] / m
-        out[lo:lo + b] = hat / scale
         run[0] = run[b]
+        hat = np.fft.fft(run[1:b + 1], axis=1, out=run[1:b + 1])
+        rows = out[lo:lo + b]
+        np.divide(hat[:, :degree + 1], m, out=rows)
+        rows /= scale
     return out
 
 

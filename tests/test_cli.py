@@ -4,6 +4,7 @@ import time
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from holoflow import geometry, parse_symbol, semiflow, series
@@ -41,6 +42,10 @@ def test_generator_check_slope_is_first_order(tmp_path, schema):
     jsonschema.validate(doc, schema)
     assert doc["slope"] == pytest.approx(1.0, abs=0.05)
     assert doc["slope_reason"] is None
+    # the closed-form fit is the least-squares line of np.polyfit
+    h, r = zip(*((e["h"], e["residual"]) for e in doc["residuals"]))
+    fit = np.polyfit(np.log(h), np.log(r), 1)[0]
+    assert doc["slope"] == pytest.approx(fit, rel=1e-12)
 
 
 def test_generator_check_integrates_the_flow_once(tmp_path, monkeypatch):

@@ -168,7 +168,7 @@ def test_power_coeffs_blocks_give_the_same_bits(degree, monkeypatch):
     rows = []
     for block in (1, 5, degree):
         monkeypatch.setattr(series, "_POWER_BLOCK", block)
-        rows.append(power_coeffs(u, degree, degree, r))
+        rows.append(power_coeffs(u, degree, r))
     for other in rows[1:]:
         assert rows[0].tobytes() == other.tobytes()
     assert np.array_equal(rows[0][0], np.eye(1, degree + 1)[0])
@@ -180,7 +180,7 @@ def test_power_coeffs_blocks_give_the_same_bits(degree, monkeypatch):
 def test_power_coeffs_of_a_dilation(degree):
     # u = 0.9 z: row k is 0.9^k e_k
     r = noise_floor_radius(degree)
-    rows = power_coeffs(0.9 * circle_points(degree, r), degree, degree, r)
+    rows = power_coeffs(0.9 * circle_points(degree, r), degree, r)
     want = np.diag(0.9 ** np.arange(degree + 1))
     assert np.max(np.abs(rows - want)) <= 1e-12
 
