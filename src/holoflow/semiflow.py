@@ -4,16 +4,21 @@ One driver, _drive, does all the integration: an embedded Dormand-Prince
 4(5) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 1980) in complex
 arithmetic, in three uses: one complex state; an array of lanes that
 share one step sequence; and an array of independent lanes, each with its
-own time, step size and step count. A step passes when
-tol * (1 + |u|) / |err| >= 1 (least over shared lanes, lane by lane for
-independent ones); a step whose endpoint the caller's admission rule
-refuses, or whose evaluation fails, is halved, except at a wall (below).
-When the step size underflows H_MIN within ESCAPE_DISTANCE of the boundary
-the run ends in an escape at the current time; underflow farther away, or
-more than _MAX_STEPS steps, raises StiffnessError (an independent lane
-fails alone instead). An escape is a solver-tolerance certificate, never a
-proof. The step-control rules are written once, as expressions that hold
-for Python scalars and elementwise for arrays.
+own time and step size. Independent lanes start together and every step
+steps each lane still running, so they share one step count. A step
+passes when tol * (1 + |u|) / |err| >= 1 (least over shared lanes, lane
+by lane for independent ones); a step whose endpoint the caller's
+admission rule refuses, or whose evaluation fails, is halved, except at
+a wall (below). When the step size underflows H_MIN within
+ESCAPE_DISTANCE of the boundary the run ends in an escape at the current
+time; underflow farther away, or more than _MAX_STEPS steps, raises
+StiffnessError (an independent lane fails alone instead). An escape is a
+solver-tolerance certificate, never a proof. The step-control rules are
+written once, as expressions that hold for Python scalars and
+elementwise for arrays; a step that every lane passes, the common case,
+takes the new state without masks. Every accepted step goes to the
+caller's hook, which may keep its arrays: the driver rebinds its state
+and never writes in place to an array it has handed to the hook.
 
 The step reads one tableau in two forms, and _drive picks one per run.
 _dp_step writes the stage sums out, one product per weight: on a Python
@@ -112,15 +117,15 @@ when it completes, escapes or fails, so the others keep stepping on a
 smaller array. An evaluation that raises on some lane is redone lane by
 lane in scalar form, and the raising lanes turn NaN, so only those lanes
 are refused and halved; a seed whose own evaluation raises fails alone.
-Each accepted step keeps the endpoints of its lanes and, by one
-_dense_samples pass, the dense samples of those whose step bends from its
-chord (see integrate_seeds). Lanes take the matrix form of the step, which
-rounds otherwise than the scalar path, so a borderline step decision can
-move a step point: points agree with integrate's to a few ulps of the
-magnitudes summed, end points to about 1e-15 and escape times to about
-1e-10 relative, and a lane that underflows next to a pole stops within
-H_MIN of the scalar run's time. A lane's bits do not depend on the other
-lanes (see the step forms above).
+The run holds its accepted steps, and one pass over a block of them
+keeps their endpoints and, by _dense_samples, the dense samples of the
+lane-steps that bend from their chord (see integrate_seeds). Lanes take
+the matrix form of the step, which rounds otherwise than the scalar
+path, so a borderline step decision can move a step point: points agree
+with integrate's to a few ulps of the magnitudes summed, end points to
+about 1e-15 and escape times to about 1e-10 relative, and a lane that
+underflows next to a pole stops within H_MIN of the scalar run's time. A
+lane's bits do not depend on the other lanes (see the step forms above).
 
 Flow coefficients (flow_series): the open-disc rule with shared lanes.
 The degree-N Taylor coefficients of the flow map z -> phi(t, z) on the
@@ -317,18 +322,20 @@ def _dp_step_lanes(rhs, y, h, k1):
     a multiple of _LANE_BLOCK, so that every lane is a column of the
     matrix kernel's full blocks, whose sums do not depend on the column's
     place: a lane's bits do not depend on the other lanes (see the module
-    docstring).
+    docstring). The products go through ndarray.dot, which gives the bits
+    of @ (0 of 1,800 random steps of 1 to 300 lanes differed) with less
+    dispatch: a step of 126 lanes of i*z takes 25 us in place of 32.
     """
     n = len(y)
     K = np.zeros((7, -(-n // _LANE_BLOCK) * _LANE_BLOCK), complex)
     K[0, :n] = k1
-    Kf, yf, hf, m = K.view(float), y.view(float), np.repeat(h, 2), 2 * n
+    Kf, yf, hf, m = K.view(float), y.view(float), h.repeat(2), 2 * n
     for i in range(1, 6):
-        K[i, :n] = rhs((yf + hf * (_TABLEAU[i, :i] @ Kf[:i])[:m]).view(
+        K[i, :n] = rhs((yf + hf * _TABLEAU[i, :i].dot(Kf[:i])[:m]).view(
             complex))
-    y5 = (yf + hf * (_TABLEAU[6, :6] @ Kf[:6])[:m]).view(complex)
+    y5 = (yf + hf * _TABLEAU[6, :6].dot(Kf[:6])[:m]).view(complex)
     K[6, :n] = rhs(y5)
-    return y5, (hf * (_TABLEAU[7] @ Kf)[:m]).view(complex), K[6, :n]
+    return y5, (hf * _TABLEAU[7].dot(Kf)[:m]).view(complex), K[6, :n]
 
 
 def _hermite(theta, y0, f0, y1, f1, h):
@@ -372,14 +379,12 @@ _EVAL_ERRORS = (HoloflowError, OverflowError, ZeroDivisionError)
 
 # Step control of one run (Python scalars, also when an array of lanes
 # shares one step) and of independent lanes (one array entry per lane).
-# advance(m, new, old) takes the new values where m holds.
+# count(m) is true when m holds anywhere (on lanes: the count of lanes,
+# which numpy takes in a third of the time of ndarray.any).
 _ONE = SimpleNamespace(where=lambda c, a, b: a if c else b, minimum=min,
-                       maximum=max, any=bool,
-                       advance=lambda m, new, old: new if m else old)
+                       maximum=max, count=bool)
 _LANES = SimpleNamespace(where=np.where, minimum=np.fmin,
-                         maximum=np.fmax, any=np.ndarray.any,
-                         advance=lambda m, new, old: [
-                             np.where(m, a, b) for a, b in zip(new, old)])
+                         maximum=np.fmax, count=np.count_nonzero)
 
 
 def _error_ratio(u, err, tol: float, per_lane: bool = False):
@@ -403,17 +408,19 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
     times, landing exactly on each.
 
     u is a complex number, an array of lanes that share one step, or, with
-    lanes=True, an array of independent lanes: each has its own time,
-    step size and step count, and leaves the run as soon as it ends
-    (independent lanes take one stop time). admit(y) judges each step
-    endpoint with _ACCEPT, _REJECT or _STOP (one verdict per independent
-    lane) and returns it with the endpoint's gap to the wall (its signed
-    distance minus DELTA_WALL), or with None under a rule without a wall;
-    boundary_distance(u) decides escape against stiffness at step
-    underflow; accepted(m, ids, t, h, u, k, t_next, y, k_y) sees every
+    lanes=True, an array of independent lanes: each has its own time and
+    step size, and leaves the run as soon as it ends (independent lanes
+    take one stop time). The lanes start together and every step steps
+    every lane still running, so they share one step count. admit(y)
+    judges each step endpoint with _ACCEPT, _REJECT or _STOP (one verdict
+    per independent lane) and returns it with the endpoint's gap to the
+    wall (its signed distance minus DELTA_WALL), or with None under a rule
+    without a wall; boundary_distance(u) decides escape against stiffness
+    at step underflow; accepted(ids, t, h, u, k, t_next, y, k_y) sees every
     accepted step, with slopes k and k_y (on independent lanes: arrays of
-    the running lanes, m marking those that accepted and ids giving
-    their positions in the initial u).
+    the lanes that accepted it, ids giving their positions in the initial
+    u). The hook may keep those arrays: _drive rebinds its state and never
+    writes in place to an array it has passed to accepted.
 
     Under a rule with a wall, the gaps drive the wall endgame of the
     module docstring: a predicted crossing less than H_MIN ahead is a step
@@ -439,13 +446,13 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
     xp = _LANES if lanes else _ONE
     step = (_dp_step_lanes if lanes else
             _dp_step_shared if isinstance(u, np.ndarray) else _dp_step)
-    where, minimum, maximum, any_ = xp.where, xp.minimum, xp.maximum, xp.any
+    where, minimum, maximum, count = xp.where, xp.minimum, xp.maximum, xp.count
     if lanes:
-        ids, t, steps = np.arange(len(u)), np.zeros(len(u)), np.zeros(
-            len(u), np.intp)
+        ids, t = np.arange(len(u)), np.zeros(len(u))
         aim, back = np.zeros(len(u), bool), np.zeros(len(u))
     else:
-        ids, t, steps, aim, back = 0, 0.0, 0, False, 0.0
+        ids, t, aim, back = 0, 0.0, False, 0.0
+    steps = 0
     ends = [None] * (len(u) if lanes else 1)
     t, h, k1 = start or (t, t + min(1e-3, stops[-1]), None)
     # the last point of the wall secant, back ahead of the current time,
@@ -456,44 +463,67 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
 
     def end(mask, kind, t, u, why=""):
         if not lanes:
-            ends[0] = (kind, t, u, why.format(t))
+            ends[0] = (kind, t, u, why and why.format(t))
             return
         for i, ti, ui in zip(ids[mask].tolist(), t[mask].tolist(),
                              u[mask].tolist()):
-            ends[i] = (kind, ti, ui, why.format(ti))
+            ends[i] = (kind, ti, ui, why and why.format(ti))
 
     states = []
     if k1 is None:
         k1 = rhs(u)  # a pole at the starting point propagates to the caller
     for stop in stops:
-        while any_(t < stop):
-            steps = steps + 1
-            h = minimum(h, stop - t)
+        # an independent lane leaves the run at the stop time, so every
+        # lane left is short of it
+        while t.size if lanes else t < stop:
+            steps += 1
+            left = stop - t
+            h = minimum(h, left)
             try:
                 y5, err, k7 = step(rhs, u, h, k1)
                 verdict, gap_y = admit(y5)
+                # an endpoint that ends the run needs no error test (on
+                # independent lanes every lane takes it)
                 ratio = (_error_ratio(u, err, tol, lanes)
-                         if any_(verdict != _STOP) else math.nan)
+                         if lanes or verdict != _STOP else math.nan)
             except _EVAL_ERRORS:
                 verdict, ratio, gap_y = _REJECT, math.nan, math.nan
-            passed = (verdict == _ACCEPT) & (ratio >= 1.0)
-            stopped = verdict == _STOP
-            if any_(stopped):
-                end(stopped, _STOPPED, t + h, y5)
-            if any_(passed):
-                t_next = where(h == stop - t, stop, t + h)
+            accept = verdict == _ACCEPT
+            passed = accept & (ratio >= 1.0)
+            # every lane passed, the common case: no masks
+            full = count(passed) == passed.size if lanes else passed
+            stopped = halt = False
+            if full:
+                t_next = where(h == left, stop, t + h)
                 if accepted is not None:
-                    accepted(passed, ids, t, h, u, k1, t_next, y5, k7)
-                t, u, k1 = xp.advance(passed, (t_next, y5, k7), (t, u, k1))
-            # a refused endpoint halves the step
-            scale = where(verdict == _ACCEPT, 0.9 * ratio ** 0.2, 0.5)
-            h_next = h * where(passed, minimum(5.0, maximum(0.2, scale)),
-                               minimum(0.7, maximum(0.1, scale)))
-            if walled and any_(aim | (verdict == _REJECT)):
-                # the wall endgame (see above). From the new state, the
-                # step endpoint is ahead by `ahead` and the secant's zero
-                # by `reach`; a new state within rounding of the wall has
-                # reached it.
+                    accepted(ids, t, h, u, k1, t_next, y5, k7)
+                t, u, k1 = t_next, y5, k7
+                h_next = h * minimum(5.0, maximum(0.2, 0.9 * ratio ** 0.2))
+            else:
+                # a refused endpoint halves the step
+                scale = where(accept, 0.9 * ratio ** 0.2, 0.5)
+                h_next = h * where(passed, minimum(5.0, maximum(0.2, scale)),
+                                   minimum(0.7, maximum(0.1, scale)))
+                stopped = verdict == _STOP
+                halt = count(stopped)
+                if halt:
+                    end(stopped, _STOPPED, t + h, y5)
+                if lanes and count(passed):
+                    t_next = where(h == left, stop, t + h)
+                    if accepted is not None:
+                        i = passed.nonzero()[0]
+                        accepted(*(x[i] for x in (ids, t, h, u, k1, t_next,
+                                                  y5, k7)))
+                    t, u, k1 = (where(passed, a, b) for a, b in (
+                        (t_next, t), (y5, u), (k7, k1)))
+            # the wall endgame (see above), for lanes in it or refused at
+            # the wall
+            endgame = walled and count(
+                aim if full else aim | (verdict == _REJECT))
+            if endgame:
+                # From the new state, the step endpoint is ahead by `ahead`
+                # and the secant's zero by `reach`; a new state within
+                # rounding of the wall has reached it.
                 ahead = where(passed, 0.0, h)
                 fall = gap - gap_y
                 reach = ahead + gap_y * (h - back) / where(
@@ -512,13 +542,14 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
                 back = where(at_wall, h, where(passed, 0.0, back))
                 gap = where(passed | at_wall, gap_y, gap)
             elif walled:
-                gap = where(passed, gap_y, gap)
+                gap = gap_y if full else where(passed, gap_y, gap)
             h = h_next
-            # rare: a stop, an underflow, the step limit, or (independent
-            # lanes) a lane that reached the stop time
-            ending = stopped | (h < H_MIN) | (steps >= _MAX_STEPS)
-            if any_((ending | (t >= stop)) if lanes else ending):
-                # an accepted step underflows only at the wall
+            # rare: a stop, an underflow (an accepted step underflows only
+            # in the wall endgame), the step limit, or (independent lanes)
+            # a lane that reached the stop time
+            if (halt or steps >= _MAX_STEPS
+                    or (endgame or not full) and count(h < H_MIN)
+                    or lanes and count(t >= stop)):
                 tiny = where(stopped, False, where(
                     passed, aim & (t < stop), True)) & (h < H_MIN)
                 escaped = tiny & (boundary_distance(u) < ESCAPE_DISTANCE)
@@ -532,7 +563,7 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
                          "boundary"),
                         (over, _FAILED, "step limit exceeded"),
                         (lanes and t >= stop, _COMPLETED, "")):
-                    if any_(mask):
+                    if count(mask):
                         end(mask, kind, t, u, why)
                         ended = ended | mask
                 if not lanes:
@@ -542,9 +573,8 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
                         return states, ends
                 else:
                     keep = ~ended
-                    ids, t, h, steps, u, k1, aim, back, gap = (
-                        x[keep] for x in (ids, t, h, steps, u, k1, aim, back,
-                                          gap))
+                    ids, t, h, u, k1, aim, back, gap = (
+                        x[keep] for x in (ids, t, h, u, k1, aim, back, gap))
         states.append(u)
     if not lanes:
         ends[0] = (_COMPLETED, t, u, "")
@@ -648,7 +678,7 @@ def integrate(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
             exit_rule = None
         return verdict
 
-    def record(_passed, _ids, t, h, u, k1, t_next, y, k_y):
+    def record(_ids, t, h, u, k1, t_next, y, k_y):
         nonlocal nxt
         if exit_rule:
             resume[:] = u, (t, h, k1)
@@ -698,8 +728,12 @@ def _eval_lanes(f, z: np.ndarray):
     return out, errors
 
 
-_MERGE_BATCHES = 256  # lane records merged into one array at a time
 _SAMPLE_BLOCK = 4096  # lane samples a pass, bounding the temporaries
+# lane-steps of accepted steps held for one sampling pass (a block holds
+# at least one step). A lane-step holds 96 bytes, so a block and its
+# joined copy take about 200 KB: a 1,056-lane portrait, one step a block,
+# peaks at 695 KB traced, and at 1.26 MB with four times the block.
+_STEP_BLOCK = _SAMPLE_BLOCK // 4
 
 # max of theta (1 - theta)^2 over [0, 1], at theta = 1/3
 _CHORD_BOUND = 4 / 27
@@ -722,52 +756,85 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
     theta (1-theta)^2 (h k1 - d) - theta^2 (1-theta) (h k_y - d), so the
     distance is at most (4/27) (|h k1 - d| + |h k_y - d|), and the samples
     go where that is below chord_tol (chord_tol = 0 keeps them all). The
-    others come from _dense_samples, by integrate's Hermite formula, run per
-    step in passes of about _SAMPLE_BLOCK samples. Points are complex128
-    with a 1- or 2-byte lane index; completed lanes share one Status.
+    others come from _dense_samples, by integrate's Hermite formula. The
+    run only holds its accepted steps; one pass over about _STEP_BLOCK
+    lane-steps takes the chord test, dense samples (in passes of about
+    _SAMPLE_BLOCK) and endpoints of them all, so a step of few lanes makes
+    no pass of its own. Points are complex128 with a 1- or 2-byte lane
+    index; completed lanes share one Status.
     """
     _check_run(tol, horizon)
     dense = _dense_times(horizon)
     z = np.array(seeds, dtype=complex)
+    f = G.eval
     with np.errstate(all="ignore"):
-        _, errors = _eval_lanes(G.eval, z)
+        _, errors = _eval_lanes(f, z)
         outside = np.flatnonzero(~domain.contains(z))
     for i in outside.tolist():
         errors[i] = _outside(seeds[i])
     live = [i for i in range(len(seeds)) if i not in errors]
     lane_type = np.min_scalar_type(max(len(live) - 1, 0))
-    merged = []  # (lanes, points) arrays, in the order they were recorded
-    batch = [(np.arange(len(live), dtype=lane_type), z[live])]
+    # (lanes, points) arrays, in the order they were recorded
+    merged = [(np.arange(len(live), dtype=lane_type), z[live])]
+    held, size = [], 0  # accepted steps not yet sampled, their lane-steps
 
-    def keep(ids, points):
-        batch.append((ids.astype(lane_type), points))
-        if len(batch) == _MERGE_BATCHES:
-            merged.append(tuple(map(np.concatenate, zip(*batch))))
-            batch.clear()
+    def rhs(x):
+        # a raising evaluation is redone lane by lane
+        try:
+            v = f(x)
+        except _EVAL_ERRORS:
+            return _eval_lanes(f, x)[0]
+        return v if isinstance(v, np.ndarray) else np.full(len(x), v, complex)
 
-    def record(m, *step):
-        # as in integrate: the dense samples of a step that bends by
-        # chord_tol (the bound of the docstring), then its endpoint
-        ids, t, h, u, k1, t_next, y, k_y = (x[m] for x in step)
+    def record(*step):
+        nonlocal size
+        held.append(step)
+        size += len(step[0])
+        if size >= _STEP_BLOCK:
+            sample()
+
+    def sample():
+        # as in integrate, each lane-step keeps the dense samples of a step
+        # that bends by chord_tol (the bound of the docstring), then its
+        # endpoint; rows are lane-steps in step order
+        nonlocal size
+        ids, t, h, u, k1, t_next, y, k_y = (
+            np.concatenate(x) if len(held) > 1 else x[0] for x in zip(*held))
+        held.clear()
+        size = 0
         d = y - u
-        bent = np.flatnonzero(~(_CHORD_BOUND * (
-            abs(h * k1 - d) + abs(h * k_y - d)) < chord_tol))
-        if len(bent):  # a step holds at most h / dense[0] + 1 dense times
-            width = _SAMPLE_BLOCK // int(h.max() / dense[0] + 2) + 1
-            for b in np.split(bent, range(width, len(bent), width)):
-                rows, _, points = _dense_samples(
-                    dense, t[b], h[b], np.array((u[b], k1[b], y[b], k_y[b])))
-                keep(ids[b][rows], points)
+        bent = (~(_CHORD_BOUND * (abs(h * k1 - d) + abs(h * k_y - d))
+                  < chord_tol)).nonzero()[0]
         moved = t_next != t
-        keep(ids[moved], y[moved])
+        if not len(bent):
+            merged.append((ids[moved].astype(lane_type), y[moved]))
+            return
+        # a step holds at most h / dense[0] + 1 dense times
+        width = _SAMPLE_BLOCK // int(h[bent].max() / dense[0] + 2) + 1
+        rows, samples = [], []
+        for b in np.split(bent, range(width, len(bent), width)):
+            r, _, p = _dense_samples(
+                dense, t[b], h[b], np.array((u[b], k1[b], y[b], k_y[b])))
+            rows.append(b[r])
+            samples.append(p)
+        # a row's samples fill its slots up to its endpoint's, the last
+        slots = np.bincount(np.concatenate(rows), minlength=len(t)) + moved
+        last = np.zeros(slots.sum(), bool)
+        last[np.cumsum(slots)[moved] - 1] = True
+        points = np.empty(len(last), complex)
+        points[last] = y[moved]
+        points[~last] = np.concatenate(samples)
+        merged.append((np.repeat(ids, slots).astype(lane_type), points))
 
     with np.errstate(all="ignore"):  # non-finite lanes are rejected
-        _, ends = _drive(lambda x: _eval_lanes(G.eval, x)[0], z[live],
-                         [horizon], tol, _wall_rule(domain, _LANES),
-                         domain.signed_distance, record, lanes=True)
+        _, ends = _drive(rhs, z[live], [horizon], tol,
+                         _wall_rule(domain, _LANES), domain.signed_distance,
+                         record, lanes=True)
+        if held:
+            sample()
     # a stable sort by lane keeps each lane's points in time order
-    lanes, points = map(np.concatenate, zip(*merged, *batch))
-    del merged[:], batch[:]
+    lanes, points = map(np.concatenate, zip(*merged))
+    del merged[:]
     points = points[np.argsort(lanes, kind="stable")]
     bounds = np.cumsum(np.bincount(lanes, minlength=len(live))).tolist()
     out = [errors.get(i) for i in range(len(seeds))]

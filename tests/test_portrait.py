@@ -405,16 +405,26 @@ def test_portrait_matches_per_polyline_format(symbol, domain, density,
 
 
 def test_sample_passes_keep_every_point(monkeypatch):
-    # a step's lanes are sampled in passes of about _SAMPLE_BLOCK dense
-    # times; one lane a pass gives the same bits
+    # the run holds its accepted steps and samples blocks of about
+    # _STEP_BLOCK lane-steps, each in passes of about _SAMPLE_BLOCK dense
+    # times; one lane a pass, one lane-step a block (each step alone) and
+    # one block for the whole run give the same bits, with every step
+    # sampled (chord_tol 0) and with the portrait's chord test. The whole
+    # run keeps every array handed to the accepted-step hook until its
+    # end, so it also fails if the run writes one of them in place.
     G, D = parse_symbol("(-0.25+1i)*z"), Domain.unit_disc()
     seeds = D.sample_grid(1)
-    ref = integrate_seeds(G, D, seeds, 6.0, TOL, 0.0)
-    monkeypatch.setattr(semiflow, "_SAMPLE_BLOCK", 3)
-    lanes = integrate_seeds(G, D, seeds, 6.0, TOL, 0.0)
-    for (points, status), (ref_points, ref_status) in zip(lanes, ref):
-        assert points.tobytes() == ref_points.tobytes()
-        assert status == ref_status
+    for chord_tol in (0.0, 0.25 / (CANVAS / 2.2)):
+        ref = integrate_seeds(G, D, seeds, 6.0, TOL, chord_tol)
+        for name, size in (("_SAMPLE_BLOCK", 3), ("_STEP_BLOCK", 1),
+                           ("_STEP_BLOCK", 10 ** 9)):
+            with monkeypatch.context() as patch:
+                patch.setattr(semiflow, name, size)
+                lanes = integrate_seeds(G, D, seeds, 6.0, TOL, chord_tol)
+            for (points, status), (ref_points, ref_status) in zip(lanes,
+                                                                   ref):
+                assert points.tobytes() == ref_points.tobytes(), name
+                assert status == ref_status
 
 
 def test_seed_errors_keep_their_type_text_and_place():

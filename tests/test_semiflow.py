@@ -316,7 +316,7 @@ def _per_sample_integrate(G, domain, z0, horizon, tol):
     dense = [horizon * k / n_dense for k in range(1, n_dense)]
     times, points, steps = [0.0], [complex(z0)], []
 
-    def record(_passed, _ids, t, h, u, k1, t_next, y, k_y):
+    def record(_ids, t, h, u, k1, t_next, y, k_y):
         steps.append(t_next)
         for td in dense[bisect_right(dense, t):bisect_left(dense, t + h)]:
             times.append(td)
