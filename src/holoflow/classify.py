@@ -31,8 +31,13 @@ Epistemics: a negative sample is a conclusive failure certificate for that
 candidate, a clean sample sheet is evidence only, and a sheet with a NaN
 sample (an overflowed evaluation) never passes. When no candidate passes,
 a finite exit time found by the integrator from one of 8 interior seeds
-(scalar runs, in order: the first usually decides) certifies NotGlobal;
-otherwise the verdict is Inconclusive.
+(scalar runs, in order: the first usually decides) certifies NotGlobal,
+provided the orbit leaves through the wall: its outward normal speed
+Re(conj(p) G(p)) / |p| at the exit point p must exceed sqrt(escape_tol).
+An orbit that creeps towards a boundary fixed point (the tanh flow of
+1 - z^2 reaches 1 - |u| = DELTA_WALL near t = 10.7) ends as an escape of
+the integrator with a normal speed near 0, and is no witness. Otherwise
+the verdict is Inconclusive.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ import numpy as np
 from .errors import BadParameter, PoleError, ToleranceError
 from .expr import HoloExpr, Poly, Product, Ratio
 from .geometry import Domain
-from .semiflow import _EVAL_ERRORS, _check_run, _eval_lanes, escape_time
+from .semiflow import (_COMPLETED, _EVAL_ERRORS, _check_run, _eval_lanes,
+                       _final_state)
 
 GLOBAL = "Global"
 NOT_GLOBAL = "NotGlobal"
@@ -258,9 +264,10 @@ def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
     factorization passes the sampled positivity check (least Re F sample
     at least -TOL_HERGLOTZ, none NaN), NotGlobal with an
     escape witness when no candidate passes and some interior seed exits
-    in finite time, and Inconclusive otherwise. The escape horizon and
-    tolerance are checked before any work, by the rule of every run
-    (BadParameter).
+    in finite time through the wall (outward normal speed above
+    sqrt(escape_tol) at the exit point), and Inconclusive otherwise. The
+    escape horizon and tolerance are checked before any work, by the rule
+    of every run (BadParameter).
     """
     _check_run(escape_tol, escape_t_max)
     seeds, grid = _classification_seeds(density)
@@ -287,10 +294,13 @@ def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
             for i in range(_ESCAPE_SEEDS)]
     for z0 in hunt:
         try:
-            t_esc = escape_time(G, disc, z0, escape_t_max, escape_tol)
+            kind, t, p = _final_state(G, disc, z0, escape_t_max, escape_tol)
+            if kind == _COMPLETED:
+                continue
+            outward = (p.conjugate() * G.eval(p)).real / abs(p)
         except _EVAL_ERRORS:
             continue
-        if t_esc is not None:
+        if outward > math.sqrt(escape_tol):
             return BPVerdict(NOT_GLOBAL, min_re_F=best_min_re,
-                             witness=EscapeWitness(z0, t_esc))
+                             witness=EscapeWitness(z0, float(t)))
     return BPVerdict(INCONCLUSIVE, min_re_F=best_min_re)

@@ -23,39 +23,34 @@ and never writes in place to an array it has handed to the hook.
 The step reads one tableau in two forms, and _drive picks one per run.
 _dp_step writes the stage sums out, one product per weight: on a Python
 complex that is the fastest form. Arrays of lanes form each stage sum as
-one matrix-vector product on the float64 view of the stacked stages.
-Lanes that share one step (flow_series) take _dp_step_shared, which folds
-h into the tableau; for -z, 1 - z^2 and a Moebius symbol at 69 to 1,029
-lanes it takes 0.52 to 0.67 of the time of the written-out sums (2-CPU
-Xeon, one BLAS thread). Independent lanes (integrate_seeds) take
-_dp_step_lanes, which scales each row sum by the lane's own h;
-integrate_seeds then takes 0.67 to 0.81 of the time of the written-out sums
-on six bench-like portraits (same machine, median of 25 alternating
-calls). The matrix form sums the products in another order, so one step
-differs from the written-out sums by a few ulps of the magnitudes summed
-(at most 3.2e-16 for seven symbols on lanes of modulus below 0.9 at
-h = 0.037), flow_series coefficients by at most 7.8e-13 (N = 16, 64 and
-256, t = 0.7, tol 1e-9), and portrait lanes no longer repeat the bits of
-scalar runs of their seeds. The two array forms stay apart: one function
-for both, branching on the form of h, made flow_series 4% to 11% slower.
+one matrix-vector product on the float64 view of the stacked stages,
+which on arrays is faster than the written-out sums. Lanes that share one
+step (flow_series) take _dp_step_shared, which folds h into the tableau;
+independent lanes (integrate_seeds) take _dp_step_lanes, which scales
+each row sum by the lane's own h. The matrix form sums the products in
+another order, so one step differs from the written-out sums by a few
+ulps of the magnitudes summed, and portrait lanes do not repeat the bits
+of scalar runs of their seeds. The two array forms stay apart, since one
+function for both, branching on the form of h, made flow_series slower.
+The timings and the differences are in CHANGES.md, in the entries that
+introduced _dp_step_shared and _dp_step_lanes.
 
 Independent lanes keep one property of the written-out sums: a lane's
 bits do not depend on which other lanes run beside it, so a seed's
 portrait lane is the same whichever seeds share its run. A matrix kernel
 sums the columns of its full blocks alike wherever they sit, but it
-rounds a ragged tail of columns in another way (OpenBLAS): over random
-subsets and permutations of ten portraits' seeds, a product over the
-bare lanes changed 163 of 3,667 lane results. So K's lane axis is padded
-with zero lanes to a multiple of _LANE_BLOCK = 8 (16 float columns, two
-AVX-512 registers), and every lane is a column of a full block: 0 of
-24,233 lane results changed (a block of 2 lanes sufficed on the machine
-measured). Elementwise products summed over the stage axis would be
-exact by construction, but they take 0.79 to 0.92 of the time of the
-written-out sums on the same portraits, half the gain. One coupling is
-left: an evaluation that raises on some lane is redone in scalar form on
-every lane (below), which rounds otherwise than the array form; over
-eleven portraits, poles and seeds pulled into them included, only the
-check of the seeds raised (4 of 7,768 array evaluations).
+rounds a ragged tail of columns in another way (OpenBLAS), so over the
+bare lanes some lane results change with the seeds beside them. So K's
+lane axis is padded with zero lanes to a multiple of _LANE_BLOCK = 8 (16
+float columns, two AVX-512 registers), and every lane is a column of a
+full block; then no lane result changed over random subsets and
+permutations of the seeds of ten portraits (CHANGES.md, the entry that
+introduced _dp_step_lanes). Elementwise products summed over the stage
+axis would be exact by construction, but they keep half the gain. One
+coupling is left: an evaluation that raises on some lane is redone in
+scalar form on every lane (below), which rounds otherwise than the array
+form; over eleven portraits, poles and seeds pulled into them included,
+only the check of the seeds raised.
 
 Fixed constants:
 
@@ -156,13 +151,10 @@ series.taylor does for an expression:
     |u| / |G(u)|, an Euler probe of length h0 for the change of slope,
     and h = min(100 h0, (0.01 / max(|G(u)|, |G'G|))^(1/5)), at the cost
     of one extra evaluation. A fixed first step of 1e-3 grows at most 5x
-    a step towards one the error test would take from the start: over a
-    round of the coefficients bench (seed 13) the shared-lane runs took
-    1,892 steps in place of 1,984, and over 144 flow_series runs (6
-    symbols; N = 16, 64 and 256; t = 0.1, 0.7, 2 and 5; tol 1e-6 and
-    1e-10) 3,679 in place of 3,885. Coefficients moved by at most 2.7e-7
-    at tol 1e-6 and 1.4e-12 at tol 1e-10. Trajectories and portraits keep
-    h = 1e-3.
+    a step towards one the error test would take from the start, so the
+    estimate saves steps; the step counts and the coefficient moves are
+    in CHANGES.md, in the entry on operator matrices from the flow's
+    circle samples. Trajectories and portraits keep h = 1e-3.
 
 Time 0 gives the exact identity series. Checking all M circle lanes for
 escape is stricter than checking the interior points alone: the flow of

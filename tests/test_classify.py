@@ -15,6 +15,7 @@ from holoflow import (
     ToleranceError,
     bp_build,
     bp_classify,
+    escape_time,
     herglotz_check,
     parse_symbol,
 )
@@ -116,6 +117,33 @@ def test_classify_two_interior_zeros():
     # seeds out of the disc, so no factorization candidate may pass
     v = bp_classify(parse_symbol("z*(1-z)"))
     assert v.status == "NotGlobal"
+
+
+def test_orbit_creeping_to_the_wall_is_no_witness():
+    # G equals 1 - z^2 off z = 1, a generator. Its Ratio raises near z = 1,
+    # so Newton finds only b = -1, which fails; the orbit from 0.5 follows
+    # the tanh flow towards the fixed point 1 and meets the wall near
+    # t = 10.19, moving outward at about 2e-9 there: an escape of the
+    # integrator, not a finite exit time
+    v = bp_classify(parse_symbol("(1-z)^2*(1+z)/(1-z)"))
+    assert v.status != "NotGlobal"
+    assert v.witness is None
+
+
+@pytest.mark.parametrize("symbol,t_escape", [
+    ("z", 0.69314717925242408),
+    ("z^2+0.5", 0.48060196592323418),
+    ("2*z+1", 0.20273255367528331),
+    ("1/(z-0.5)", 0.26438731947633332),
+])
+def test_witness_is_the_escape_time_of_its_seed(symbol, t_escape):
+    # orbits that cross the wall keep their witness, bit for bit
+    G = parse_symbol(symbol)
+    v = bp_classify(G)
+    assert v.status == "NotGlobal"
+    assert v.witness.t_escape == t_escape
+    assert v.witness.t_escape == escape_time(G, Domain.unit_disc(),
+                                             v.witness.z0, 20.0, 1e-9)
 
 
 def test_round_trip_randomized():

@@ -9,10 +9,13 @@ which other seeds run beside it.
 """
 
 import logging
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoflow import (
     Domain,
@@ -23,8 +26,9 @@ from holoflow import (
     parse_symbol,
 )
 from holoflow import portrait, semiflow
-from holoflow.portrait import (CANVAS, _MARGIN_PX, _PALETTE, _on_canvas,
-                               _polylines, _viewport, render_portrait)
+from holoflow.portrait import (CANVAS, _FIXED2_MAX, _MARGIN_PX, _PALETTE,
+                               _fixed2, _on_canvas, _polylines, _viewport,
+                               render_portrait)
 from holoflow.semiflow import H_MIN, integrate_seeds
 
 TOL = 1e-9
@@ -363,6 +367,101 @@ def test_large_portrait_memory_is_bounded():
         tracemalloc.stop()
     assert summary["completed"] == 1056
     assert peak < 1_000_000
+
+
+def _fixed2_texts(values):
+    """_fixed2 of values with a comma after each, as one text per value,
+    or None when the kernel declines the run."""
+    values = np.array(values, float)
+    text = _fixed2(values, np.full(len(values), ord(","), np.uint8))
+    return None if text is None else text.decode().split(",")[:-1]
+
+
+def _guarded(x):
+    """Whether the kernel must leave x to %: x is not finite, not below
+    _FIXED2_MAX, or 100 x is within 1e-6 of a half-integer."""
+    if not abs(x) < _FIXED2_MAX:
+        return True
+    y = 100.0 * x
+    return abs(y - round(y)) > 0.5 - 1e-6
+
+
+def _neighbours(x, ulps=3):
+    """x and the floats up to ulps steps on either side."""
+    out = [x]
+    for towards in (math.inf, -math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, towards)
+            out.append(y)
+    return out
+
+
+# exact half-cent ties k/100 + 0.005 (as floats), and their neighbours
+HALF_CENTS = st.integers(-999_999, 999_999).map(lambda k: k / 100 + 0.005)
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+           -1e-310, 0.004, -0.004, 0.005, -0.005, 0.125, -0.375, 2.675,
+           math.inf, -math.inf, math.nan, _FIXED2_MAX,
+           -_FIXED2_MAX, 9_999.98, -9_999.98, 9_999.985, 1e300, -1e308]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.floats(),  # every float: subnormals, +-inf and NaN included
+    st.floats(-20.0, 830.0),  # pixel values
+    st.floats(9_990.0, 10_010.0).flatmap(lambda x: st.sampled_from([x, -x])),
+    HALF_CENTS,
+    HALF_CENTS.flatmap(lambda x: st.sampled_from(_neighbours(x)))))
+def test_fixed2_writes_the_bytes_of_percent_format(x):
+    assert _fixed2_texts([x]) == (None if _guarded(x) else ["%.2f" % x])
+
+
+@pytest.mark.parametrize("x", SPECIAL)
+def test_fixed2_on_special_values(x):
+    for y in _neighbours(x):
+        assert _fixed2_texts([y]) == (None if _guarded(y) else ["%.2f" % y])
+
+
+def test_fixed2_writes_each_value_of_a_run_alone():
+    rng = np.random.default_rng(11)
+    values = np.concatenate([
+        [-0.0, 0.0, -0.004, 0.004, 0.01, -0.01, 9.995001, 99.99, 100.0,
+         999.994, 1000.0, -9_999.98, 9_999.98],
+        rng.uniform(-_MARGIN_PX, CANVAS + _MARGIN_PX, 5000),
+        np.round(rng.uniform(-1000.0, 1000.0, 1000), 2),
+        rng.uniform(-1e-3, 1e-3, 500)])
+    assert _fixed2_texts(values) == ["%.2f" % x for x in values.tolist()]
+    assert _fixed2_texts([]) == []
+    for bad in (672.825, 1e4, -1e10, math.inf, math.nan):
+        assert _fixed2_texts(np.append(values, bad)) is None
+
+
+def test_one_tie_sends_its_run_to_the_reference_format(monkeypatch):
+    # 672.825 is a half-cent tie for the kernel (100 x rounds to 67282.5);
+    # a run that holds it is written by % alone, with the same text
+    results = []
+
+    def recording(values, seps):
+        results.append(_fixed2(values, seps))
+        return results[-1]
+
+    monkeypatch.setattr(portrait, "_fixed2", recording)
+    rng = np.random.default_rng(3)
+    points = rng.uniform(0.0, 800.0, 200) + 1j * rng.uniform(0.0, 800.0, 200)
+
+    def same(v):
+        return v
+
+    for tie, fast in ((672.825, False), (672.8251, True)):
+        p = points.copy()
+        p[77] = complex(p[77].real, tie)
+        drawn = [(p[:100], "#000000", ""), (p[100:], "#1f77b4", "")]
+        results.clear()
+        text = _polylines(same, same, drawn)
+        assert [r is not None for r in results] == [fast]
+        assert text == "\n".join(_polyline(
+            _per_point(q.real.tolist(), q.imag.tolist()), stroke, dash)
+            for q, stroke, dash in drawn)
 
 
 def _trim(xs, ys):
