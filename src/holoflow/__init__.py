@@ -81,7 +81,6 @@ from .spaces import (
     BetaRule,
     CoefSpace,
     ConditionEVerdict,
-    MembershipReport,
     parse_space,
 )
 from .transfer import (
@@ -115,7 +114,6 @@ __all__ = [
     "HerglotzReport",
     "HoloExpr",
     "HoloflowError",
-    "MembershipReport",
     "Mobius",
     "Neg",
     "NonFiniteError",

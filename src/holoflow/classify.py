@@ -15,14 +15,13 @@ step is below 0.05 and within 0.1 of half its last step takes twice the
 step, which converges quadratically at a double root (Traub, Iterative
 Methods for the Solution of Equations, 1964); the bound on the step keeps
 seeds far from a pair of simple roots, where steps also halve, from
-jumping to the middle of the pair. Over 900 random Berkson-Porta symbols
-with the three Herglotz factors of the benchmark, boundary-b symbols need
-7 to 21 iterations where plain Newton needs 41 to 50, and interior-b
-symbols need as many as with plain Newton. It keeps converged roots inside
-the closed disc; with none, the 8 spaced minima of |G| among 256 boundary
-points (one evaluation) are the candidates. For each candidate it forms
-the cofactor F = G / ((b - z)(1 - conj(b) z)) and samples Re F on the
-deterministic interior grid in one evaluation. Removable-singularity
+jumping to the middle of the pair. So a boundary b takes a fraction of
+plain Newton's iterations, and an interior b, a simple root, as many
+(CHANGES.md, PR 10). It keeps converged roots inside the closed disc;
+with none, the 8 spaced minima of |G| among 256 boundary points (one
+evaluation) are the candidates. For each candidate it forms the cofactor
+F = G / ((b - z)(1 - conj(b) z)) and samples Re F on the deterministic
+interior grid in one evaluation. Removable-singularity
 samples (the grid point sits on a zero of the factor) are replaced by the
 average of F over a circle of radius 1e-4 around the point. Seeds and
 grid are computed once per density.

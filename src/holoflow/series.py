@@ -13,8 +13,8 @@ blocks adds them up, so a composition costs about 2 sqrt(n) truncated
 products instead of n. A stack of outer series (k, n) is composed with one
 inner series in one pass: each Horner step is then one matrix product with
 the upper-triangular Toeplitz matrix of g^s. One series keeps np.convolve,
-which is faster for a single row (a one-row Toeplitz product took 1.2 to
-2.3 times as long), so the shape of f picks the form.
+which is faster than a Toeplitz product for a single row (CHANGES.md,
+PR 19), so the shape of f picks the form.
 
 Coefficients of an expression are extracted by trapezoidal sampling on a
 circle: with M = max(4N, 64) equispaced samples at radius r,

@@ -266,6 +266,20 @@ def test_unwritable_paths_exit_1_without_artifacts(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--symbol", "-z", "--f", "z", "--N", "8",
+     "--out", "A", "--matrix-out", "A"],
+    ["counterexample", "--out", "A", "--trajectory-out", "SAME_AS_A"],
+], ids=lambda argv: argv[0])
+def test_two_outputs_at_one_path_are_parse_errors(tmp_path, capsys, argv):
+    # another spelling of one path is the same path
+    paths = {"A": str(tmp_path / "artifact"),
+             "SAME_AS_A": str(tmp_path / "." / "artifact")}
+    assert main([paths.get(a, a) for a in argv]) == 1
+    _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_portrait_counts_overflowing_seeds_as_failed(tmp_path, capsys):
     svg = tmp_path / "portrait.svg"
     assert main(["portrait", "--symbol", "exp(800)", "--density", "1",

@@ -358,14 +358,3 @@ class TestStrongContinuity:
         # G f' = 1 + 2z - z^2 - 2z^3 has H2 norm sqrt(10).
         t, d = report[-1]
         assert d == pytest.approx(t * math.sqrt(10), rel=1e-3)
-
-
-class TestReproducingPairing:
-    def test_pairing_tracks_apply(self):
-        f = e(1, 24) + e(3, 24)
-        out = apply(TANH, 0.3, f, 1e-10)
-        for space in (H2, CoefSpace.bergman(), CoefSpace.dirichlet()):
-            for z in (0.3, -0.2 + 0.4j):
-                k = space.kernel_coeffs(z, 24)
-                assert space.pair(out, k) == pytest.approx(
-                    out.eval_at(z), rel=1e-12)
