@@ -27,10 +27,10 @@ are skipped); explicit flags win and unknown keys are rejected.
 
 One-line JSON summaries go to standard output, full artifacts to files.
 JSON reports embed schema_version "1" (schemas/report-v1.json). Exit
-codes: 0 success, 1 parse error (two output options naming one path
-included) or an output path that cannot be written, 2 numeric failure, 3 escape result, 4 inconclusive verdict. A
-command that fails writes no artifact. Two runs with identical configs
-produce byte-identical artifacts.
+codes: 0 success, 1 parse error (two outputs at one path included) or an
+output path that cannot be written, 2 numeric failure, 3 escape result, 4
+inconclusive verdict. A command that fails writes no artifact. Two runs
+with identical configs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
