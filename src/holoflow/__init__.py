@@ -48,7 +48,6 @@ from .expr import (
     Ratio,
     Sum,
     Var,
-    Z,
 )
 from .geometry import Domain, parse_domain
 from .grammar import parse_symbol
@@ -130,7 +129,6 @@ __all__ = [
     "ToleranceError",
     "Trajectory",
     "Var",
-    "Z",
     "apply",
     "backward_integrate",
     "bp_build",

@@ -4,39 +4,15 @@ A generator of a global semiflow of the disc factors as
 
     G(z) = (b - z)(1 - conj(b) z) F(z),   |b| <= 1,  Re F >= 0 on the disc
 
-(the Berkson-Porta form; b is the Denjoy-Wolff point). The classifier
-searches for b by undamped Newton iteration on G from 32 fixed seeds
-(16 strided grid points, 16 boundary points), run as lanes of one array:
-each iteration evaluates G and G' once on the lanes still running, and a
-lane whose evaluation raises fails alone. A boundary b is a double root,
-since (b - z)(1 - conj(b) z) = conj(b)(z - b)^2 when |b| = 1, and there
-Newton converges only linearly, each step half the last. A lane whose
-step is below 0.05 and within 0.1 of half its last step takes twice the
-step, which converges quadratically at a double root (Traub, Iterative
-Methods for the Solution of Equations, 1964); the bound on the step keeps
-seeds far from a pair of simple roots, where steps also halve, from
-jumping to the middle of the pair. So a boundary b takes a fraction of
-plain Newton's iterations, and an interior b, a simple root, as many
-(CHANGES.md, PR 10). It keeps converged roots inside the closed disc;
-with none, the 8 spaced minima of |G| among 256 boundary points (one
-evaluation) are the candidates. For each candidate it forms the cofactor
-F = G / ((b - z)(1 - conj(b) z)) and samples Re F on the deterministic
-interior grid in one evaluation. Removable-singularity
-samples (the grid point sits on a zero of the factor) are replaced by the
-average of F over a circle of radius 1e-4 around the point. Seeds and
-grid are computed once per density.
-
-Epistemics: a negative sample is a conclusive failure certificate for that
-candidate, a clean sample sheet is evidence only, and a sheet with a NaN
+(the Berkson-Porta form; b is the Denjoy-Wolff point). bp_classify looks
+for b among the Newton roots of G (_newton_roots) or, with none, among the
+minima of |G| on the unit circle (_boundary_minima), and samples Re F of
+each candidate on the deterministic interior grid in one evaluation
+(_re_sheet). A negative sample is a conclusive failure certificate for
+that candidate, a clean sheet is evidence only, and a sheet with a NaN
 sample (an overflowed evaluation) never passes. When no candidate passes,
-a finite exit time found by the integrator from one of 8 interior seeds
-(scalar runs, in order: the first usually decides) certifies NotGlobal,
-provided the orbit leaves through the wall: its outward normal speed
-Re(conj(p) G(p)) / |p| at the exit point p must exceed sqrt(escape_tol).
-An orbit that creeps towards a boundary fixed point (the tanh flow of
-1 - z^2 reaches 1 - |u| = DELTA_WALL near t = 10.7) ends as an escape of
-the integrator with a normal speed near 0, and is no witness. Otherwise
-the verdict is Inconclusive.
+an orbit that leaves through the wall certifies NotGlobal; otherwise the
+verdict is Inconclusive.
 """
 
 from __future__ import annotations
@@ -51,7 +27,7 @@ import numpy as np
 
 from .errors import BadParameter, PoleError, ToleranceError
 from .expr import HoloExpr, Poly, Product, Ratio
-from .geometry import Domain
+from .geometry import Domain, _grid
 from .semiflow import (_COMPLETED, _EVAL_ERRORS, _check_run, _eval_lanes,
                        _final_state)
 
@@ -163,10 +139,20 @@ def _newton_roots(G: HoloExpr, seeds, tol_b: float):
     """Converged Newton roots of G inside |z| <= 1 + tol_b, deduplicated
     and ordered by (|b|, arg b in [0, 2 pi)).
 
-    The seeds run as lanes of one array; a lane leaves the run when its
+    The seeds run as lanes of one array: each iteration evaluates G and G'
+    once on the lanes still running. A lane leaves the run when its
     evaluation raises (a failure), when |G'| < 1e-300, when z leaves
     |z| <= 10 or turns non-finite, or when its step falls below
     _NEWTON_TOL (converged). ToleranceError when every seed fails.
+
+    A boundary b is a double root, since (b - z)(1 - conj(b) z) =
+    conj(b)(z - b)^2 when |b| = 1, and there Newton converges only
+    linearly, each step half the last. A lane whose step is below
+    _DOUBLE_STEP and within _DOUBLE_DRIFT of half its last step takes
+    twice the step, which converges quadratically at a double root (Traub,
+    Iterative Methods for the Solution of Equations, 1964); the bound on
+    the step keeps seeds far from a pair of simple roots, where steps also
+    halve, from jumping to the middle of the pair (CHANGES.md, PR 10).
     """
     Gp = G.derivative()
     z = np.array(seeds, dtype=complex)
@@ -222,8 +208,10 @@ def _candidate_key(b: complex):
 
 @functools.lru_cache(maxsize=16)
 def _classification_seeds(density: int):
-    """(Newton seeds, Herglotz grid) of a grid density, as tuples."""
-    grid = tuple(Domain.unit_disc().sample_grid(density))
+    """(Newton seeds, Herglotz grid) of a grid density, as tuples; the
+    seeds are _NEWTON_SEEDS / 2 strided grid points and as many points of
+    the unit circle."""
+    grid = _grid(Domain.unit_disc(), density)
     n_grid = _NEWTON_SEEDS // 2
     stride = [grid[round(i * (len(grid) - 1) / (n_grid - 1))]
               for i in range(n_grid)]
@@ -265,8 +253,12 @@ def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
     escape witness when no candidate passes and some interior seed exits
     in finite time through the wall (outward normal speed above
     sqrt(escape_tol) at the exit point), and Inconclusive otherwise. The
-    escape horizon and tolerance are checked before any work, by the rule
-    of every run (BadParameter).
+    seeds are _ESCAPE_SEEDS strided grid points, run one by one in order
+    (the first usually decides). An orbit that creeps towards a boundary
+    fixed point (the tanh flow of 1 - z^2 reaches 1 - |u| = DELTA_WALL
+    near t = 10.7) ends as an escape of the integrator with a normal speed
+    near 0, and is no witness. The escape horizon and tolerance are
+    checked before any work, by the rule of every run (BadParameter).
     """
     _check_run(escape_tol, escape_t_max)
     seeds, grid = _classification_seeds(density)

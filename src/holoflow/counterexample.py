@@ -10,16 +10,9 @@ is the Berkson-Porta form for the radius-2 disc (its zeros are b and
 every orbit converges to the Denjoy-Wolff point b. Orbits started inside
 the unit disc therefore cross |z| = 1 at a finite time: composing with
 this flow does not act by self-maps of the unit disc, even though the
-flow never misbehaves on the larger disc. The run below demonstrates
+flow never misbehaves on the larger disc. run_counterexample shows
 exactly that geometry and reports the first crossing time, confinement to
 the big disc, and the distance to b at the end of the run.
-
-The crossing time is the escape time of the same flow on the unit disc,
-taken from the radius-2 run itself: integrate(..., exit_from=unit disc)
-watches the unit disc's wall rule on every step and afterwards resumes
-only that rule's wall endgame, from the last step both rules admitted.
-It is escape_time's value bit for bit, so it carries the same
-solver-tolerance certificate as every other escape time.
 
 Restricted to the unit disc the symbol has no zero in the closed disc at
 all, so the globality classifier can only reject it, via an escape
@@ -37,7 +30,7 @@ import numpy as np
 from .classify import _herglotz_on
 from .errors import BadParameter, DomainError, EscapeError, HerglotzError
 from .expr import Const, HoloExpr, Poly, Product
-from .geometry import Domain
+from .geometry import Domain, _grid
 from .semiflow import Trajectory, integrate
 
 BIG_RADIUS = 2.0
@@ -51,9 +44,7 @@ DEFAULT_DW_TOL = 1e-3
 @dataclass(frozen=True)
 class CounterexampleReport:
     b: complex
-    f_desc: str
     z0: complex
-    t_long: float
     dw_tol: float
     t_exit: Optional[float]
     dw_distance: float
@@ -69,9 +60,6 @@ def big_disc() -> Domain:
     return Domain.disc(0j, BIG_RADIUS)
 
 
-_HERGLOTZ_GRID = tuple(big_disc().sample_grid(HERGLOTZ_DENSITY))
-
-
 def build_counterexample(b: complex, F: HoloExpr = Const(1.0)) -> HoloExpr:
     """The symbol F(z) (conj(b) z / 4 - 1)(z - b) on the radius-2 disc.
 
@@ -81,7 +69,7 @@ def build_counterexample(b: complex, F: HoloExpr = Const(1.0)) -> HoloExpr:
     b = complex(b)
     if not 1.0 < abs(b) < BIG_RADIUS:
         raise BadParameter("need 1 < |b| < 2, got |b| = %r" % abs(b))
-    worst = _herglotz_on(F, _HERGLOTZ_GRID)
+    worst = _herglotz_on(F, _grid(big_disc(), HERGLOTZ_DENSITY))
     if worst.min_re < 0.0:
         raise HerglotzError("Re F = %r < 0 at z = %r on the radius-2 disc"
                             % (worst.min_re, worst.argmin))
@@ -99,7 +87,9 @@ def run_counterexample(b: complex, F: HoloExpr, z0: complex,
     distance to b at the end. When a recorded sample of that trajectory
     reaches |z| >= 1, the first crossing time is the escape time of the
     flow from z0 on the unit disc, which the same run gives (its exit
-    time on the unit disc; a few more steps, no second integration). If
+    time on the unit disc; a few more steps, no second integration): it
+    is escape_time's value bit for bit, with the same solver-tolerance
+    certificate as every other escape time. If
     no sample crosses before t_long the report carries a warning instead
     of an exit time; if the flow leaves the radius-2 disc the run raises
     EscapeError, which indicates F is not Herglotz there.
@@ -130,7 +120,7 @@ def run_counterexample(b: complex, F: HoloExpr, z0: complex,
                 % (dw_distance, dw_tol))
         warning = note if warning is None else warning + "; " + note
     return CounterexampleReport(
-        b=b, f_desc=str(F), z0=z0, t_long=t_long, dw_tol=dw_tol,
+        b=b, z0=z0, dw_tol=dw_tol,
         t_exit=t_exit, dw_distance=dw_distance, warning=warning,
         trajectory=traj,
     )

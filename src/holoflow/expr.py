@@ -4,10 +4,8 @@ Expressions are immutable trees built from constants, the identity
 variable z, polynomials (ascending coefficients), quotients, Moebius maps,
 binary sums/products, composition, negation and the exponential. They
 evaluate recursively, differentiate structurally, and never simplify
-themselves. Arithmetic operators are overloaded so callers can write
-``1 - Z**2`` instead of spelling out nodes. A power e ** n is the monomial
-z^n composed with e (the monomial itself when e is z), so its derivative
-grows linearly in n.
+themselves. The grammar (grammar.parse_symbol) builds them from text;
+callers in code spell out the nodes.
 
 ``eval`` takes a complex scalar or a numpy array of points (lanes) and
 works elementwise on arrays. A constant subtree evaluates to a scalar,
@@ -74,49 +72,6 @@ class HoloExpr:
     def derivative(self) -> "HoloExpr":
         raise NotImplementedError
 
-    def __add__(self, other):
-        return Sum(self, as_expr(other))
-
-    def __radd__(self, other):
-        return Sum(as_expr(other), self)
-
-    def __sub__(self, other):
-        return Sum(self, Neg(as_expr(other)))
-
-    def __rsub__(self, other):
-        return Sum(as_expr(other), Neg(self))
-
-    def __mul__(self, other):
-        return Product(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return Product(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Ratio(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Ratio(as_expr(other), self)
-
-    def __neg__(self):
-        return Neg(self)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise BadParameter("expression powers take a nonnegative integer")
-        if n == 0:
-            return Const(1.0 + 0j)
-        monomial = Poly((0j,) * n + (1.0 + 0j,))
-        return monomial if isinstance(self, Var) else Compose(monomial, self)
-
-
-def as_expr(x) -> HoloExpr:
-    if isinstance(x, HoloExpr):
-        return x
-    if isinstance(x, (int, float, complex)):
-        return Const(complex(x))
-    raise BadParameter("cannot interpret %r as an expression" % (x,))
-
 
 @dataclass(frozen=True)
 class Const(HoloExpr):
@@ -145,9 +100,6 @@ class Var(HoloExpr):
 
     def __str__(self):
         return "z"
-
-
-Z = Var()
 
 
 @dataclass(frozen=True)

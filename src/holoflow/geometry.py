@@ -1,18 +1,20 @@
 """Planar domains: open discs and half-planes.
 
-A domain provides exact membership and boundary-distance queries (the flow
+A domain provides exact membership and signed-distance queries (the flow
 integrator uses them for wall rejection and escape detection) plus a
-deterministic interior sampling grid used by positivity checks and phase
-portraits. All values are immutable.
+deterministic interior sampling grid, built once per density, for
+positivity checks, phase portraits and map probes. All values are
+immutable.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
-from .errors import BadParameter, DomainError, ParseError
+from .errors import BadParameter, ParseError
 from .grammar import parse_real
 
 DISC = "disc"
@@ -73,13 +75,6 @@ class Domain:
         be an array of points."""
         return self.signed_distance(z) > 0.0
 
-    def boundary_distance(self, z: complex) -> float:
-        """Euclidean distance from an interior point to the boundary."""
-        d = self.signed_distance(z)
-        if not d > 0.0:
-            raise DomainError("point %r is not in the domain" % (z,))
-        return d
-
     def signed_distance(self, z):
         """Distance to the boundary, positive inside and negative outside
         (NaN for a NaN point); z may be an array of points."""
@@ -90,36 +85,14 @@ class Domain:
         return z.imag
 
     def sample_grid(self, density: int) -> list[complex]:
-        """Deterministic interior points; same inputs give the same list.
+        """Deterministic interior points, in a new list on every call.
 
         Discs get a concentric polar grid (no center point, radii
         1 - 2**-j); half-planes a truncated rectangular lattice. Density
         bumps refine both, and disc grids for different centers/radii are
         the same pattern under the affine map center + radius*w.
         """
-        if not 1 <= density <= MAX_DENSITY:
-            raise BadParameter("density must lie in [1, %d]" % MAX_DENSITY)
-        points: list[complex] = []
-        if self.kind == DISC:
-            m = _POINTS_PER_RING * density
-            for ring in range(1, _RINGS * density + 1):
-                rho = 1.0 - 2.0 ** (-ring)
-                for k in range(m):
-                    w = rho * cmath.exp(2j * math.pi * k / m)
-                    points.append(self.center + self.radius * w)
-            return points
-        n = 2 * _POINTS_PER_RING * density
-        step_x = 2.0 * _BOX_HALF_WIDTH / n
-        step_y = _BOX_DEPTH / n
-        for j in range(1, n + 1):
-            depth = j * step_y
-            for i in range(n + 1):
-                x = -_BOX_HALF_WIDTH + i * step_x
-                if self.kind == HALFPLANE_UPPER:
-                    points.append(complex(x, depth))
-                else:
-                    points.append(complex(depth, x))
-        return points
+        return list(_grid(self, density))
 
     def to_text(self) -> str:
         if self.kind == DISC:
@@ -131,6 +104,34 @@ class Domain:
                 self.radius,
             )
         return self.kind
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(domain: Domain, density: int) -> tuple:
+    """Domain.sample_grid as a tuple, built once per (domain, density)."""
+    if not 1 <= density <= MAX_DENSITY:
+        raise BadParameter("density must lie in [1, %d]" % MAX_DENSITY)
+    points: list[complex] = []
+    if domain.kind == DISC:
+        m = _POINTS_PER_RING * density
+        for ring in range(1, _RINGS * density + 1):
+            rho = 1.0 - 2.0 ** (-ring)
+            for k in range(m):
+                w = rho * cmath.exp(2j * math.pi * k / m)
+                points.append(domain.center + domain.radius * w)
+        return tuple(points)
+    n = 2 * _POINTS_PER_RING * density
+    step_x = 2.0 * _BOX_HALF_WIDTH / n
+    step_y = _BOX_DEPTH / n
+    for j in range(1, n + 1):
+        depth = j * step_y
+        for i in range(n + 1):
+            x = -_BOX_HALF_WIDTH + i * step_x
+            if domain.kind == HALFPLANE_UPPER:
+                points.append(complex(x, depth))
+            else:
+                points.append(complex(depth, x))
+    return tuple(points)
 
 
 def parse_domain(text: str) -> Domain:

@@ -17,10 +17,10 @@ immediately followed by i is an imaginary literal ("1.5i"). Every text
 number of the package, here and in domains, spaces and CLI flags, goes
 through parse_real and must be finite ("1e999" is a ParseError). Constants
 passed to mobius/poly may be any expression not mentioning z. Exponents
-are nonnegative integers up to 64; e^n is the expression power e ** n,
-so z^n is the monomial poly(0, ..., 0, 1) and any other base becomes
-compose(poly(0, ..., 0, 1), e). Examples: "-z", "(1-z)*(1+z)",
-"1-z^2", "mobius(i,i,-1,1)", "exp(z)".
+are nonnegative integers up to 64: e^0 is the constant 1, z^n the
+monomial poly(0, ..., 0, 1), and any other e^n is compose(poly(0, ..., 0,
+1), e), so its derivative grows linearly in n. Examples: "-z",
+"(1-z)*(1+z)", "1-z^2", "mobius(i,i,-1,1)", "exp(z)".
 """
 
 from __future__ import annotations
@@ -172,7 +172,10 @@ class _Parser:
             n = int(p.real)
             if n > _MAX_POWER:
                 raise ParseError("exponent larger than %d" % _MAX_POWER, tok.pos)
-            return e ** n
+            if n == 0:
+                return Const(1.0 + 0j)
+            monomial = Poly((0j,) * n + (1.0 + 0j,))
+            return monomial if isinstance(e, Var) else Compose(monomial, e)
         return e
 
     def atom(self) -> HoloExpr:

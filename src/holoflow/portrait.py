@@ -1,33 +1,20 @@
 """Deterministic SVG phase portraits.
 
-Seeds come from the domain sampling grid and are integrated together, as
-independent lanes of one run (semiflow.integrate_seeds). Each seed's
-trajectory is drawn as a polyline on a fixed 800 x 800 canvas with a
-fixed color ramp indexed by seed order; its vertices are the seed and
-the adaptive step points of integrate, in time order, with two decimals
-per pixel coordinate. The uniform dense samples of integrate are drawn
-only on steps whose cubic Hermite curve may depart more than _CHORD_PX =
-0.25 px from the step's chord (after Ramer 1972; Douglas & Peucker
-1973): a sample left out lies within 0.25 px of that chord, which is a
-segment of the polyline, so the text grows with curvature instead of
-horizon. Each polyline is then trimmed to the canvas (_on_canvas): its
-leading and trailing runs of segments whose bounding box lies more than
-_MARGIN_PX outside the canvas are dropped, but for the vertex where such
-a run starts. What is drawn stays the same, and orbits that escape
-towards R_MAX, 1e10 px away, lose the vertices that draw nothing. Each
-pixel coordinate is written as "%.2f" formats it alone. Polylines are
-written in runs of about _SLICE vertices, and a run's coordinates are
-written at once by an array kernel (_fixed2): integer hundredths by
-rint(100 x), and their digits and separators as 4-byte words looked up
-in tables. Its digits are those of % when every coordinate x of the run
-is below _FIXED2_MAX in magnitude and fl(100 x) is not within 1e-6 of a
-half-integer (_TIE_GAP); a run that holds any other value (a near tie, a
-large or a non-finite coordinate) is filled by one % over "%.2f" fields,
-the reference.
-Escaped trajectories are dashed; discs of radius above 1 get a dashed
-unit circle. Seeds whose integration fails are logged in seed order and
-skipped. Identical inputs produce identical bytes, and a seed's polyline
-does not depend on the other seeds of the grid.
+render_portrait integrates the seeds of the domain's sampling grid as
+independent lanes of one run (semiflow.integrate_seeds) and draws each
+seed's trajectory as a polyline on a fixed 800 x 800 canvas, with a fixed
+color ramp indexed by seed order. Its vertices are the seed and the step
+points of integrate, in time order, and the dense samples of the steps
+whose cubic Hermite curve may depart more than _CHORD_PX = 0.25 px from
+the step's chord (after Ramer 1972; Douglas & Peucker 1973): a sample
+left out lies within 0.25 px of that chord, which is a segment of the
+polyline, so the text grows with curvature instead of horizon. _on_canvas
+trims each polyline to the canvas, and _polylines writes each pixel
+coordinate as "%.2f" formats it alone. Escaped trajectories are dashed;
+discs of radius above 1 get a dashed unit circle. Seeds whose integration
+fails are logged in seed order and skipped. Identical inputs produce
+identical bytes, and a seed's polyline does not depend on the other seeds
+of the grid.
 """
 
 from __future__ import annotations
@@ -40,7 +27,7 @@ import numpy as np
 
 from .errors import HoloflowError
 from .expr import HoloExpr
-from .geometry import DISC, Domain
+from .geometry import DISC, Domain, _grid
 from .semiflow import ESCAPED, integrate_seeds
 
 logger = logging.getLogger(__name__)
@@ -100,8 +87,10 @@ def _on_canvas(fx, fy, lines: list) -> list:
     starts; a polyline with no segment on the canvas keeps its first vertex.
 
     A segment misses when its bounding box lies outside the canvas box
-    widened by _MARGIN_PX. Runs in the middle stay, since joining across
-    them would draw a chord that the orbit does not follow.
+    widened by _MARGIN_PX. What is drawn stays the same, and orbits that
+    escape towards R_MAX, 1e10 px away, lose the vertices that draw
+    nothing. Runs in the middle stay, since joining across them would draw
+    a chord that the orbit does not follow.
     """
     sizes = np.fromiter(map(len, lines), np.intp, len(lines))
     ends = np.cumsum(sizes)
@@ -213,17 +202,10 @@ def _polylines(fx, fy, drawn) -> str:
     return "\n".join(lines)
 
 
-@functools.lru_cache(maxsize=16)
-def _seeds(domain: Domain, density: int) -> tuple:
-    """The seeds of a portrait: the domain's sample grid, built once per
-    (domain, density)."""
-    return tuple(domain.sample_grid(density))
-
-
 def render_portrait(G: HoloExpr, domain: Domain, density: int,
                     horizon: float, tol: float) -> tuple[str, dict]:
     """SVG text plus a small summary dict (seed counts by outcome)."""
-    seeds = _seeds(domain, density)
+    seeds = _grid(domain, density)
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
         'viewBox="0 0 800 800">',

@@ -1,163 +1,34 @@
 """Flow integration for u' = G(u) on a planar domain.
 
-One driver, _drive, does all the integration: an embedded Dormand-Prince
-4(5) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 1980) in complex
-arithmetic, in three uses: one complex state; an array of lanes that
-share one step sequence; and an array of independent lanes, each with its
-own time and step size. Independent lanes start together and every step
-steps each lane still running, so they share one step count. A step
-passes when tol * (1 + |u|) / |err| >= 1 (least over shared lanes, lane
-by lane for independent ones); a step whose endpoint the caller's
-admission rule refuses, or whose evaluation fails, is halved, except at
-a wall (below). When the step size underflows H_MIN within
-ESCAPE_DISTANCE of the boundary the run ends in an escape at the current
-time; underflow farther away, or more than _MAX_STEPS steps, raises
-StiffnessError (an independent lane fails alone instead). An escape is a
-solver-tolerance certificate, never a proof. The step-control rules are
-written once, as expressions that hold for Python scalars and
-elementwise for arrays; a step that every lane passes, the common case,
-takes the new state without masks. Every accepted step goes to the
-caller's hook, which may keep its arrays: the driver rebinds its state
-and never writes in place to an array it has handed to the hook.
+One driver, _drive, does all the integration, with an embedded
+Dormand-Prince 4(5) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+1980) in complex arithmetic. It steps one complex state, an array of lanes
+that share one step sequence, or an array of independent lanes with their
+own times and step sizes; its step-control rules are written once, for
+Python scalars and elementwise for arrays. The step reads one tableau in
+three forms, picked per run: _dp_step writes the sums out for one complex
+state, and _dp_step_shared and _dp_step_lanes take them as matrix
+products for shared and for independent lanes. An admission rule judges
+each step endpoint: _wall_rule (the domain with a wall DELTA_WALL inside
+its boundary) for trajectories, _inside_unit_disc for flow coefficients.
+A step size that underflows near the boundary ends a run as an escape,
+which is a solver-tolerance certificate, never a proof.
 
-The step reads one tableau in two forms, and _drive picks one per run.
-_dp_step writes the stage sums out, one product per weight: on a Python
-complex that is the fastest form. Arrays of lanes form each stage sum as
-one matrix-vector product on the float64 view of the stacked stages,
-which on arrays is faster than the written-out sums. Lanes that share one
-step (flow_series) take _dp_step_shared, which folds h into the tableau;
-independent lanes (integrate_seeds) take _dp_step_lanes, which scales
-each row sum by the lane's own h. The matrix form sums the products in
-another order, so one step differs from the written-out sums by a few
-ulps of the magnitudes summed, and portrait lanes do not repeat the bits
-of scalar runs of their seeds. The two array forms stay apart, since one
-function for both, branching on the form of h, made flow_series slower.
-The timings and the differences are in CHANGES.md, in the entries that
-introduced _dp_step_shared and _dp_step_lanes.
+Every entry checks its inputs before it integrates (_check_run; at time 0
+only _check_tol, and the start point of flow_point):
 
-Independent lanes keep one property of the written-out sums: a lane's
-bits do not depend on which other lanes run beside it, so a seed's
-portrait lane is the same whichever seeds share its run. A matrix kernel
-sums the columns of its full blocks alike wherever they sit, but it
-rounds a ragged tail of columns in another way (OpenBLAS), so over the
-bare lanes some lane results change with the seeds beside them. So K's
-lane axis is padded with zero lanes to a multiple of _LANE_BLOCK = 8 (16
-float columns, two AVX-512 registers), and every lane is a column of a
-full block; then no lane result changed over random subsets and
-permutations of the seeds of ten portraits (CHANGES.md, the entry that
-introduced _dp_step_lanes). Elementwise products summed over the stage
-axis would be exact by construction, but they keep half the gain. One
-coupling is left: an evaluation that raises on some lane is redone in
-scalar form on every lane (below), which rounds otherwise than the array
-form; over eleven portraits, poles and seeds pulled into them included,
-only the check of the seeds raised.
-
-Fixed constants:
-
-    DELTA_WALL      = 1e-9   wall rejection distance
-    ESCAPE_DISTANCE = 1e-6   escape vs stiffness threshold at underflow
-    H_MIN           = 1e-12  minimal step size
-    R_MAX           = 1e8    escape-to-infinity cap on unbounded domains
-    MAX_HORIZON     = 100    longest run or flow-series time (BadParameter)
-
-Every entry that integrates checks its inputs first by one rule,
-_check_run: tol in [1e-13, 1e-3] and 0 < horizon <= MAX_HORIZON. At time 0
-(no run) only the tol, and the start point of flow_point, are checked.
-
-Trajectories (integrate): the wall rule (_wall_rule) with dense output, on
-Python scalars (a one-lane array costs over ten times more per step).
-Recorded trajectories carry the adaptive step points plus dense output at
-max(64, ceil(16 * horizon)) uniform times (the final point is always an
-exact integration endpoint). The run keeps the state after each step and
-the slopes of the steps that may hold a dense time; one array pass
-(_merge_dense) then interpolates all dense times by cubic Hermite. Each
-product in _hermite is real x complex, formed as (x + 0j) * w by numpy and
-by Python alike, so the pass writes the bytes of one scalar call per
-sample. escape_time and flow_point run the same rule but record nothing.
-
-Wall endgame: the wall crossing is located as an event (Hairer, Norsett &
-Wanner, Solving ODEs I, sec. II.6). The gap d(u(t)) - DELTA_WALL, with d
-the signed distance that the wall rule computes anyway, is interpolated
-linearly in time through its last two accurate values: the state and a
-step endpoint, or two endpoints refused at the wall. A step refused at
-the wall is retried with the length that reaches the predicted crossing,
-less H_MIN / 2, instead of half its own length. From then on, while the
-crossing stays ahead, the step after an accepted one is no longer than
-that. The run escapes once the predicted crossing is less than H_MIN
-ahead, or once the gap of a state is within rounding of 0
-(2^-52 (1 + |u|)); the latter ends orbits too slow to cross the wall in
-floating point, such as the tanh flow of 1 - z^2 near t = 10.7. The
-secant converges superlinearly; halving converges linearly, and the step
-grown after each acceptance overshoots again (the step counts are in
-CHANGES.md, PR 10). The open-disc rule of flow_series has no wall and
-keeps halving.
-
-Exit times (integrate with exit_from): the escape time on a second domain,
-from the same run. Both wall rules judge every step endpoint, and the run
-keeps its last accepted step until the first endpoint that either rule
-refuses. Up to that endpoint a run on exit_from would take the same steps:
-an accepted step passes both rules, and a step refused by the error test,
-or by an evaluation error, changes no wall endgame state. After the run,
-_drive resumes the run on exit_from from the start of that kept step
-(its time, state, slope and step size), and the steps it takes from there
-are escape_time's. For the radius-2 counterexample, whose orbits cross the
-unit circle, that is the kept step, the refused endpoint and the wall
-endgame, so its exit time costs a few steps in place of a second run from
-z0 (CHANGES.md, PR 17).
-
-Many trajectories (integrate_seeds): the same wall rule and dense output on
-independent lanes, one per seed, for phase portraits. A lane leaves the run
-when it completes, escapes or fails, so the others keep stepping on a
-smaller array. An evaluation that raises on some lane is redone lane by
-lane in scalar form, and the raising lanes turn NaN, so only those lanes
-are refused and halved; a seed whose own evaluation raises fails alone.
-The run holds its accepted steps, and one pass over a block of them
-keeps their endpoints and, by _dense_samples, the dense samples of the
-lane-steps that bend from their chord (see integrate_seeds). Lanes take
-the matrix form of the step, which rounds otherwise than the scalar
-path, so a borderline step decision can move a step point: points agree
-with integrate's to a few ulps of the magnitudes summed, end points to
-about 1e-15 and escape times to about 1e-10 relative, and a lane that
-underflows next to a pole stops within H_MIN of the scalar run's time. A
-lane's bits do not depend on the other lanes (see the step forms above).
-
-Flow coefficients (flow_series): the open-disc rule with shared lanes.
-The degree-N Taylor coefficients of the flow map z -> phi(t, z) on the
-unit disc come from sampling it on a circle and applying the FFT, as
-series.taylor does for an expression:
-
-  * Lanes. The M = max(4N, 64) points of |z| = r and five interior points
-    (0, +-0.25, +-0.25i) form one complex array, and every lane is
-    integrated at once through all requested times. Each recorded state
-    of the circle lanes is turned into coefficients by one FFT.
-  * Shared step. With one step sequence the numerical flow map is itself
-    holomorphic in z, so its integration error has rapidly decaying
-    coefficients instead of noise amplified by 1 / r^k.
-  * Open-disc rule. An endpoint is refused only when some lane reaches
-    |u| >= 1 or turns non-finite; there is no DELTA_WALL here, so lanes
-    drawn towards a boundary attractor (the tanh flow of 1 - z^2) keep
-    advancing. Escape is judged by 1 - max |u| over lanes, and raises
-    EscapeError (the flow of that lane leaves the disc).
-  * Radius. r = series.noise_floor_radius(N) = max(0.5, (1e-4)^(1/N)).
-    Since |phi(t, z)| < 1, the roundoff noise of coefficient N is about
-    1e-16 / r^N = 1e-12 at every degree (Bornemann, FoCM 2011), without
-    the 0.9 cap of series.taylor. The same holds for the powers phi^k,
-    whose samples are the powers of the lane states: the operator matrix
-    (semigroup.operator_matrix) takes its columns from them.
-  * Starting step. The lanes start with the step estimate of Hairer,
-    Norsett & Wanner (Solving ODEs I, sec. II.4) in the norm of the error
-    test, max |v| / (tol (1 + |u|)) over lanes (_start_step): h0 = 0.01
-    |u| / |G(u)|, an Euler probe of length h0 for the change of slope,
-    and h = min(100 h0, (0.01 / max(|G(u)|, |G'G|))^(1/5)), at the cost
-    of one extra evaluation. A fixed first step of 1e-3 grows at most 5x
-    a step towards one the error test would take from the start, so the
-    estimate saves steps; the step counts and the coefficient moves are
-    in CHANGES.md, in the entry on operator matrices from the flow's
-    circle samples. Trajectories and portraits keep h = 1e-3.
-
-Time 0 gives the exact identity series. Checking all M circle lanes for
-escape is stricter than checking the interior points alone: the flow of
-z, e^t z, is refused at t = 1 because the lanes at r = 0.5 leave at ln 2.
+  * integrate records one trajectory, with cubic Hermite dense output
+    (_merge_dense), and with exit_from also the escape time on a second
+    domain from the same run; backward_integrate runs time backwards.
+  * escape_time, flow_point and semigroup_residual run integrate's rule
+    and record nothing (_final_state).
+  * integrate_seeds runs many seeds as independent lanes (phase
+    portraits), keeping the dense samples of the steps that bend from
+    their chord.
+  * flow_series and _flow_series_path take the Taylor coefficients of the
+    flow map of the unit disc, or of its powers, from lanes on a circle
+    by one FFT per time (series.coeffs_from_samples, series.power_coeffs).
+  * trajectory_to_csv writes a trajectory as CSV text.
 """
 
 from __future__ import annotations
@@ -181,11 +52,13 @@ from .geometry import Domain
 from .series import (SeriesFn, circle_points, coeffs_from_samples,
                      noise_floor_radius, power_coeffs)
 
-DELTA_WALL = 1e-9
-ESCAPE_DISTANCE = 1e-6
-H_MIN = 1e-12
-R_MAX = 1e8
-MAX_HORIZON = 100.0  # dense output keeps 16 points per unit time per lane
+DELTA_WALL = 1e-9  # wall rejection distance
+ESCAPE_DISTANCE = 1e-6  # escape, not stiffness, at a step underflow
+H_MIN = 1e-12  # least step size
+R_MAX = 1e8  # escape to infinity on an unbounded domain
+# longest run or flow-series time (dense output keeps 16 points per unit
+# time per lane)
+MAX_HORIZON = 100.0
 
 _MAX_STEPS = 5_000_000
 
@@ -209,7 +82,8 @@ _ROWS = (
 # The same rows as an 8 x 7 matrix: row i < 6 holds the weights of stage
 # i + 1 in its first i entries (row 0 is empty), row 6 is b and row 7 e.
 _TABLEAU = np.array([(0.0,) * 7] + [r + (0.0,) * (7 - len(r)) for r in _ROWS])
-# independent lanes are stepped in blocks of this many (zero lanes pad K)
+# independent lanes are stepped in blocks of this many (zero lanes pad K):
+# 16 float columns, two AVX-512 registers
 _LANE_BLOCK = 8
 
 COMPLETED = "Completed"
@@ -269,7 +143,8 @@ class FlowSeries:
 def _dp_step(rhs, y, h, k1):
     """One embedded step of a Python complex y; returns (y5,
     error_estimate, k7). The sums are written out in the order of the
-    tableau rows (see the module docstring).
+    tableau rows, one product per weight: on a Python complex that is the
+    fastest form.
     """
     k2 = rhs(y + h * (0 + _A21 * k1))
     k3 = rhs(y + h * (0 + _A31 * k1 + _A32 * k2))
@@ -292,8 +167,10 @@ def _dp_step_shared(rhs, y, h, k1):
     (re, im) pairs, and the tableau is real, so each stage sum is one
     matrix-vector product y + (h T[i, :i]) @ K[:i] on the float view, and
     the error is (h T[7]) @ K: a few array operations a stage instead of
-    one or more per weight. err and k7 are arrays also where rhs gives one
-    scalar.
+    one or more per weight (CHANGES.md, PR 15). The matrix form sums the
+    products in another order, so a step differs from _dp_step by a few
+    ulps of the magnitudes summed. err and k7 are arrays also where rhs
+    gives one scalar.
     """
     K = np.empty((7, len(y)), complex)
     K[0] = k1
@@ -312,9 +189,11 @@ def _dp_step_lanes(rhs, y, h, k1):
     and the error h (T[7] @ K). K's lane axis is padded with zero lanes to
     a multiple of _LANE_BLOCK, so that every lane is a column of the
     matrix kernel's full blocks, whose sums do not depend on the column's
-    place: a lane's bits do not depend on the other lanes (see the module
-    docstring). The products go through ndarray.dot, which gives the bits
-    of @ with less dispatch per call (CHANGES.md, PR 20).
+    place (a ragged tail of columns rounds otherwise): a lane's bits do not
+    depend on the other lanes (CHANGES.md, PR 18). It stays apart from
+    _dp_step_shared, since one function for both, branching on the form of
+    h, made flow_series slower. The products go through ndarray.dot, which
+    gives the bits of @ with less dispatch per call (CHANGES.md, PR 20).
     """
     n = len(y)
     K = np.zeros((7, -(-n // _LANE_BLOCK) * _LANE_BLOCK), complex)
@@ -329,7 +208,9 @@ def _dp_step_lanes(rhs, y, h, k1):
 
 
 def _hermite(theta, y0, f0, y1, f1, h):
-    # Cubic Hermite on one accepted step, theta in [0, 1].
+    # Cubic Hermite on one accepted step, theta in [0, 1]. Each product is
+    # real x complex, formed as (x + 0j) * w by numpy and by Python alike,
+    # so an array pass writes the bytes of one scalar call per sample.
     a = theta - 1.0
     return ((1 + 2 * theta) * a * a * y0 + theta * theta * (3 - 2 * theta) * y1
             + h * theta * a * (a * f0 + theta * f1))
@@ -392,7 +273,7 @@ def _error_ratio(u, err, tol: float, per_lane: bool = False):
     return tol * (1.0 + abs(u)) / err_mag if err_mag else math.inf
 
 
-def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
+def _drive(rhs, u, stops, tol, admit, distance, accepted=None,
            lanes=False, start=None):
     """Integrate from time 0 through the positive, nondecreasing stop
     times, landing exactly on each.
@@ -405,17 +286,30 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
     judges each step endpoint with _ACCEPT, _REJECT or _STOP (one verdict
     per independent lane) and returns it with the endpoint's gap to the
     wall (its signed distance minus DELTA_WALL), or with None under a rule
-    without a wall; boundary_distance(u) decides escape against stiffness
+    without a wall; distance(u) decides escape against stiffness
     at step underflow; accepted(ids, t, h, u, k, t_next, y, k_y) sees every
     accepted step, with slopes k and k_y (on independent lanes: arrays of
     the lanes that accepted it, ids giving their positions in the initial
     u). The hook may keep those arrays: _drive rebinds its state and never
-    writes in place to an array it has passed to accepted.
+    writes in place to an array it has passed to accepted. A step passes
+    the error test of _error_ratio; a refused endpoint, or a failed
+    evaluation, halves the step, except at a wall.
 
-    Under a rule with a wall, the gaps drive the wall endgame of the
-    module docstring: a predicted crossing less than H_MIN ahead is a step
-    underflow. Where the secant has no zero within a refused step, or
-    none ahead of an accepted one, the usual rule applies.
+    Under a rule with a wall, the gaps drive the wall endgame, which
+    locates the wall crossing as an event (Hairer, Norsett & Wanner,
+    Solving ODEs I, sec. II.6). The gap is interpolated linearly in time
+    through its last two accurate values: the state and a step endpoint,
+    or two endpoints refused at the wall. A step refused at the wall is
+    retried with the length that reaches the predicted crossing, less
+    H_MIN / 2, in place of half its own length; from then on, while the
+    crossing stays ahead, the step after an accepted one is no longer than
+    that. A predicted crossing less than H_MIN ahead, or a state whose gap
+    is within rounding of 0 (2^-52 (1 + |u|)), is a step underflow; the
+    latter ends orbits too slow to cross the wall in floating point, such
+    as the tanh flow of 1 - z^2 near t = 10.7. The secant converges
+    superlinearly where halving converges linearly (CHANGES.md, PR 10).
+    Where it has no zero within a refused step, or none ahead of an
+    accepted one, the step is halved as usual.
 
     Returns (states, ends): the state at every stop time reached, and how
     each lane ended as (kind, time, point, reason). The kind is _COMPLETED,
@@ -431,7 +325,7 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
     where k1 is None: flow_series starts its lanes so with a computed
     step (_start_step), and integrate resumes one complex state so for its
     exit times. The run starts outside the wall endgame, with the gap of
-    u, as those exit times require (module docstring).
+    u, as those exit times require.
     """
     xp = _LANES if lanes else _ONE
     step = (_dp_step_lanes if lanes else
@@ -542,7 +436,7 @@ def _drive(rhs, u, stops, tol, admit, boundary_distance, accepted=None,
                     or lanes and count(t >= stop)):
                 tiny = where(stopped, False, where(
                     passed, aim & (t < stop), True)) & (h < H_MIN)
-                escaped = tiny & (boundary_distance(u) < ESCAPE_DISTANCE)
+                escaped = tiny & (distance(u) < ESCAPE_DISTANCE)
                 ended = stopped | tiny
                 over = where(ended, False,
                              (steps >= _MAX_STEPS) & (t < stops[-1]))
@@ -630,9 +524,22 @@ def integrate(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
               tol: float, exit_from: Optional[Domain] = None) -> Trajectory:
     """Integrate u' = G(u) from z0 until the horizon or a boundary escape.
 
+    The trajectory holds z0, the step points and the cubic Hermite dense
+    output at the times of _dense_times, in time order; its last point is
+    an integration endpoint. The run steps a Python complex, since a
+    one-lane array costs over ten times more per step.
+
     With exit_from, the trajectory's exit_time is escape_time(G, exit_from,
-    z0, horizon, tol), bit for bit, from this run plus its endgame on
-    exit_from (see "Exit times" in the module docstring).
+    z0, horizon, tol), bit for bit. Both wall rules judge every step
+    endpoint, and the run keeps its last accepted step until the first
+    endpoint that either rule refuses. Up to there a run on exit_from
+    would take the same steps: an accepted step passes both rules, and a
+    step refused by the error test, or by an evaluation error, changes no
+    wall endgame state. After the run, _drive resumes on exit_from from
+    the start of that kept step (its time, state, slope and step size),
+    and the steps it takes from there are escape_time's: for the radius-2
+    counterexample a few steps in place of a second run (CHANGES.md,
+    PR 17).
     """
     _check_run(tol, horizon)  # before the dense times are computed
     _check_start(domain, z0)
@@ -724,11 +631,17 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
 
     One entry per seed: (points, status) with a subsequence of the points
     integrate would record (the seed, the adaptive step points and the
-    uniform dense samples, in time order; equal up to the rounding of the
-    matrix form of the step), or the HoloflowError that stopped that seed:
-    DomainError, an evaluation error at the seed, or StiffnessError; one
-    domain.contains checks all seeds. An entry's bits do not depend on the
-    other seeds (see the module docstring).
+    uniform dense samples, in time order), or the HoloflowError that
+    stopped that seed: DomainError, an evaluation error at the seed, or
+    StiffnessError; one domain.contains checks all seeds. The matrix form
+    of the step rounds otherwise than integrate's, so a borderline step
+    decision can move a step point: end points agree to about 1e-15 and
+    escape times to about 1e-10 relative, and a lane that underflows next
+    to a pole stops within H_MIN of integrate's time. An evaluation that
+    raises on some lane is redone lane by lane in scalar form
+    (_eval_lanes), and the raising lanes turn NaN, so only they are
+    refused and halved. An entry's bits do not depend on the other seeds
+    (_dp_step_lanes), but where such a redo rounds otherwise.
     The dense samples of a step from u to y = u + d of length h are dropped
     when its cubic Hermite curve p stays within chord_tol of the chord:
     p(theta) - (u + theta d) =
@@ -920,34 +833,60 @@ def _start_step(rhs, u: np.ndarray, tol: float):
     return 0.0, (h if 0.0 < h < math.inf else 1e-3), k1
 
 
+def _run_times(times: list[float], tol: float) -> list[float]:
+    """The positive times of a flow-series run, after its input checks:
+    times nonnegative and nondecreasing, the tol, and the last positive
+    time as a horizon (_check_run)."""
+    if not all(0 <= x for x in times) or any(
+            b < a for a, b in zip(times, times[1:])):
+        raise BadParameter("times must be nonnegative and nondecreasing")
+    positive = [x for x in times if x > 0.0]
+    if positive:
+        _check_run(tol, positive[-1])
+    else:
+        _check_tol(tol)
+    return positive
+
+
 def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
                       tol: float, powers: bool = False) -> list:
     """Flow coefficient series at several times in one integration pass.
 
     times must be nondecreasing and nonnegative, and the last one a run
-    horizon unless it is 0; time 0 gives the exact identity series. See
-    the module docstring for the method. With powers, each entry is
-    instead the (degree + 1) x (degree + 1) array whose row j holds the
-    coefficients of phi(t, .)^j (series.power_coeffs; row 1 is the flow
-    series bit for bit), and time 0 gives the exact identity matrix.
+    horizon unless it is 0 (_run_times); time 0 gives the exact identity
+    series. With powers, each entry is instead the (degree + 1) x (degree
+    + 1) array whose row j holds the coefficients of phi(t, .)^j
+    (series.power_coeffs; row 1 is the flow series bit for bit), and time
+    0 gives the exact identity matrix.
+
+    The M = max(4 degree, 64) points of |z| = r and _INTERIOR_LANES are
+    lanes of one step sequence, so the numerical flow map is itself
+    holomorphic in z and its integration error has rapidly decaying
+    coefficients, not noise amplified by 1 / r^k; each state of the
+    circle lanes gives the coefficients by one FFT. The radius is
+    r = series.noise_floor_radius(degree): as |phi(t, z)| < 1, the
+    roundoff noise of coefficient N is then about 1e-16 / r^N = 1e-12 at
+    every degree (Bornemann, FoCM 2011), without the 0.9 cap of
+    series.taylor, and so for the powers, whose samples are the powers of
+    the lane states. The open-disc rule (_inside_unit_disc) has no wall,
+    so lanes drawn towards a boundary attractor keep advancing; a lane
+    that leaves the disc raises EscapeError, so the flow e^t z of z is
+    refused at t = 1, as its lanes at r = 0.5 leave at ln 2. The lanes
+    start with _start_step, which saves steps against a first step of
+    1e-3, which grows at most 5x a step (CHANGES.md, PR 19).
     """
     if degree < 1:
         raise BadParameter("flow series need degree >= 1")
     if not times:
         return []
-    if not all(0 <= x for x in times) or any(
-            b < a for a, b in zip(times, times[1:])):
-        raise BadParameter("times must be nonnegative and nondecreasing")
-    positive = [x for x in times if x > 0.0]
+    positive = _run_times(times, tol)
     # the identity only when some time is 0: an idle (N+1) x (N+1) one
     # would raise the peak memory of a matrix run
     identity = [] if len(positive) == len(times) else [
         np.eye(degree + 1, dtype=np.complex128) if powers
         else SeriesFn.identity(degree)]
     if not positive:
-        _check_tol(tol)
         return identity * len(times)
-    _check_run(tol, positive[-1])
     r = noise_floor_radius(degree)
     circle = circle_points(degree, r)
     lanes = np.concatenate([circle, _INTERIOR_LANES])

@@ -1,19 +1,11 @@
 """The composition semigroup acting on truncated series.
 
 T(t) f = f o phi(t, .) where phi is the flow of the symbol G on the unit
-disc. Everything here acts on degree-N truncations: applying T(t) is one
-series composition with the flow coefficients, and the operator becomes an
-(N+1) x (N+1) matrix M_t on the monomial basis. Column k of M_t holds the
-coefficients of phi_t^k; they come from the flow's own circle samples, the
-lane states u of the flow-series run at the M = max(4N, 64) points of
-|z| = r. The powers u^k are the samples of phi_t^k, so one FFT along the
-sample axis, divided by M r^j, gives their coefficients, in blocks of 16
-powers (series.power_coeffs). That costs O(N^2 log N) where N products of
-coefficient series cost O(N^3), and it keeps the ~1e-12 noise floor of
-the flow series. Composition on coefficients (Paterson-Stockmeyer) is a
-separate route to the same action, so matrix_summary checks one against
-the other. The checks below measure, in a chosen coefficient norm, how
-well the truncated action satisfies the identities that characterize the
+disc, and everything here acts on degree-N truncations. apply composes f
+with the flow series, and operator_matrix gives T(t) as an (N+1) x (N+1)
+matrix on the monomial basis. A check takes all its flows from one run
+(_flows). The checks measure, in a chosen coefficient norm, how well the
+truncated action satisfies the identities that characterize the
 generator A f = G f':
 
   * generator residual   ||(T(h) f - f)/h - G f'||, expected O(h);
@@ -39,35 +31,44 @@ from . import semiflow
 from .errors import BadParameter
 from .expr import HoloExpr
 from .series import SeriesFn, _compose_arrays, series_compose, taylor
-from .semiflow import _check_run, _check_tol, flow_series
 from .spaces import CoefSpace
 
 # Seeded random series that matrix_summary checks the matrix action on.
 _SUMMARY_SAMPLES = 10
 
 
+def _flows(G: HoloExpr, times, degree: int, tol: float) -> list[SeriesFn]:
+    """The degree-`degree` flow series at each of times, from one run
+    through the distinct times in increasing order. Every T(t) fixes a
+    constant, and a composition of degree 0 reads nothing of its inner
+    series: at degree 0 the inputs are checked as for a run, nothing is
+    integrated, and each flow is the zero series."""
+    ordered = sorted(set(times))
+    if degree == 0:
+        semiflow._run_times(ordered, tol)
+        flows = [SeriesFn.zeros(0)] * len(ordered)
+    else:
+        flows = semiflow._flow_series_path(G, ordered, degree, tol)
+    by_time = dict(zip(ordered, flows))
+    return [by_time[t] for t in times]
+
+
 def apply(G: HoloExpr, t: float, f: SeriesFn, tol: float) -> SeriesFn:
     """Coefficients of f o phi(t, .) truncated to the degree of f."""
-    if f.degree == 0:
-        # constants are fixed by every composition operator; the time and
-        # tol are those a flow series accepts
-        if t == 0:
-            _check_tol(tol)
-        else:
-            _check_run(tol, t)
-        return f
-    flow = flow_series(G, t, f.degree, tol)
-    return series_compose(f, flow.coeffs)
+    return series_compose(f, _flows(G, [t], f.degree, tol)[0])
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Matrix of T(t) on the monomial basis; column k holds the truncated
-    coefficients of phi(t, .)^k, taken from the flow's circle samples (see
-    the module docstring). Column 0 is exactly e_0, time 0 gives exactly
-    the identity, and column 1 is the flow series bit for bit, so
-    `matrix_summary` and the CLI's `evolve --matrix-out` take the flow from
-    the matrix instead of integrating it again.
+    coefficients of phi(t, .)^k. They come from the flow's circle samples
+    (series.power_coeffs), whose powers are the samples of phi_t^k: that
+    costs O(N^2 log N) where N products of coefficient series cost O(N^3),
+    and keeps the ~1e-12 noise floor of the flow series. Column 0 is
+    exactly e_0, time 0 gives exactly the identity, and column 1 is the
+    flow series bit for bit, so `matrix_summary` and the CLI's `evolve
+    --matrix-out` take the flow from the matrix instead of integrating it
+    again.
 
     Truncated matrices compose exactly, M_{t+s} = M_s M_t, only when
     phi(t, 0) = 0, which makes them triangular. Otherwise entry (j, k) of
@@ -83,11 +84,6 @@ class OperatorMatrix:
         m = np.array(self.entries, dtype=np.complex128, order="C")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-
-    def act(self, f: SeriesFn) -> SeriesFn:
-        if f.degree != self.degree:
-            raise BadParameter("series degree does not match the matrix")
-        return SeriesFn(self.entries @ f.coeffs)
 
     def spectral_radius_estimate(self) -> float:
         return float(np.max(np.abs(np.diag(self.entries))))
@@ -113,20 +109,13 @@ def generator_residual(G: HoloExpr, f: SeriesFn, space: CoefSpace, h: float,
 
 def generator_residuals(G: HoloExpr, f: SeriesFn, space: CoefSpace,
                         steps: list[float], tol: float) -> list[float]:
-    """generator_residual at each step h, from one flow-series run through
-    the steps in increasing order."""
+    """generator_residual at each step h, from one flow-series run."""
     if not all(1e-6 <= h <= 0.1 for h in steps):
         raise BadParameter("difference step h must lie in [1e-6, 0.1]")
-    ordered = sorted(set(steps))
-    if f.degree == 0:  # constants are fixed: no run, as in apply
-        _check_tol(tol)
-        evolved = [f] * len(ordered)
-    else:
-        evolved = [series_compose(f, flow) for flow in
-                   semiflow._flow_series_path(G, ordered, f.degree, tol)]
-    by_step = dict(zip(ordered, evolved))
+    flows = _flows(G, steps, f.degree, tol)
     action = generator_action(G, f)
-    return [space.norm((by_step[h] - f) * (1.0 / h) - action) for h in steps]
+    return [space.norm((series_compose(f, flow) - f) * (1.0 / h) - action)
+            for h, flow in zip(steps, flows)]
 
 
 def maximality_residual(G: HoloExpr, f: SeriesFn, space: CoefSpace, t: float,
@@ -142,7 +131,7 @@ def maximality_residual(G: HoloExpr, f: SeriesFn, space: CoefSpace, t: float,
         raise BadParameter("t must be positive")
     g = generator_action(G, f)
     nodes = [t * k / quad_points for k in range(quad_points + 1)]
-    flows = semiflow._flow_series_path(G, nodes, f.degree, tol)
+    flows = _flows(G, nodes, f.degree, tol)
     width = t / quad_points
     acc = np.zeros(f.degree + 1, dtype=np.complex128)
     for k, flow in enumerate(flows):
@@ -175,8 +164,7 @@ def transport_pde_residual(G: HoloExpr, f: SeriesFn, z: complex, t: float,
     if t < h_t:
         raise BadParameter("need t >= h_t for the central time difference")
     internal_tol = 1e-11
-    flows = semiflow._flow_series_path(G, [t - h_t, t, t + h_t], f.degree,
-                                       internal_tol)
+    flows = _flows(G, [t - h_t, t, t + h_t], f.degree, internal_tol)
     u_minus = series_compose(f, flows[0]).eval_at(z)
     u_mid = series_compose(f, flows[1])
     u_plus = series_compose(f, flows[2]).eval_at(z)
@@ -193,14 +181,8 @@ def strong_continuity_report(G: HoloExpr, f: SeriesFn, space: CoefSpace,
     t ||G f'|| + O(t^2), so it decays linearly as t -> 0.
     """
     ts = list(t_list)
-    ordered = sorted(set(ts))
-    flows = semiflow._flow_series_path(G, ordered, f.degree, 1e-10)
-    by_time = {t: flow for t, flow in zip(ordered, flows)}
-    out = []
-    for t in ts:
-        dev = space.norm(series_compose(f, by_time[t]) - f)
-        out.append((t, dev))
-    return out
+    return [(t, space.norm(series_compose(f, flow) - f))
+            for t, flow in zip(ts, _flows(G, ts, f.degree, 1e-10))]
 
 
 # -- exports ------------------------------------------------------------------

@@ -111,9 +111,6 @@ class SeriesFn:
         self._check(other)
         return SeriesFn(self.coeffs - other.coeffs)
 
-    def __neg__(self) -> "SeriesFn":
-        return SeriesFn(-self.coeffs)
-
     def __mul__(self, other):
         if isinstance(other, SeriesFn):
             self._check(other)
@@ -133,9 +130,6 @@ class SeriesFn:
 
     def eval_at(self, z: complex) -> complex:
         return complex(np.polynomial.polynomial.polyval(z, self.coeffs))
-
-    def __str__(self):
-        return "series(degree=%d)" % self.degree
 
 
 def series_compose(f: SeriesFn, g: SeriesFn) -> SeriesFn:

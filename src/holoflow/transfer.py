@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadParameter
 from .expr import Compose, HoloExpr, Mobius, Ratio
-from .geometry import Domain
+from .geometry import Domain, _grid
 from .semiflow import _eval_lanes, flow_point
 
 _PAIR_PROBE_TOL = 1e-10
@@ -38,7 +38,7 @@ class ConformalPair:
         for side, there, back, into in (
                 ("source", self.h, self.h_inv, self.target),
                 ("target", self.h_inv, self.h, None)):
-            z = np.array(getattr(self, side).sample_grid(1))
+            z = np.array(_grid(getattr(self, side), 1))
             with np.errstate(all="ignore"):
                 w, w_errors = _eval_lanes(there.eval, z)
                 z_back, back_errors = _eval_lanes(back.eval, w)

@@ -1,14 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import holoflow
 from holoflow import geometry, parse_symbol, semiflow, series
-from holoflow.cli import main
+from holoflow.cli import _HANDLERS, main
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +141,28 @@ def test_help_exits_zero_every_time(capsys):
 def test_malformed_command_lines_are_parse_errors(capsys, argv):
     assert main(argv) == 1
     _one_error_line(capsys)
+
+
+def test_module_entry_point(tmp_path):
+    # python -m holoflow runs cli.run, the console script's target, in a
+    # fresh interpreter
+    src = str(Path(holoflow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "holoflow", *args],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=60)
+
+    done = run("--help")
+    assert done.returncode == 0
+    assert all(name in done.stdout for name in _HANDLERS)
+    done = run("flow")
+    assert done.returncode == 1
+    assert json.loads(done.stdout) == {
+        "error": "missing required option --symbol"}
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("horizon,expected", [("40", 0), ("0.5", 4)])
@@ -276,6 +303,23 @@ def test_two_outputs_at_one_path_are_parse_errors(tmp_path, capsys, argv):
     paths = {"A": str(tmp_path / "artifact"),
              "SAME_AS_A": str(tmp_path / "." / "artifact")}
     assert main([paths.get(a, a) for a in argv]) == 1
+    _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--symbol", "-z", "--z0", "1"],
+    ["portrait", "--symbol", "-z", "--density", "x"],
+    ["transfer-check", "--symbol", "z", "--z0", "0.1,0", "--map", "foo"],
+    ["classify", "--symbol", "(z"],
+    ["classify", "--symbol", "exp z"],
+    ["classify", "--symbol", "poly(1 2)"],
+    ["check-e", "--space", "hpbeta:p=2,x"],
+    ["check-e", "--space", "hpbeta:p=2,beta=pow"],
+    ["check-e", "--space", "hpbeta:p=2,beta=geom:-1"],
+], ids=lambda argv: " ".join(argv))
+def test_malformed_inputs_exit_1_without_artifacts(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "artifact")]) == 1
     _one_error_line(capsys)
     assert list(tmp_path.iterdir()) == []
 

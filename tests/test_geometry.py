@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holoflow import BadParameter, Domain, DomainError, parse_domain
+from holoflow import BadParameter, Domain, parse_domain
 
 
 def test_unit_disc_membership():
@@ -17,16 +17,11 @@ def test_unit_disc_canonical():
 
 def test_boundary_distance_closed_forms():
     d = Domain.unit_disc()
-    assert d.boundary_distance(0j) == 1.0
-    assert d.boundary_distance(0.5 + 0j) == 0.5
-    assert Domain.disc(0j, 2.0).boundary_distance(1.5 + 0j) == 0.5
-    assert Domain.half_plane("right").boundary_distance(0.3 + 5j) == 0.3
-    assert Domain.half_plane("upper").boundary_distance(5 + 0.25j) == 0.25
-
-
-def test_boundary_distance_requires_membership():
-    with pytest.raises(DomainError):
-        Domain.unit_disc().boundary_distance(2.0 + 0j)
+    assert d.signed_distance(0j) == 1.0
+    assert d.signed_distance(0.5 + 0j) == 0.5
+    assert Domain.disc(0j, 2.0).signed_distance(1.5 + 0j) == 0.5
+    assert Domain.half_plane("right").signed_distance(0.3 + 5j) == 0.3
+    assert Domain.half_plane("upper").signed_distance(5 + 0.25j) == 0.25
 
 
 def test_bad_radius_rejected():
@@ -46,7 +41,17 @@ def test_grid_points_are_interior(domain, density):
     assert grid
     for z in grid:
         assert domain.contains(z)
-        assert domain.boundary_distance(z) > 0
+        assert domain.signed_distance(z) > 0
+
+
+def test_changing_a_returned_grid_leaves_the_next_one_unchanged():
+    for d in (Domain.unit_disc(), Domain.half_plane("upper")):
+        grid = d.sample_grid(1)
+        want = list(grid)
+        grid[0] = 99j
+        grid.append(0j)
+        assert d.sample_grid(1) == want
+        assert d.sample_grid(1) is not d.sample_grid(1)
 
 
 def test_grid_density_strictly_monotone():
@@ -69,7 +74,7 @@ def test_disc_grid_max_boundary_distance_exact():
     d = Domain.disc(0j, 2.0)
     grid = d.sample_grid(1)
     smallest = min(abs(z) for z in grid)
-    assert max(d.boundary_distance(z) for z in grid) == 2.0 - smallest
+    assert max(d.signed_distance(z) for z in grid) == 2.0 - smallest
 
 
 def test_grid_radii_reach_documented_maximum():
@@ -81,7 +86,7 @@ def test_containment_is_open():
     rng = np.random.default_rng(7)
     d = Domain.disc(0.3 - 0.2j, 1.7)
     for z in d.sample_grid(1):
-        dist = d.boundary_distance(z)
+        dist = d.signed_distance(z)
         for _ in range(5):
             eps = dist * 0.999 * rng.uniform(0, 1) * np.exp(
                 2j * np.pi * rng.uniform())

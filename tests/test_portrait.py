@@ -25,7 +25,7 @@ from holoflow import (
     parse_domain,
     parse_symbol,
 )
-from holoflow import portrait, semiflow
+from holoflow import geometry, portrait, semiflow
 from holoflow.portrait import (CANVAS, _FIXED2_MAX, _MARGIN_PX, _PALETTE,
                                _fixed2, _on_canvas, _polylines, _viewport,
                                render_portrait)
@@ -640,9 +640,20 @@ def test_escapes_to_infinity_keep_few_vertices_off_the_canvas():
 
 @pytest.mark.parametrize("domain", ["unitdisc", "disc:0.5,-0.25,2",
                                     "halfplane:right", "halfplane:upper"])
-def test_seed_grids_are_built_once(domain):
+def test_seed_grids_are_built_once(domain, monkeypatch):
     D = parse_domain(domain)
-    seeds = portrait._seeds(D, 2)
+    seeds = geometry._grid(D, 2)
     assert isinstance(seeds, tuple)
     assert seeds == tuple(D.sample_grid(2))
-    assert portrait._seeds(parse_domain(domain), 2) is seeds
+    assert geometry._grid(parse_domain(domain), 2) is seeds
+    # the portrait integrates that cached grid
+    seen = []
+    original = portrait.integrate_seeds
+
+    def spy(G, D, seeds, *rest):
+        seen.append(seeds)
+        return original(G, D, seeds, *rest)
+
+    monkeypatch.setattr(portrait, "integrate_seeds", spy)
+    render_portrait(parse_symbol("-z"), parse_domain(domain), 2, 0.1, TOL)
+    assert seen[0] is seeds

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from holoflow import semiflow
 from holoflow import (
     BadParameter,
     CoefSpace,
@@ -31,6 +32,18 @@ TANH = parse_symbol("1-z^2")
 
 def e(k, n):
     return SeriesFn.basis(k, n)
+
+
+# A constant series, which every T(t) fixes: the degree-0 checks make no run.
+CONSTANT = SeriesFn([2.0])
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a constant series needs no flow run")
+
+    monkeypatch.setattr(semiflow, "_flow_series_path", refuse)
 
 
 def tanh_flow(t, z):
@@ -172,7 +185,7 @@ class TestOperatorMatrix:
         for _ in range(10):
             f = SeriesFn(rng.standard_normal(9) + 1j * rng.standard_normal(9))
             direct = apply(TANH, 0.3, f, 1e-10)
-            assert np.max(np.abs(m.act(f).coeffs - direct.coeffs)) <= 1e-9
+            assert np.max(np.abs(m.entries @ f.coeffs - direct.coeffs)) <= 1e-9
 
     def test_semigroup_law_of_matrices(self):
         # M_{t+s} = M_s M_t holds for truncations only when phi_t(0) = 0,
@@ -234,7 +247,7 @@ class TestOperatorMatrix:
             c = rng.standard_normal(degree + 1) / (1.0 + np.arange(degree + 1))
             f = SeriesFn(c.astype(np.complex128))
             worst = max(worst, float(np.max(np.abs(
-                series_compose(f, flow).coeffs - m.act(f).coeffs))))
+                series_compose(f, flow).coeffs - m.entries @ f.coeffs))))
         got = matrix_summary(m)["residuals"]["apply_consistency"]
         assert abs(got - worst) <= 1e-13
 
@@ -286,6 +299,11 @@ class TestMaximality:
         assert rs[0] / rs[1] > 8   # order ~4 until solver error floors it
         assert rs[1] / rs[2] > 8
 
+    def test_degree_zero_constant_is_fixed(self, no_run):
+        assert maximality_residual(LINEAR, CONSTANT, H2, 0.5, 8, 1e-10) == 0.0
+        with pytest.raises(BadParameter):
+            maximality_residual(LINEAR, CONSTANT, H2, 200.0, 8, 1e-10)
+
     def test_node_validation(self):
         with pytest.raises(BadParameter):
             maximality_residual(LINEAR, e(1, 8), H2, 0.5, 7, 1e-10)
@@ -299,6 +317,10 @@ class TestTransport:
     def test_constant_zero(self):
         f = SeriesFn([4.0] + [0.0] * 8)
         assert transport_pde_residual(TANH, f, 0.3, 0.5, 1e-3, 1e-3) <= 1e-12
+
+    def test_degree_zero_constant_is_fixed(self, no_run):
+        assert transport_pde_residual(LINEAR, CONSTANT, 0.3, 0.5, 1e-3,
+                                      1e-3) == 0.0
 
     def test_tanh(self):
         r = transport_pde_residual(TANH, e(1, 32), 0.2, 0.4, 1e-3, 1e-3)
@@ -343,6 +365,11 @@ class TestStrongContinuity:
         report = strong_continuity_report(TANH, SeriesFn.zeros(8), H2,
                                           [0.5, 0.25])
         assert all(d == 0 for _, d in report)
+
+    def test_degree_zero_constant_is_fixed(self, no_run):
+        ts = [0.5, 0.0, 0.25, 0.5]
+        report = strong_continuity_report(LINEAR, CONSTANT, H2, ts)
+        assert report == [(t, 0.0) for t in ts]
 
     def test_tanh_decreasing(self):
         ts = [2.0 ** -k for k in range(1, 9)]
