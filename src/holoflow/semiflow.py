@@ -49,6 +49,7 @@ from .errors import (
 )
 from .expr import HoloExpr, Neg
 from .geometry import Domain
+from .jsonio import csv_text
 from .series import (SeriesFn, circle_points, coeffs_from_samples,
                      noise_floor_radius, power_coeffs)
 
@@ -165,21 +166,22 @@ def _dp_step_shared(rhs, y, h, k1):
 
     The stages are the rows of K. Viewed as float64, a complex row is its
     (re, im) pairs, and the tableau is real, so each stage sum is one
-    matrix-vector product y + (h T[i, :i]) @ K[:i] on the float view, and
-    the error is (h T[7]) @ K: a few array operations a stage instead of
-    one or more per weight (CHANGES.md, PR 15). The matrix form sums the
-    products in another order, so a step differs from _dp_step by a few
-    ulps of the magnitudes summed. err and k7 are arrays also where rhs
-    gives one scalar.
+    matrix-vector product y + (h T[i, :i]).dot(K[:i]) on the float view,
+    and the error is (h T[7]).dot(K): a few array operations a stage
+    instead of one or more per weight (CHANGES.md, PR 15). ndarray.dot
+    gives the bits of @ with less dispatch per call, as in _dp_step_lanes.
+    The matrix form sums the products in another order, so a step differs
+    from _dp_step by a few ulps of the magnitudes summed. err and k7 are
+    arrays also where rhs gives one scalar.
     """
     K = np.empty((7, len(y)), complex)
     K[0] = k1
     Kf, yf, T = K.view(float), y.view(float), h * _TABLEAU
     for i in range(1, 6):
-        K[i] = rhs((yf + T[i, :i] @ Kf[:i]).view(complex))
-    y5 = (yf + T[6, :6] @ Kf[:6]).view(complex)
+        K[i] = rhs((yf + T[i, :i].dot(Kf[:i])).view(complex))
+    y5 = (yf + T[6, :6].dot(Kf[:6])).view(complex)
     K[6] = rhs(y5)
-    return y5, (T[7] @ Kf).view(complex), K[6]
+    return y5, T[7].dot(Kf).view(complex), K[6]
 
 
 def _dp_step_lanes(rhs, y, h, k1):
@@ -323,9 +325,10 @@ def _drive(rhs, u, stops, tol, admit, distance, accepted=None,
     (t, h, k1) instead starts the run at time t with a step of h (cut to
     the stop time) and the slope k1 = rhs(u), or rhs(u) evaluated anew
     where k1 is None: flow_series starts its lanes so with a computed
-    step (_start_step), and integrate resumes one complex state so for its
-    exit times. The run starts outside the wall endgame, with the gap of
-    u, as those exit times require.
+    step (_start_step), integrate_seeds with the slopes it took at the
+    seeds, and integrate resumes one complex state so for its exit times.
+    The run starts outside the wall endgame, with the gap of u, as those
+    exit times require.
     """
     xp = _LANES if lanes else _ONE
     step = (_dp_step_lanes if lanes else
@@ -641,7 +644,9 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
     raises on some lane is redone lane by lane in scalar form
     (_eval_lanes), and the raising lanes turn NaN, so only they are
     refused and halved. An entry's bits do not depend on the other seeds
-    (_dp_step_lanes), but where such a redo rounds otherwise.
+    (_dp_step_lanes), but where such a redo rounds otherwise. G is
+    evaluated at the seeds once: where no seed raised, those values are
+    the lanes' first slopes.
     The dense samples of a step from u to y = u + d of length h are dropped
     when its cubic Hermite curve p stays within chord_tol of the chord:
     p(theta) - (u + theta d) =
@@ -660,11 +665,17 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
     z = np.array(seeds, dtype=complex)
     f = G.eval
     with np.errstate(all="ignore"):
-        _, errors = _eval_lanes(f, z)
+        slopes, errors = _eval_lanes(f, z)
         outside = np.flatnonzero(~domain.contains(z))
+    # where a seed raised, its lane by lane redo may round otherwise than
+    # rhs on the live lanes, so _drive takes their first slope anew
+    raised = bool(errors)
     for i in outside.tolist():
         errors[i] = _outside(seeds[i])
     live = [i for i in range(len(seeds)) if i not in errors]
+    start = None if raised else (np.zeros(len(live)),
+                                 np.full(len(live), min(1e-3, horizon)),
+                                 slopes[live])
     lane_type = np.min_scalar_type(max(len(live) - 1, 0))
     # (lanes, points) arrays, in the order they were recorded
     merged = [(np.arange(len(live), dtype=lane_type), z[live])]
@@ -716,7 +727,7 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
     with np.errstate(all="ignore"):  # non-finite lanes are rejected
         _, ends = _drive(rhs, z[live], [horizon], tol,
                          _wall_rule(domain, _LANES), domain.signed_distance,
-                         record, lanes=True)
+                         record, lanes=True, start=start)
         if held:
             sample()
     # a stable sort by lane keeps each lane's points in time order
@@ -924,8 +935,10 @@ def _status_text(status: Status) -> str:
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV text: header, one row per sample, trailing status comment; one
-    % formats all rows from an (n, 3) float64 array, each float as %.17g."""
+    """CSV text: header, one row t,re,im per sample, trailing status
+    comment. Each float is "%.17g"; jsonio.csv_text writes the rows by the
+    kernel jsonio._g17, and by % where the trajectory is short or the
+    kernel's guard declines a block, with the same bytes either way."""
     rows = np.column_stack((traj.times, traj.points.real, traj.points.imag))
-    body = ("%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
-    return "t,re,im\n%s# status=%s\n" % (body, _status_text(traj.status))
+    return csv_text("t,re,im\n", rows,
+                    "# status=%s\n" % _status_text(traj.status))

@@ -30,6 +30,7 @@ import numpy as np
 from . import semiflow
 from .errors import BadParameter
 from .expr import HoloExpr
+from .jsonio import csv_text
 from .series import SeriesFn, _compose_arrays, series_compose, taylor
 from .spaces import CoefSpace
 
@@ -189,14 +190,13 @@ def strong_continuity_report(G: HoloExpr, f: SeriesFn, space: CoefSpace,
 
 
 def matrix_to_csv(m: OperatorMatrix) -> str:
-    """Row-major CSV; each entry contributes a re,im pair of columns."""
-    row_format = ",".join(["%.17g"] * (2 * m.entries.shape[1])) + "\n"
-    lines = ["# t=%.17g N=%d\n" % (m.t, m.degree)]
-    # row by row, so that an export never holds the whole matrix as
-    # Python floats
-    lines.extend(row_format % tuple(row.tolist())
-                 for row in m.entries.view(np.float64))
-    return "".join(lines)
+    """Row-major CSV after a "# t=... N=..." line; each entry contributes
+    a re,im pair of columns, each float "%.17g". jsonio.csv_text writes
+    the rows by the kernel jsonio._g17 in blocks of at most 2,048 floats,
+    and by % where the matrix is small or the kernel's guard declines a
+    block, with the same bytes either way."""
+    return csv_text("# t=%.17g N=%d\n" % (m.t, m.degree),
+                    m.entries.view(np.float64))
 
 
 def matrix_summary(m: OperatorMatrix) -> dict:

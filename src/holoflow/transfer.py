@@ -11,6 +11,7 @@ probe grids.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,11 @@ class ConformalPair:
                 "inverse fails on %s probe %r" % (side, z[i].item()))
 
 
+@functools.cache
 def cayley() -> ConformalPair:
-    """Unit disc onto the upper half-plane, z -> i (1 + z)/(1 - z)."""
+    """Unit disc onto the upper half-plane, z -> i (1 + z)/(1 - z). The
+    pair is built, and its probes run, once; ConformalPair is frozen, so
+    every call returns that one object."""
     return ConformalPair(
         h=Mobius(1j, 1j, -1.0, 1.0),
         h_inv=Mobius(1.0, -1j, 1.0, 1j),

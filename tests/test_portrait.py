@@ -657,3 +657,37 @@ def test_seed_grids_are_built_once(domain, monkeypatch):
     monkeypatch.setattr(portrait, "integrate_seeds", spy)
     render_portrait(parse_symbol("-z"), parse_domain(domain), 2, 0.1, TOL)
     assert seen[0] is seeds
+
+
+class _CountingSymbol:
+    """A symbol that records the points of every evaluation."""
+
+    def __init__(self, G):
+        self.G, self.calls = G, []
+
+    def eval(self, z):
+        self.calls.append(np.array(z, copy=True))
+        return self.G.eval(z)
+
+
+def test_seeds_are_evaluated_once(monkeypatch):
+    # G at the seeds is the lanes' first slope: one evaluation fewer than a
+    # run whose driver evaluates the slope anew, and the same SVG bytes
+    seeds = (0.5, -0.5, 0.5j, -0.25 + 0.25j)
+    monkeypatch.setattr(portrait, "_grid", lambda domain, density: seeds)
+    runs = []
+    for anew in (False, True):
+        if anew:
+            drive = semiflow._drive
+            monkeypatch.setattr(semiflow, "_drive",
+                                lambda *a, start=None, **kw: drive(*a, **kw))
+        G = _CountingSymbol(parse_symbol("i*z"))
+        svg, summary = render_portrait(G, Domain.unit_disc(), 1, 1.5, TOL)
+        assert summary["completed"] == 4
+        runs.append((svg, G.calls))
+    (svg, calls), (svg_anew, calls_anew) = runs
+    assert svg == svg_anew
+    assert len(calls) == len(calls_anew) - 1
+    assert np.array_equal(calls_anew[0], calls_anew[1])
+    assert np.array_equal(calls[0], seeds)
+    assert not np.array_equal(calls[1], seeds)

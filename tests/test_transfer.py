@@ -11,7 +11,9 @@ import re
 import pytest
 
 from holoflow import BadParameter, Domain, Mobius, PoleError
-from holoflow.transfer import _PAIR_PROBE_TOL, ConformalPair, cayley
+from holoflow import transfer
+from holoflow.transfer import (_PAIR_PROBE_TOL, ConformalPair, cayley,
+                               mobius_pair)
 
 DISC = Domain.unit_disc()
 RIGHT = Domain.half_plane("right")
@@ -59,3 +61,23 @@ def test_bad_maps_name_the_first_failing_probe(h, h_inv, source, target,
     assert expected is not None and message in str(expected)
     with pytest.raises(type(expected), match=re.escape(str(expected))):
         ConformalPair(h, h_inv, source, target)
+
+
+def test_cayley_is_built_and_probed_once(monkeypatch):
+    lane_calls = []
+    real = transfer._eval_lanes
+
+    def spy(f, z):
+        lane_calls.append(len(z))
+        return real(f, z)
+
+    monkeypatch.setattr(transfer, "_eval_lanes", spy)
+    cayley.cache_clear()
+    pair = cayley()
+    probes = len(lane_calls)
+    assert probes == 4  # there and back, from each side
+    assert cayley() is pair
+    assert len(lane_calls) == probes
+    # a user map keeps its probes
+    mobius_pair(pair.h, DISC, UPPER)
+    assert len(lane_calls) == 2 * probes
