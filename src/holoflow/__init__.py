@@ -2,7 +2,8 @@
 
 The library integrates complex flows u' = G(u) on discs and half-planes
 with boundary-escape detection, classifies generators of global disc
-semiflows through the Berkson-Porta factorization, acts with the induced
+semiflows by the sign of Re p in G = G(0) - conj(G(0)) z^2 - z p and
+reports their Berkson-Porta factorization, acts with the induced
 composition semigroup on truncated Taylor series in weighted coefficient
 spaces, decides the evaluation condition for those spaces, transfers
 symbols conformally between the disc and a half-plane, and reproduces the

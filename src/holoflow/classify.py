@@ -1,18 +1,21 @@
 """Globality classification for flow generators on the unit disc.
 
-A generator of a global semiflow of the disc factors as
+A holomorphic G on the disc generates a global semiflow exactly when
 
-    G(z) = (b - z)(1 - conj(b) z) F(z),   |b| <= 1,  Re F >= 0 on the disc
+    p(z) = (G(0) - conj(G(0)) z^2 - G(z)) / z   has   Re p >= 0 on the disc
 
-(the Berkson-Porta form; b is the Denjoy-Wolff point). bp_classify looks
-for b among the Newton roots of G (_newton_roots) or, with none, among the
-minima of |G| on the unit circle (_boundary_minima), and samples Re F of
-each candidate on the deterministic interior grid in one evaluation
-(_re_sheet). A negative sample is a conclusive failure certificate for
-that candidate, a clean sheet is evidence only, and a sheet with a NaN
-sample (an overflowed evaluation) never passes. When no candidate passes,
-an orbit that leaves through the wall certifies NotGlobal; otherwise the
-verdict is Inconclusive.
+(Aharonov, Elin, Reich & Shoikhet, Rend. Mat. Acc. Lincei 10, 1999). Re p
+is harmonic, so its least value on |z| <= rho lies on |z| = rho, and
+bp_classify samples it on a few rings (_ring_test) with no knowledge of the
+Denjoy-Wolff point b. Only after a Global verdict is b located, for the
+report, in the Berkson-Porta form
+
+    G(z) = (b - z)(1 - conj(b) z) F(z),   |b| <= 1,  Re F >= 0 on the disc,
+
+from the same ring samples (_interior_b, _boundary_roots), and accepted
+when Re F passes on the deterministic interior grid (_re_sheet). When the
+rings show Re p < 0 somewhere, an orbit that leaves through the wall
+certifies NotGlobal; otherwise the verdict is Inconclusive.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ GLOBAL = "Global"
 NOT_GLOBAL = "NotGlobal"
 INCONCLUSIVE = "Inconclusive"
 
-_NEWTON_SEEDS = 32
 _NEWTON_ITERATIONS = 50
 _NEWTON_TOL = 1e-12
 _ROOT_MERGE_DISTANCE = 1e-7
@@ -44,10 +46,25 @@ _ROOT_MERGE_DISTANCE = 1e-7
 _DOUBLE_STEP = 0.05
 _DOUBLE_DRIFT = 0.1
 _SINGULAR_PROBE_RADIUS = 1e-4
-_BOUNDARY_SAMPLES = 256
-_MAX_BOUNDARY_CANDIDATES = 8
+# Re p is sampled at _RING_SIZE points on each ring; the rings with
+# rho < 1 must all be clean for a Global verdict, the circle may be void.
+_RING_RADII = (0.5, 0.9, 0.99, 0.999, 1.0)
+_RING_SIZE = 1024
+# the rings whose winding number may locate an interior b, innermost first;
+# a pole of F on the circle spoils the trapezoid rule on the 0.999 ring
+_WINDING_RINGS = (1, 2, 3)
+_WINDING_TOL = 1e-6
+# an interior b is the moment of its ring polished by one Newton step no
+# longer than _POLISH_STEP; a longer step hands the seed to _newton_roots
+_POLISH_STEP = 1e-9
+# boundary b is sought from the least minima of |G| on the 0.999 ring
+_BOUNDARY_SEEDS = 4
+_BOUNDARY_SEED_RING = 3
 _ESCAPE_SEEDS = 8
-# A candidate passes when its least Re F sample is at least -TOL_HERGLOTZ.
+# the radius of the last hunt seed, on the ray of the least Re p sample
+_WORST_SEED_RADIUS = 1.0 - 1e-4
+# Re p passes when its least ring sample is at least -TOL_HERGLOTZ, and a
+# located b when its least Re F sample is.
 TOL_HERGLOTZ = 1e-9
 
 
@@ -65,10 +82,15 @@ class EscapeWitness:
 
 @dataclass(frozen=True)
 class BPVerdict:
+    """The verdict; certificate is the least Re p over the clean rings
+    and its point (None when no ring is clean), min_re_F the least Re F
+    sample of the located b (None when no b was located)."""
+
     status: str
     b: Optional[complex] = None
     min_re_F: Optional[float] = None
     witness: Optional[EscapeWitness] = None
+    certificate: Optional[HerglotzReport] = None
 
 
 def bp_build(b: complex, F: HoloExpr) -> HoloExpr:
@@ -90,7 +112,7 @@ def herglotz_check(F: HoloExpr, density: int) -> HerglotzReport:
     evidence, not a positivity proof. A pole at a grid point propagates
     as PoleError.
     """
-    return _herglotz_on(F, _classification_seeds(density)[1])
+    return _herglotz_on(F, _grid(Domain.unit_disc(), density))
 
 
 def _herglotz_on(F: HoloExpr, grid) -> HerglotzReport:
@@ -143,7 +165,8 @@ def _newton_roots(G: HoloExpr, seeds, tol_b: float):
     once on the lanes still running. A lane leaves the run when its
     evaluation raises (a failure), when |G'| < 1e-300, when z leaves
     |z| <= 10 or turns non-finite, or when its step falls below
-    _NEWTON_TOL (converged). ToleranceError when every seed fails.
+    _NEWTON_TOL or G is exactly 0 (converged). ToleranceError when every
+    seed fails.
 
     A boundary b is a double root, since (b - z)(1 - conj(b) z) =
     conj(b)(z - b)^2 when |b| = 1, and there Newton converges only
@@ -168,7 +191,9 @@ def _newton_roots(G: HoloExpr, seeds, tol_b: float):
             gp, gp_errors = _eval_lanes(Gp.eval, z)
             # a lane that raised is NaN in g or gp, so it stops below
             failures += len(g_errors.keys() | gp_errors.keys())
-            step = g / gp
+            # a lane on an exact zero has converged, even where G' = 0
+            exact = g == 0
+            step = np.where(exact, 0.0, g / gp)
             # near a double root each step is half the last; twice the
             # step converges quadratically there (Traub 1964)
             double = ((np.abs(step) < _DOUBLE_STEP)
@@ -176,7 +201,7 @@ def _newton_roots(G: HoloExpr, seeds, tol_b: float):
             last = step
             step = np.where(double, 2.0 * step, step)
             z = z - step
-            running = (np.abs(gp) >= 1e-300) & (np.abs(z) <= 10.0)
+            running = (exact | (np.abs(gp) >= 1e-300)) & (np.abs(z) <= 10.0)
             done = running & (np.abs(step) < _NEWTON_TOL)
             if done.any():
                 converged += zip(ids[done].tolist(), z[done].tolist())
@@ -206,40 +231,95 @@ def _candidate_key(b: complex):
     return (abs(b), arg)
 
 
-@functools.lru_cache(maxsize=16)
-def _classification_seeds(density: int):
-    """(Newton seeds, Herglotz grid) of a grid density, as tuples; the
-    seeds are _NEWTON_SEEDS / 2 strided grid points and as many points of
-    the unit circle."""
-    grid = _grid(Domain.unit_disc(), density)
-    n_grid = _NEWTON_SEEDS // 2
-    stride = [grid[round(i * (len(grid) - 1) / (n_grid - 1))]
-              for i in range(n_grid)]
-    boundary = [cmath.exp(2j * math.pi * k / n_grid) for k in range(n_grid)]
-    return tuple(stride + boundary), grid
+@functools.cache
+def _ring_points() -> np.ndarray:
+    """The ring points, row k on |z| = _RING_RADII[k], read-only."""
+    unit = np.exp(2j * np.pi * np.arange(_RING_SIZE) / _RING_SIZE)
+    rings = np.outer(_RING_RADII, unit)
+    rings.flags.writeable = False
+    return rings
 
 
-_BOUNDARY_POINTS = tuple(cmath.exp(2j * math.pi * k / _BOUNDARY_SAMPLES)
-                         for k in range(_BOUNDARY_SAMPLES))
+def _ring_test(G: HoloExpr):
+    """G on the rings, and Re p there with each void ring a row of NaN.
 
-
-def _boundary_minima(G: HoloExpr):
-    """Boundary points where |G| is smallest, spaced apart, ordered by
-    (|G|, angle); points where G raises are skipped, NaN values go last."""
+    G is evaluated once on all ring points; when that raises, ring by
+    ring, and a ring that raises is void. A ring with a non-finite sample
+    of p is void, and so is every ring when G(0) raises.
+    """
+    rings = _ring_points()
     with np.errstate(all="ignore"):
-        v, errors = _eval_lanes(G.eval, np.array(_BOUNDARY_POINTS))
-    mag = np.abs(v)
-    kept: list[int] = []
-    min_spacing = _BOUNDARY_SAMPLES // 32
-    for k in np.argsort(mag, kind="stable").tolist():
-        if k in errors or any(
-                min(abs(k - kj), _BOUNDARY_SAMPLES - abs(k - kj))
-                < min_spacing for kj in kept):
-            continue
-        kept.append(k)
-        if len(kept) == _MAX_BOUNDARY_CANDIDATES:
-            break
-    return [_BOUNDARY_POINTS[k] for k in kept]
+        try:
+            g = np.broadcast_to(G.eval(rings.ravel()), rings.size)
+            g = g.reshape(rings.shape)
+        except _EVAL_ERRORS:
+            g = np.full(rings.shape, math.nan, complex)
+            for k, ring in enumerate(rings):
+                try:
+                    g[k] = G.eval(ring)
+                except _EVAL_ERRORS:
+                    pass
+        try:
+            g0 = complex(G.eval(0j))
+        except _EVAL_ERRORS:
+            g0 = complex(math.nan)
+        p = (g0 - g0.conjugate() * rings * rings - g) / rings
+    re = p.real
+    re[~np.isfinite(p).all(axis=1)] = math.nan
+    return g, re
+
+
+def _interior_b(G: HoloExpr, g: np.ndarray, tol_b: float) -> list:
+    """[b] for the zero of G inside the first ring of _WINDING_RINGS whose
+    winding number mean(z G'/G) is within _WINDING_TOL of 1, else [].
+
+    b starts at the moment mean(z^2 G'/G) of that ring and takes one
+    scalar Newton step when that step is at most _POLISH_STEP; otherwise
+    _newton_roots runs from it.
+    """
+    rings = _ring_points()
+    Gp = G.derivative()
+    for k in _WINDING_RINGS:
+        with np.errstate(all="ignore"):
+            try:
+                q = rings[k] * Gp.eval(rings[k]) / g[k]
+            except _EVAL_ERRORS:
+                continue
+            if not abs(q.mean() - 1.0) <= _WINDING_TOL:
+                continue
+            b0 = complex((rings[k] * q).mean())
+        try:
+            step = complex(G.eval(b0)) / complex(Gp.eval(b0))
+        except _EVAL_ERRORS:
+            step = complex(math.inf)
+        if abs(step) <= _POLISH_STEP:
+            return [b0 - step]
+        return _newton_roots(G, [b0], tol_b)
+    return []
+
+
+def _boundary_roots(G: HoloExpr, g: np.ndarray, tol_b: float) -> list:
+    """_newton_roots from the _BOUNDARY_SEEDS least local minima of |G| on
+    the 0.999 ring. Seeds on the circle itself could sit at a double root,
+    where G' = 0 stops the lane."""
+    m = np.abs(g[_BOUNDARY_SEED_RING])
+    low = np.flatnonzero((m <= np.roll(m, 1)) & (m <= np.roll(m, -1)))
+    low = low[np.argsort(m[low], kind="stable")][:_BOUNDARY_SEEDS]
+    return _newton_roots(G, _ring_points()[_BOUNDARY_SEED_RING][low], tol_b)
+
+
+def _passing_min_re_F(G: HoloExpr, b: complex, grid) -> Optional[float]:
+    """The least Re F sample of G = (b - z)(1 - conj(b) z) F over the grid
+    when it is at least -TOL_HERGLOTZ and no sample is NaN, else None."""
+    try:
+        sheet = _re_sheet(Ratio(G, _bp_factor(b)), grid,
+                          probe_singularities=True)
+    except _EVAL_ERRORS:
+        return None
+    low = _lowest(sheet, grid).min_re
+    if -TOL_HERGLOTZ <= low < math.inf and not np.isnan(sheet).any():
+        return low
+    return None
 
 
 def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
@@ -247,42 +327,59 @@ def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
                 escape_tol: float = 1e-9) -> BPVerdict:
     """Decide whether G generates a global semiflow of the unit disc.
 
-    Returns Global with the located Denjoy-Wolff point when a candidate
-    factorization passes the sampled positivity check (least Re F sample
-    at least -TOL_HERGLOTZ, none NaN), NotGlobal with an
-    escape witness when no candidate passes and some interior seed exits
-    in finite time through the wall (outward normal speed above
-    sqrt(escape_tol) at the exit point), and Inconclusive otherwise. The
-    seeds are _ESCAPE_SEEDS strided grid points, run one by one in order
-    (the first usually decides). An orbit that creeps towards a boundary
+    Verdict: Re p (the module docstring) is sampled by one evaluation of G
+    on the _RING_SIZE points of each ring |z| = rho of _RING_RADII. A ring
+    is void when G raises on it or a sample of p is not finite, and every
+    ring is when G(0) raises. Global needs every ring with rho < 1 clean
+    (the circle may be void, as where G raises at a boundary point) and
+    the least Re p sample of the clean rings at least -TOL_HERGLOTZ:
+    sampled evidence, not a proof. That sample and its point are the
+    certificate of every verdict (None with no clean ring).
+
+    b: after a Global verdict, an interior b by the winding of a ring
+    (_interior_b), else a boundary b among the Newton roots seeded on the
+    0.999 ring (_boundary_roots), in the order of _newton_roots. A b is
+    accepted when its Re F sheet passes, which gives min_re_F (the zero -1
+    of 1 - z^2 fails it). With no b accepted the verdict is Inconclusive,
+    and no escape hunt runs.
+
+    Witness: otherwise _ESCAPE_SEEDS strided grid points run in order,
+    then one seed at radius _WORST_SEED_RADIUS on the ray of the
+    certificate. The first that exits through the wall moving outward
+    faster than sqrt(escape_tol) at the exit point makes NotGlobal; with
+    none the verdict is Inconclusive. An orbit creeping towards a boundary
     fixed point (the tanh flow of 1 - z^2 reaches 1 - |u| = DELTA_WALL
-    near t = 10.7) ends as an escape of the integrator with a normal speed
-    near 0, and is no witness. The escape horizon and tolerance are
-    checked before any work, by the rule of every run (BadParameter).
+    near t = 10.7) meets the wall with a normal speed near 0 and is no
+    witness. The escape horizon and tolerance are checked before any work,
+    by the rule of every run (BadParameter).
     """
     _check_run(escape_tol, escape_t_max)
-    seeds, grid = _classification_seeds(density)
-    candidates = _newton_roots(G, seeds, tol_b)
-    if not candidates:
-        candidates = _boundary_minima(G)
-    best_min_re: Optional[float] = None
-    for b in candidates:
-        F = Ratio(G, _bp_factor(b))
-        try:
-            sheet = _re_sheet(F, grid, probe_singularities=True)
-        except _EVAL_ERRORS:
-            continue
-        low = _lowest(sheet, grid).min_re
-        if not math.isfinite(low):  # an overflowed sheet
-            continue
-        if best_min_re is None or low > best_min_re:
-            best_min_re = low
-        if low >= -TOL_HERGLOTZ and not np.isnan(sheet).any():
-            return BPVerdict(GLOBAL, b=b, min_re_F=low)
+    g, re = _ring_test(G)
+    clean = np.isfinite(re[:, 0])
+    certificate = None
+    if clean.any():
+        low = _lowest(re.ravel(), _ring_points().ravel())
+        certificate = HerglotzReport(low.min_re, complex(low.argmin))
     disc = Domain.unit_disc()
+    grid = _grid(disc, density)
+    if clean[:-1].all() and certificate.min_re >= -TOL_HERGLOTZ:
+        try:
+            candidates = (_interior_b(G, g, tol_b)
+                          or _boundary_roots(G, g, tol_b))
+        except ToleranceError:  # Newton failed from every seed
+            candidates = []
+        for b in candidates:
+            min_re_F = _passing_min_re_F(G, b, grid)
+            if min_re_F is not None:
+                return BPVerdict(GLOBAL, b=b, min_re_F=min_re_F,
+                                 certificate=certificate)
+        return BPVerdict(INCONCLUSIVE, certificate=certificate)
     n = len(grid)
     hunt = [grid[round(i * (n - 1) / (_ESCAPE_SEEDS - 1))]
             for i in range(_ESCAPE_SEEDS)]
+    if certificate is not None:
+        z = certificate.argmin
+        hunt.append(_WORST_SEED_RADIUS * z / abs(z))
     for z0 in hunt:
         try:
             kind, t, p = _final_state(G, disc, z0, escape_t_max, escape_tol)
@@ -292,6 +389,6 @@ def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
         except _EVAL_ERRORS:
             continue
         if outward > math.sqrt(escape_tol):
-            return BPVerdict(NOT_GLOBAL, min_re_F=best_min_re,
-                             witness=EscapeWitness(z0, float(t)))
-    return BPVerdict(INCONCLUSIVE, min_re_F=best_min_re)
+            return BPVerdict(NOT_GLOBAL, witness=EscapeWitness(z0, float(t)),
+                             certificate=certificate)
+    return BPVerdict(INCONCLUSIVE, certificate=certificate)

@@ -279,15 +279,19 @@ def cmd_classify(v: dict) -> tuple[int, dict, dict]:
     verdict = bp_classify(G, density=v["density"], tol_b=v["tol-b"],
                           escape_t_max=v["escape-tmax"],
                           escape_tol=v["tol"])
-    witness = None
+    witness = certificate = None
     if verdict.witness is not None:
         witness = {"z0": verdict.witness.z0,
                    "t_escape": verdict.witness.t_escape}
+    if verdict.certificate is not None:
+        certificate = {"z": verdict.certificate.argmin,
+                       "min_re_p": verdict.certificate.min_re}
     report = _report("classify", v, {
         "status": verdict.status,
         "b": verdict.b,
         "min_re_F": verdict.min_re_F,
         "witness": witness,
+        "certificate": certificate,
     })
     return (4 if verdict.status == INCONCLUSIVE else 0), report, {}
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from holoflow import (
 )
 from holoflow import classify
 from holoflow.expr import Poly, Product, Ratio, Sum
+from holoflow.geometry import _grid
+from holoflow.semiflow import _final_state
 
 HALF_PLANE_MAP = Mobius(1, 1, -1, 1)  # (1+z)/(1-z), Herglotz on the disc
 
@@ -120,14 +123,64 @@ def test_classify_two_interior_zeros():
 
 
 def test_orbit_creeping_to_the_wall_is_no_witness():
-    # G equals 1 - z^2 off z = 1, a generator. Its Ratio raises near z = 1,
-    # so Newton finds only b = -1, which fails; the orbit from 0.5 follows
-    # the tanh flow towards the fixed point 1 and meets the wall near
-    # t = 10.19, moving outward at about 2e-9 there: an escape of the
-    # integrator, not a finite exit time
-    v = bp_classify(parse_symbol("(1-z)^2*(1+z)/(1-z)"))
+    # G equals 1 - z^2 off z = 0, where it raises, so every ring is void
+    # and the hunt runs; the orbit from 0.5 follows the tanh flow towards
+    # the fixed point 1 and meets the wall near t = 10.19, moving outward at
+    # about 2e-9 there: an escape of the integrator, not a finite exit time
+    v = bp_classify(parse_symbol("1-z^2+0/z"))
     assert v.status != "NotGlobal"
     assert v.witness is None
+    assert v.certificate is None
+
+
+@pytest.mark.parametrize("symbol,min_re_p", [
+    # Re p on the circle is 1 - 1.05 Re z^50, (1.25 - Re z)(1 - 1.1 Re z^40)
+    # and 1 - 1.2 Re z^20; the sampled circle meets each minimum
+    ("-z*(1-1.05*z^50)", -0.05),
+    ("(0.5-z)*(1-0.5*z)*(1-1.1*z^40)", -0.225),
+    ("-z*(1-1.2*z^20)", -0.2),
+    # the pole voids the ring through it, and Re p < 0 on the others
+    ("1/(z-0.5)", -3.2),
+])
+def test_negative_re_p_gives_an_outward_witness(symbol, min_re_p):
+    G = parse_symbol(symbol)
+    start = time.perf_counter()
+    v = bp_classify(G)
+    assert time.perf_counter() - start < 1.0
+    assert v.status == "NotGlobal"
+    assert v.b is None and v.min_re_F is None
+    assert v.certificate.min_re == pytest.approx(min_re_p, abs=1e-12)
+    kind, t, p = _final_state(G, Domain.unit_disc(), v.witness.z0, 20.0,
+                              1e-9)
+    assert t == v.witness.t_escape
+    assert (p.conjugate() * G.eval(p)).real / abs(p) > math.sqrt(1e-9)
+
+
+@pytest.mark.parametrize("symbol", [
+    "(1-z)^2*(1+z)/(1-z)", "(1+z)*(1-z)^3/(1-z)^2"])
+def test_common_factor_symbols_are_never_not_global(symbol):
+    # both equal 1 - z^2, a generator, off z = 1, where they raise
+    start = time.perf_counter()
+    v = bp_classify(parse_symbol(symbol))
+    assert time.perf_counter() - start < 1.0
+    assert v.status != "NotGlobal" and v.witness is None
+    assert abs(v.certificate.min_re) <= 1e-12
+
+
+def test_a_raising_ring_is_void_and_the_rest_stay_clean():
+    # the stacked evaluation raises at z = 1; ring by ring only the circle
+    g, re = classify._ring_test(parse_symbol("(1-z)^2*(1+z)/(1-z)"))
+    assert np.isnan(re[-1]).all() and np.isnan(g[-1]).all()
+    assert np.isfinite(re[:-1]).all()
+    assert np.abs(re[:-1]).max() <= 1e-12
+
+
+def test_boundary_double_zero_is_located():
+    # from the seed 0.999 the doubled Newton step lands on 1, where G = 0
+    # and G' = 0
+    v = bp_classify(parse_symbol("(1-z)^2"))
+    assert v.status == "Global" and v.b == 1
+    assert v.min_re_F == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("symbol,t_escape", [
@@ -181,11 +234,10 @@ def test_bad_escape_parameters_raise_before_any_work(kwargs):
         bp_classify(parse_symbol("z"), **kwargs)
 
 
-# -- lanes against the scalar classifier -------------------------------------
+# -- Newton lanes against the scalar loop ------------------------------------
 #
-# The classifier runs its Newton seeds and its boundary scan as lanes of one
-# array. The references below are the scalar loops they replaced, one seed
-# and one boundary point at a time.
+# _newton_roots runs its seeds as lanes of one array. The reference below is
+# the scalar loop it replaced, one seed at a time.
 
 
 def scalar_newton_roots(G, seeds, tol_b):
@@ -198,6 +250,9 @@ def scalar_newton_roots(G, seeds, tol_b):
         try:
             for _ in range(classify._NEWTON_ITERATIONS):
                 g = G.eval(z)
+                if g == 0:
+                    ok = True
+                    break
                 gp = Gp.eval(z)
                 if abs(gp) < 1e-300:
                     break
@@ -232,27 +287,6 @@ def scalar_newton_roots(G, seeds, tol_b):
     return merged
 
 
-def scalar_boundary_minima(G):
-    n = classify._BOUNDARY_SAMPLES
-    values = []
-    for k in range(n):
-        w = cmath.exp(2j * math.pi * k / n)
-        try:
-            values.append((abs(G.eval(w)), k, w))
-        except HoloflowError:
-            continue
-    values.sort()
-    kept = []
-    for mag, k, w in values:
-        if any(min(abs(k - kj), n - abs(k - kj)) < n // 32
-               for _, kj, _w in kept):
-            continue
-        kept.append((mag, k, w))
-        if len(kept) == classify._MAX_BOUNDARY_CANDIDATES:
-            break
-    return [w for _, _, w in kept]
-
-
 HAND_SYMBOLS = [
     "-z", "z", "1-z^2", "-z*(1-1.05*z^50)",
     "(0.5-z)*(1-0.5*z)*(1-1.1*z^40)", "-z*(1-1.2*z^20)", "z^2+0.5",
@@ -285,7 +319,10 @@ def bench_style_bp_symbols():
     return out
 
 
-SEEDS, GRID = classify._classification_seeds(2)
+GRID = _grid(Domain.unit_disc(), 2)
+# 16 strided grid points and 16 points of the unit circle
+SEEDS = (tuple(GRID[round(i * (len(GRID) - 1) / 15)] for i in range(16))
+         + tuple(cmath.exp(2j * math.pi * k / 16) for k in range(16)))
 # a pole on the fifth Newton seed: only that lane fails
 POLE_ON_SEED = Ratio(parse_symbol("z-0.3"), Poly((-SEEDS[4], 1.0)))
 
@@ -307,19 +344,6 @@ def test_newton_lanes_match_scalar(text):
     assert_same_roots(parse_symbol(text))
 
 
-@pytest.mark.parametrize("text", HAND_SYMBOLS + bench_style_bp_symbols())
-def test_boundary_lanes_match_scalar(text):
-    # |G| ties on the circle (|-z| = 1, |exp| at conjugate angles) break by
-    # rounding, which numpy and Python do differently, so the candidates
-    # are compared by their |G| profile
-    G = parse_symbol(text)
-    lanes = classify._boundary_minima(G)
-    scalar = scalar_boundary_minima(G)
-    assert len(lanes) == len(scalar)
-    for a, b in zip(lanes, scalar):
-        assert abs(G.eval(a)) == pytest.approx(abs(G.eval(b)), rel=1e-12)
-
-
 def test_newton_pole_on_one_seed_fails_that_lane_only():
     with pytest.raises(PoleError):
         POLE_ON_SEED.eval(SEEDS[4])
@@ -338,12 +362,14 @@ def test_newton_fails_from_every_seed():
             reference(G, SEEDS, 1e-8)
 
 
-def test_seeds_and_grid_are_cached_tuples():
-    seeds = classify._classification_seeds
-    assert seeds(2) is seeds(2)
-    assert isinstance(SEEDS, tuple) and isinstance(GRID, tuple)
+def test_grid_and_rings_are_cached():
+    assert _grid(Domain.unit_disc(), 2) is GRID
+    assert isinstance(GRID, tuple)
     assert list(GRID) == Domain.unit_disc().sample_grid(2)
-    assert len(SEEDS) == classify._NEWTON_SEEDS
+    rings = classify._ring_points()
+    assert classify._ring_points() is rings and not rings.flags.writeable
+    assert rings.shape == (len(classify._RING_RADII), classify._RING_SIZE)
+    assert np.allclose(np.abs(rings).T, classify._RING_RADII, rtol=1e-15)
 
 
 def test_grid_point_root_takes_the_probe_average():
@@ -425,10 +451,11 @@ def test_boundary_b_newton_converges_fast(monkeypatch, b, text):
     assert verdict.status == "Global"
     assert abs(verdict.b - b) <= 1e-11
     assert calls <= 50
-    # plain Newton, the step never doubled, needs over 80 calls
+    # plain Newton, the step never doubled, needs at least three times the
+    # calls from the same ring seeds
     monkeypatch.setattr(classify, "_DOUBLE_STEP", 0.0)
     _, plain = classify_counting(monkeypatch, text)
-    assert plain > 80
+    assert plain >= 3 * calls
 
 
 @pytest.mark.parametrize("b,text", bp_symbols(boundary=False))
@@ -440,3 +467,14 @@ def test_interior_b_newton_is_not_slower(monkeypatch, b, text):
     plain_verdict, plain = classify_counting(monkeypatch, text)
     assert calls <= plain
     assert plain_verdict.b == verdict.b
+
+
+@pytest.mark.parametrize("b,text", bp_symbols(boundary=False)[:6])
+def test_interior_b_falls_back_to_newton(monkeypatch, b, text):
+    # with no polishing step short enough, _newton_roots runs from the
+    # ring moment
+    monkeypatch.setattr(classify, "_POLISH_STEP", -1.0)
+    verdict, calls = classify_counting(monkeypatch, text)
+    assert verdict.status == "Global"
+    assert abs(verdict.b - b) <= 1e-11
+    assert calls > 1

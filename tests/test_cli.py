@@ -375,7 +375,8 @@ def test_classify_bad_escape_parameters_exit_2(tmp_path, capsys, flags):
 @pytest.mark.parametrize("symbol,expected,status", [
     ("-z", 0, "Global"),
     ("z", 0, "NotGlobal"),
-    ("-z*(1-1.2*z^20)", 4, "Inconclusive"),
+    # Re p = 1 - 1.2 Re z^20 falls to -0.2 on the circle: no generator
+    ("-z*(1-1.2*z^20)", 0, "NotGlobal"),
 ])
 def test_classify_golden(tmp_path, schema, capsys, symbol, expected,
                          status):
@@ -386,13 +387,42 @@ def test_classify_golden(tmp_path, schema, capsys, symbol, expected,
     doc = json.loads(data)
     jsonschema.validate(doc, schema)
     assert doc == summary and doc["status"] == status
+    certificate = doc["certificate"]
+    assert (certificate["min_re_p"] >= -1e-9) == (status == "Global")
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(
+            dict(doc, certificate={"z": certificate["z"]}), schema)
     if status == "Global":
         assert doc["b"] == [0, 0] and doc["witness"] is None
     if status == "NotGlobal":
-        # every seed of z -> z e^t leaves at t = ln(1/|z0|)
+        assert doc["b"] is None and doc["min_re_F"] is None
+        # the witness leaves through the wall, moving outward
+        G = parse_symbol(symbol)
         z0 = complex(*doc["witness"]["z0"])
+        kind, t, p = semiflow._final_state(G, geometry.Domain.unit_disc(),
+                                           z0, 20.0, 1e-9)
+        assert t == doc["witness"]["t_escape"]
+        assert (p.conjugate() * G.eval(p)).real > math.sqrt(1e-9)
+    if symbol == "z":
+        # every seed of z -> z e^t leaves at t = ln(1/|z0|)
         assert doc["witness"]["t_escape"] == pytest.approx(
             -math.log(abs(z0)), abs=1e-6)
+
+
+@pytest.mark.parametrize("symbol", [
+    "(1-z)^2*(1+z)/(1-z)", "(1+z)*(1-z)^3/(1-z)^2"])
+def test_classify_common_factor_symbols_end_quickly(tmp_path, schema, capsys,
+                                                    symbol):
+    # both are 1 - z^2 off z = 1, where they raise: a generator
+    out = tmp_path / "classify.json"
+    start = time.perf_counter()
+    code = main(["classify", "--symbol", symbol, "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    jsonschema.validate(doc, schema)
+    assert (code, doc["status"]) in ((0, "Global"), (4, "Inconclusive"))
+    assert doc["witness"] is None
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("symbol,phi0,dphi0", [
