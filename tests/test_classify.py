@@ -175,12 +175,27 @@ def test_a_raising_ring_is_void_and_the_rest_stay_clean():
     assert np.abs(re[:-1]).max() <= 1e-12
 
 
-def test_boundary_double_zero_is_located():
+def test_boundary_zero_that_fails_its_sheet_is_not_b():
+    # z^2 - 1 flows towards -1; the zero 1 comes first in the Newton order,
+    # and F = -(1 + z)/(1 - z) of its factorization has Re F < 0
+    v = bp_classify(parse_symbol("z^2-1"))
+    assert v.status == "Global" and abs(v.b + 1) <= 1e-12
+    assert v.min_re_F >= -1e-9
+
+
+@pytest.mark.parametrize("symbol,min_re_F", [
+    ("1-z^2", 0.0019569471624266144),
     # from the seed 0.999 the doubled Newton step lands on 1, where G = 0
     # and G' = 0
-    v = bp_classify(parse_symbol("(1-z)^2"))
+    ("(1-z)^2", 1.0),
+])
+def test_boundary_b_of_a_parabolic_symbol_is_1(symbol, min_re_F):
+    start = time.perf_counter()
+    v = bp_classify(parse_symbol(symbol))
+    assert time.perf_counter() - start < 1.0
     assert v.status == "Global" and v.b == 1
-    assert v.min_re_F == pytest.approx(1.0, abs=1e-12)
+    assert v.min_re_F == pytest.approx(min_re_F, abs=1e-12)
+    assert abs(v.certificate.min_re) <= 1e-12
 
 
 @pytest.mark.parametrize("symbol,t_escape", [
