@@ -298,14 +298,20 @@ def _interior_b(G: HoloExpr, g: np.ndarray, tol_b: float) -> list:
     return []
 
 
-def _boundary_roots(G: HoloExpr, g: np.ndarray, tol_b: float) -> list:
-    """_newton_roots from the _BOUNDARY_SEEDS least local minima of |G| on
-    the 0.999 ring. Seeds on the circle itself could sit at a double root,
+def _boundary_seeds(g: np.ndarray) -> np.ndarray:
+    """The _BOUNDARY_SEEDS least local minima of |G| on the 0.999 ring, in
+    order of |G|, from the ring samples g of _ring_test; none when that
+    ring is void. Seeds on the circle itself could sit at a double root,
     where G' = 0 stops the lane."""
     m = np.abs(g[_BOUNDARY_SEED_RING])
     low = np.flatnonzero((m <= np.roll(m, 1)) & (m <= np.roll(m, -1)))
     low = low[np.argsort(m[low], kind="stable")][:_BOUNDARY_SEEDS]
-    return _newton_roots(G, _ring_points()[_BOUNDARY_SEED_RING][low], tol_b)
+    return _ring_points()[_BOUNDARY_SEED_RING][low]
+
+
+def _boundary_roots(G: HoloExpr, g: np.ndarray, tol_b: float) -> list:
+    """_newton_roots from the _boundary_seeds of the ring samples g."""
+    return _newton_roots(G, _boundary_seeds(g), tol_b)
 
 
 def _passing_min_re_F(G: HoloExpr, b: complex, grid) -> Optional[float]:

@@ -249,10 +249,11 @@ def test_bad_escape_parameters_raise_before_any_work(kwargs):
         bp_classify(parse_symbol("z"), **kwargs)
 
 
-# -- Newton lanes against the scalar loop ------------------------------------
+# -- lanes against the scalar classifier -------------------------------------
 #
-# _newton_roots runs its seeds as lanes of one array. The reference below is
-# the scalar loop it replaced, one seed at a time.
+# _newton_roots runs its seeds as lanes of one array, and the boundary
+# Newton seeds come from one evaluation of G on the rings. The references
+# below are scalar loops, one seed and one ring point at a time.
 
 
 def scalar_newton_roots(G, seeds, tol_b):
@@ -300,6 +301,24 @@ def scalar_newton_roots(G, seeds, tol_b):
         if all(abs(r - m) > classify._ROOT_MERGE_DISTANCE for m in merged):
             merged.append(r)
     return merged
+
+
+def scalar_boundary_seeds(G):
+    # the least local minima of |G| on the 0.999 ring, none when G raises
+    # at a point of that ring or a value there is not finite
+    ring = classify._RING_RADII[classify._BOUNDARY_SEED_RING]
+    n = classify._RING_SIZE
+    points = [ring * cmath.exp(2j * math.pi * k / n) for k in range(n)]
+    try:
+        values = [G.eval(w) for w in points]
+    except (HoloflowError, OverflowError, ZeroDivisionError):
+        return []
+    if not all(cmath.isfinite(v) for v in values):
+        return []
+    m = [abs(v) for v in values]
+    low = [k for k in range(n) if m[k] <= m[k - 1] and m[k] <= m[(k + 1) % n]]
+    low.sort(key=lambda k: m[k])
+    return [points[k] for k in low[:classify._BOUNDARY_SEEDS]]
 
 
 HAND_SYMBOLS = [
@@ -359,6 +378,20 @@ def test_newton_lanes_match_scalar(text):
     assert_same_roots(parse_symbol(text))
 
 
+@pytest.mark.parametrize("text", HAND_SYMBOLS + bench_style_bp_symbols())
+def test_boundary_lanes_match_scalar(text):
+    # |G| ties on the ring (|-z| = 0.999, |exp| at conjugate angles) break
+    # by rounding, which numpy and Python do differently, so the seeds are
+    # compared by their |G| profile
+    G = parse_symbol(text)
+    g, _ = classify._ring_test(G)
+    lanes = classify._boundary_seeds(g)
+    scalar = scalar_boundary_seeds(G)
+    assert len(lanes) == len(scalar)
+    for a, b in zip(lanes, scalar):
+        assert abs(G.eval(a)) == pytest.approx(abs(G.eval(b)), rel=1e-12)
+
+
 def test_newton_pole_on_one_seed_fails_that_lane_only():
     with pytest.raises(PoleError):
         POLE_ON_SEED.eval(SEEDS[4])
@@ -377,7 +410,9 @@ def test_newton_fails_from_every_seed():
             reference(G, SEEDS, 1e-8)
 
 
-def test_grid_and_rings_are_cached():
+def test_seeds_and_grid_are_cached_tuples():
+    # the grid is a cached tuple; the ring points, the boundary Newton
+    # seeds among them, a cached read-only array
     assert _grid(Domain.unit_disc(), 2) is GRID
     assert isinstance(GRID, tuple)
     assert list(GRID) == Domain.unit_disc().sample_grid(2)
