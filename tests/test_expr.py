@@ -1,4 +1,9 @@
 import cmath
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,8 +24,13 @@ from holoflow import (
     Ratio,
     Sum,
     Var,
+    bp_classify,
     parse_symbol,
 )
+from holoflow import classify, expr
+from holoflow.expr import compiled
+
+_SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 CAYLEY = Mobius(1j, 1j, -1.0, 1.0)
 
@@ -226,3 +236,139 @@ def test_array_eval_matches_scalar_eval_on_random_trees(f):
     assume(np.isfinite(scale) and scale < 1e6)
     got = np.broadcast_to(f.eval(_LANES), _LANES.shape)
     assert np.all(np.abs(got - want) <= 1e-9 * (1 + scale))
+
+
+# -- the flat form ------------------------------------------------------------
+
+# the _PROBES, signed zeros, 0 (a pole of 1/z) and the poles 1 of CAYLEY
+# and 2 of Mobius(1, 0.3, -0.5, 1)
+_FLAT_POINTS = _PROBES[:5] + _SIGNED_ZERO_POINTS + [1.0 + 0j, 2.0 + 0j]
+_FLAT_LANES = [_LANES, np.array([0.3 + 0.1j, 1.0, -0.0, 2.0])]
+
+
+def _outcome(fn, z):
+    """fn(z) as its type, shape and the uint64 words of its real and
+    imaginary parts, so that signed zeros count; or the class and message
+    of the error it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            v = fn(z)
+        except Exception as exc:  # any error must be the tree walk's
+            return type(exc), str(exc)
+    words = np.array(v, dtype=complex).reshape(-1).view(np.uint64)
+    return type(v), np.shape(v), words.tolist()
+
+
+def _assert_flat_matches(f):
+    flat = compiled(f)
+    for z in _FLAT_POINTS + _FLAT_LANES:
+        assert _outcome(flat, z) == _outcome(f.eval, z), (str(f), z)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_trees)
+def test_flat_form_matches_the_tree_walk_bit_for_bit(f):
+    # 0.7 s on a 2-CPU Xeon host
+    _assert_flat_matches(f)
+
+
+class _Twice(HoloExpr):
+    """A node type the flat form does not know; it counts its calls."""
+
+    calls = 0
+
+    def eval(self, z):
+        _Twice.calls += 1
+        return 2 * z
+
+    def derivative(self):
+        return Const(2.0)
+
+    def __str__(self):
+        return "twice(z)"
+
+
+_EXP_800 = Compose(Exp(), Const(800))
+
+
+@pytest.mark.parametrize("f", [
+    pytest.param(parse_symbol("z^64"), id="z^64"),
+    # beyond the nesting limit of one expression
+    pytest.param(Poly((0,) * 3000 + (1,)), id="z^3000"),
+    pytest.param(parse_symbol("(1-0.5*z)^64"), id="(1-0.5*z)^64"),
+    Poly((2 - 1j,)),  # 0j * z + c: an array on lanes, never folded
+    Poly((-0.0, 1)),
+    Compose(Const(2.0), CAYLEY),  # the inner pole still raises
+    Ratio(Const(1.0), Compose(CAYLEY, Const(1.0))),  # its fold raises
+    Sum(Const(1.0), Ratio(Neg(Const(3.0)), Sum(Const(1.5), Const(0.5)))),
+    _EXP_800,  # exp overflow of a constant: on lanes too
+    Compose(Exp(), Sum(Var(), Const(800))),  # of a scalar only
+    Ratio(_EXP_800, Var()),  # the pole at 0 comes before the overflow
+    Ratio(_EXP_800, Sum(Const(1.5), CAYLEY)),
+    Compose(Poly((1, 2)), Compose(CAYLEY, Const(0.5))),
+    Sum(_Twice(), Compose(_Twice(), Const(1.0))),
+], ids=str)
+def test_flat_form_fixed_cases(f):
+    _assert_flat_matches(f)
+
+
+def test_constant_subtrees_fold_to_one_constant():
+    flat = compiled(parse_symbol("(1+2i)"))  # Sum(Neg(Const), ...) and so on
+    assert flat(_LANES) == 1 + 2j
+    assert flat.__code__.co_code == compiled(Const(5.0)).__code__.co_code
+
+
+def test_unknown_node_types_keep_their_own_eval():
+    f = Sum(_Twice(), Compose(_Twice(), Const(1.0)))
+    flat = compiled(f)
+    before = _Twice.calls
+    assert flat(0.5) == 3.0
+    assert _Twice.calls == before + 2  # both called, neither folded
+    root = _Twice()
+    assert compiled(root) == root.eval
+
+
+def test_symbols_of_one_shape_share_one_code_object():
+    a, b = parse_symbol("1-0.5*z^2+exp(z)"), parse_symbol("3+2i-4*z^2+exp(z)")
+    fa, fb = compiled(a), compiled(b)
+    assert fa is not fb and fa.__code__ is fb.__code__
+    assert compiled(a) is fa  # kept on the node
+    assert fa(0.25) == a.eval(0.25) and fb(0.25) == b.eval(0.25)
+
+
+def test_a_compiled_symbol_still_pickles():
+    G = parse_symbol("1-z^2")
+    compiled(G)
+    H = pickle.loads(pickle.dumps(G))
+    assert H == G and compiled(H)(0.5) == G.eval(0.5)
+
+
+def test_classify_compiles_its_symbol_once_for_all_hunt_seeds(monkeypatch):
+    hunts, built = [], []
+    final_state = classify._final_state
+    compile_ = expr._compile
+
+    def counting_final_state(G, *args, **kw):
+        hunts.append(G)
+        return final_state(G, *args, **kw)
+
+    def counting_compile(e):
+        built.append(e)
+        return compile_(e)
+
+    monkeypatch.setattr(classify, "_final_state", counting_final_state)
+    monkeypatch.setattr(expr, "_compile", counting_compile)
+    G = parse_symbol("1i*z+z^2")
+    assert bp_classify(G).status == "NotGlobal"
+    assert len(hunts) >= 4 and all(h is G for h in hunts)
+    assert built == [G]
+
+
+def test_importing_the_package_compiles_nothing():
+    code = ("import holoflow, holoflow.cli, holoflow.portrait\n"
+            "from holoflow import expr\n"
+            "print(expr._code.cache_info().misses)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=_SRC))
+    assert out.stdout.split() == ["0"]
