@@ -1,23 +1,31 @@
-"""Deterministic text: JSON reports and CSV rows of floats.
+"""Deterministic text of numbers: JSON reports, CSV rows and SVG points.
 
-In JSON, keys are sorted, floats are printed with %.17g (which
-round-trips IEEE doubles bit-exactly), complex scalars become [re, im]
-pairs. Two runs over equal data produce identical bytes.
+JSON goes through json.dumps: keys sorted, no spaces, floats as Python's
+shortest round-trip text (so a report parses to its floats bit for bit),
+complex values as [re, im] pairs, numpy arrays and scalars as Python
+values. NaN and infinities raise NonFiniteError. Two runs over equal data
+produce identical bytes.
 
-csv_text writes the rows of a float64 array (trajectories, operator
-matrices) with the bytes of "%.17g" % x for every float. Arrays of
-_G17_FLOOR floats or more go through the numpy kernel _g17, in blocks of
-at most _G17_BLOCK values. Its guard declines a block that holds a
-non-finite value, a nonzero |x| outside [1e-280, 1e290), or an inexact
-scaled value within 1e-6 of a half-integer; % writes that block instead.
-The JSON reports keep % (_format_float).
+Float arrays go through two exact numpy kernels, each of which writes
+every value followed by its separator byte: _g17 with the bytes of
+"%.17g" % x (csv_text: trajectories and operator matrices) and _fixed2
+with those of "%.2f" % x (portrait coordinates). Both lay out fixed-size
+records of "%04d" words from one table, _digit_words, and drop the bytes
+that % would not write in one pass, _compact. Each declines an array it
+cannot write exactly, returning None: _g17 a non-finite value, a nonzero
+|x| outside [1e-280, 1e290) or an inexact scaled value within 1e-6 of a
+half-integer; _fixed2 a |x| of _FIXED2_MAX or more or a near half-cent
+tie. A declined array is written by _percent: one % with the same bytes.
+csv_text hands _g17 blocks of at most _G17_BLOCK values, and writes a
+CSV below _G17_FLOOR floats, where the kernel's fixed cost exceeds that
+of %, by % over a row template; portrait._polylines hands _fixed2 runs
+of whole polylines.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 from typing import Optional
 
 import numpy as np
@@ -25,47 +33,27 @@ import numpy as np
 from .errors import NonFiniteError
 
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise NonFiniteError("non-finite float %r in a report" % (x,))
-    return "%.17g" % x
-
-
-def _encode(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        c = complex(obj)
-        return "[%s,%s]" % (_format_float(c.real), _format_float(c.imag))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[%s]" % ",".join(_encode(v) for v in obj)
-    if isinstance(obj, np.ndarray):
-        return _encode(list(obj))
-    if isinstance(obj, dict):
-        parts = []
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise ValueError("JSON keys must be strings")
-            parts.append("%s:%s" % (json.dumps(key), _encode(obj[key])))
-        return "{%s}" % ",".join(parts)
-    raise ValueError("cannot serialize %r" % (type(obj),))
+def _plain(obj):
+    """The JSON value of what json does not know: numpy arrays and scalars
+    as Python values, complex ones as [re, im]."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError("cannot serialize %r" % (type(obj),))
 
 
 def dumps(obj) -> str:
     """One-line deterministic JSON text."""
-    return _encode(obj)
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False, default=_plain)
+    except ValueError as exc:  # json's refusal of NaN and infinities
+        raise NonFiniteError("non-finite float in a report") from exc
 
 
 def dump_line(obj) -> str:
-    return _encode(obj) + "\n"
+    return dumps(obj) + "\n"
 
 
 # -- "%.17g" text of float arrays --------------------------------------------
@@ -96,8 +84,8 @@ _SHAPES = _FIXED_SHAPES + 2 * 17
 @functools.cache
 def _digit_words() -> np.ndarray:
     """The "%04d" text of every w < 10,000 as one uint32 word (its four
-    ASCII bytes in memory order), read-only: the digit table of the float
-    text kernels _g17 and portrait._fixed2."""
+    ASCII bytes in memory order), read-only: the digit table of _g17 and
+    _fixed2."""
     w = np.arange(10_000)[:, None]
     digits = (w // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
     words = digits.view(np.uint32).ravel()
@@ -264,10 +252,7 @@ def _g17(values: np.ndarray, seps: np.ndarray) -> Optional[bytes]:
     text[6] = words.take(11 + lead)
     text[11] = words.take(21 + (k < 0))
     text[12] = words.take(23 + np.abs(k))
-    text = text.T.copy().view(np.uint8)
-    text[:, 51] = seps
-    # one flat mask: a 2-D one would first list the indices of its bytes
-    return text.ravel()[keeps.take(shape, 0).view(bool).ravel()].tobytes()
+    return _compact(text.T.copy(), seps, keeps.take(shape, 0))
 
 
 def csv_text(head: str, rows: np.ndarray, tail: str = "") -> str:
@@ -275,10 +260,11 @@ def csv_text(head: str, rows: np.ndarray, tail: str = "") -> str:
     as "%.17g", "," between the columns and a newline after each row.
 
     Arrays of _G17_FLOOR floats or more go through _g17 in near-equal
-    blocks of at most _G17_BLOCK values; a block that _g17 declines, and a
-    shorter array, is written by %. Either way the bytes are those of % on
-    every float. The text is joined once, with head and tail, so that a
-    large export holds it twice at most.
+    blocks of at most _G17_BLOCK values, and a block that _g17 declines
+    through _percent. A shorter array is written by one % over a row
+    template, which costs less than building its separators. Either way
+    the bytes are those of % on every float. The text is joined once,
+    with head and tail, so that a large export holds it twice at most.
     """
     values = rows.ravel()
     if len(values) < _G17_FLOOR:
@@ -291,10 +277,88 @@ def csv_text(head: str, rows: np.ndarray, tail: str = "") -> str:
     out = bytearray(head.encode("ascii"))
     for x, sep in zip(np.array_split(values, blocks),
                       np.array_split(seps, blocks)):
-        text = _g17(x, sep)
-        if text is None:  # one % over "%.17g" and the block's separators
-            text = (("%.17g" + "%.17g".join(sep.tobytes().decode("ascii")))
-                    % tuple(x.tolist())).encode("ascii")
-        out += text
+        out += _g17(x, sep) or _percent("%.17g", x, sep)
     out += tail.encode("ascii")
     return out.decode("ascii")
+
+
+# -- "%.2f" text of float arrays ---------------------------------------------
+
+# _fixed2 writes |x| below this with rint(100 x) < 1e6, so "%4d" holds its
+# integer part; fl(100 x) is then within 6e-11 of the exact 100 x
+_FIXED2_MAX = 9_999.99
+# and rint(fl(100 x)) is the correctly rounded exact 100 x when fl(100 x)
+# lies nearer than this to an integer
+_TIE_GAP = 0.5 - 1e-6
+
+
+@functools.cache
+def _fixed2_tables():
+    """The words of _fixed2: "%04d" of q < 10,000 (_digit_words) and its
+    keep mask (the bytes of "%d"), ".%02d" of r < 100 with a free fourth
+    byte, a word starting "-", the keep mask of its first byte, and an
+    all-kept word."""
+    q = np.arange(10_000, dtype=np.int16)[:, None]
+    keep = q >= np.array([1000, 100, 10, 0], np.int16)
+    r = np.arange(100, dtype=np.uint8)
+    cents = np.stack([np.full(100, 46, np.uint8), r // 10 + 48, r % 10 + 48,
+                      np.zeros(100, np.uint8)], 1)
+    minus, first, every = np.frombuffer(b"-\0\0\0" b"\1\0\0\0" b"\1\1\1\1",
+                                        np.uint32)
+    return (_digit_words(), keep.view(np.uint32).ravel(),
+            cents.view(np.uint32).ravel(), minus, first, every)
+
+
+def _fixed2(values: np.ndarray, seps: np.ndarray) -> Optional[bytes]:
+    """The bytes of "%.2f" % x, each followed by its separator byte, over
+    the floats x of values and the uint8 seps; None unless every |x| is
+    below _FIXED2_MAX and every fl(100 x) nearer than _TIE_GAP to an
+    integer, where rint gives the digits that % gives.
+
+    Each value takes three words: a sign word ("-" kept by signbit, as %
+    writes "-0.00" for -0.0 and -0.004), "%04d" of the integer part q and
+    ".%02d" of the cents r with the separator as fourth byte. A keep mask
+    of the same layout drops the sign of positive values and the leading
+    zeros of q.
+    """
+    if not np.abs(values).max(initial=0.0) < _FIXED2_MAX:  # NaN fails too
+        return None
+    s = values * 100.0
+    n = np.rint(s)
+    s -= n
+    if not np.abs(s, out=s).max(initial=0.0) < _TIE_GAP:
+        return None
+    digits, keep_digits, cents, minus, first, every = _fixed2_tables()
+    q, r = np.divmod(np.abs(n, out=n).astype(np.int32), 100)
+    words = np.empty((len(values), 3), np.uint32)
+    words[:, 0] = minus
+    words[:, 1] = digits[q]
+    words[:, 2] = cents[r]
+    keep = np.empty_like(words)
+    np.multiply(np.signbit(values), first, out=keep[:, 0])
+    keep[:, 1] = keep_digits[q]
+    keep[:, 2] = every
+    return _compact(words, seps, keep)
+
+
+# -- shared by both kernels --------------------------------------------------
+
+def _compact(words: np.ndarray, seps: np.ndarray, keep: np.ndarray) -> bytes:
+    """The text of a kernel: words holds one record of uint32 words per
+    value, whose last byte becomes the value's separator from seps, and
+    keep, of the same shape, a 0/1 byte per byte; the kept bytes, in
+    order."""
+    text = words.view(np.uint8)
+    text[:, -1] = seps
+    # one flat mask: a 2-D one would first list the indices of its bytes
+    return text.ravel()[keep.view(bool).ravel()].tobytes()
+
+
+def _percent(fmt: str, values: np.ndarray, seps: np.ndarray) -> bytes:
+    """The bytes of fmt % x, each followed by its separator byte, over the
+    floats x of values and the uint8 seps (ASCII, no "%"), by one %: the
+    text of an array that a kernel declines."""
+    if not len(values):
+        return b""
+    return ((fmt + fmt.join(seps.tobytes().decode("ascii")))
+            % tuple(values.tolist())).encode("ascii")

@@ -10,7 +10,8 @@ the step's chord (after Ramer 1972; Douglas & Peucker 1973): a sample
 left out lies within 0.25 px of that chord, which is a segment of the
 polyline, so the text grows with curvature instead of horizon. _on_canvas
 trims each polyline to the canvas, and _polylines writes each pixel
-coordinate as "%.2f" formats it alone. Escaped trajectories are dashed;
+coordinate as "%.2f" formats it alone (jsonio._fixed2, or % where that
+kernel declines). Escaped trajectories are dashed;
 discs of radius above 1 get a dashed unit circle. Seeds whose integration
 fails are logged in seed order and skipped. Identical inputs produce
 identical bytes, and a seed's polyline does not depend on the other seeds
@@ -19,16 +20,14 @@ of the grid.
 
 from __future__ import annotations
 
-import functools
 import logging
-from typing import Optional
 
 import numpy as np
 
 from .errors import HoloflowError
 from .expr import HoloExpr
 from .geometry import DISC, Domain, _grid
-from .jsonio import _digit_words
+from .jsonio import _fixed2, _percent
 from .semiflow import ESCAPED, integrate_seeds
 
 logger = logging.getLogger(__name__)
@@ -38,12 +37,6 @@ CANVAS = 800.0
 _CHORD_PX = 0.25
 # polylines are formatted in runs of about this many vertices
 _SLICE = 2048
-# _fixed2 writes |x| below this with rint(100 x) < 1e6, so "%4d" holds its
-# integer part; fl(100 x) is then within 6e-11 of the exact 100 x
-_FIXED2_MAX = 9_999.99
-# and rint(fl(100 x)) is the correctly rounded exact 100 x when fl(100 x)
-# lies nearer than this to an integer
-_TIE_GAP = 0.5 - 1e-6
 # a segment whose bounding box lies farther than this outside the canvas
 # paints no pixel (the stroke is 1 px wide)
 _MARGIN_PX = 10.0
@@ -114,57 +107,6 @@ def _on_canvas(fx, fy, lines: list) -> list:
     return out
 
 
-@functools.cache
-def _fixed2_tables():
-    """The words of _fixed2: "%04d" of q < 10,000 (jsonio._digit_words)
-    and its keep mask (the bytes of "%d"), ".%02d" of r < 100 with a free
-    fourth byte, a word starting "-", the keep mask of its first byte, and
-    an all-kept word."""
-    q = np.arange(10_000, dtype=np.int16)[:, None]
-    keep = q >= np.array([1000, 100, 10, 0], np.int16)
-    r = np.arange(100, dtype=np.uint8)
-    cents = np.stack([np.full(100, 46, np.uint8), r // 10 + 48, r % 10 + 48,
-                      np.zeros(100, np.uint8)], 1)
-    minus, first, every = np.frombuffer(b"-\0\0\0" b"\1\0\0\0" b"\1\1\1\1",
-                                        np.uint32)
-    return (_digit_words(), keep.view(np.uint32).ravel(),
-            cents.view(np.uint32).ravel(), minus, first, every)
-
-
-def _fixed2(values: np.ndarray, seps: np.ndarray) -> Optional[bytes]:
-    """The bytes of "%.2f" % x, each followed by its separator byte, over
-    the floats x of values and the uint8 seps; None unless every |x| is
-    below _FIXED2_MAX and every fl(100 x) nearer than _TIE_GAP to an
-    integer, where rint gives the digits that % gives.
-
-    Each value takes three words: a sign word ("-" kept by signbit, as %
-    writes "-0.00" for -0.0 and -0.004), "%04d" of the integer part q and
-    ".%02d" of the cents r with the separator as fourth byte. A keep mask
-    of the same layout drops the sign of positive values and the leading
-    zeros of q, and one boolean index gives the text.
-    """
-    if not np.abs(values).max(initial=0.0) < _FIXED2_MAX:  # NaN fails too
-        return None
-    s = values * 100.0
-    n = np.rint(s)
-    s -= n
-    if not np.abs(s, out=s).max(initial=0.0) < _TIE_GAP:
-        return None
-    digits, keep_digits, cents, minus, first, every = _fixed2_tables()
-    q, r = np.divmod(np.abs(n, out=n).astype(np.int32), 100)
-    words = np.empty((len(values), 3), np.uint32)
-    words[:, 0] = minus
-    words[:, 1] = digits[q]
-    words[:, 2] = cents[r]
-    text = words.view(np.uint8)
-    text[:, 11] = seps
-    keep = np.empty_like(words)
-    np.multiply(np.signbit(values), first, out=keep[:, 0])
-    keep[:, 1] = keep_digits[q]
-    keep[:, 2] = every
-    return text[keep.view(bool)].tobytes()
-
-
 _LINE = ('<polyline points="%s" fill="none" stroke="%s" stroke-width="1"'
          '%s/>')
 
@@ -173,8 +115,8 @@ def _polylines(fx, fy, drawn) -> str:
     """The <polyline> lines of drawn, a list of (points, stroke, dash).
 
     Runs of whole polylines, cut where the vertex count passes a multiple
-    of _SLICE, are written at once: by _fixed2, or else by one % over a
-    template of the run.
+    of _SLICE, are written at once: by jsonio._fixed2, or by one % where
+    it declines the run (jsonio._percent).
     """
     ends = np.cumsum([0] + [len(p) for p, _, _ in drawn])
     cuts = [0, *(np.flatnonzero(np.diff(ends[1:] // _SLICE)) + 1).tolist(),
@@ -189,16 +131,10 @@ def _polylines(fx, fy, drawn) -> str:
         seps = np.full(len(xy), ord(" "), np.uint8)
         seps[::2] = ord(",")
         seps[2 * (ends[a + 1:b + 1] - ends[a]) - 1] = ord("\n")
-        text = _fixed2(xy, seps)
-        if text is not None:
-            lines.append("\n".join(
-                _LINE % (t, stroke, dash) for t, (_, stroke, dash)
-                in zip(text[:-1].decode().split("\n"), part)))
-            continue
-        template = "\n".join(
-            _LINE % (("%.2f,%.2f " * len(p))[:-1], stroke, dash)
-            for p, stroke, dash in part)
-        lines.append(template % tuple(xy.tolist()))
+        text = _fixed2(xy, seps) or _percent("%.2f", xy, seps)
+        lines.append("\n".join(
+            _LINE % (t, stroke, dash) for t, (_, stroke, dash)
+            in zip(text[:-1].decode().split("\n"), part)))
     return "\n".join(lines)
 
 

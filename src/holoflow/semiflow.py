@@ -943,9 +943,7 @@ def _status_text(status: Status) -> str:
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV text: header, one row t,re,im per sample, trailing status
-    comment. Each float is "%.17g"; jsonio.csv_text writes the rows by the
-    kernel jsonio._g17, and by % where the trajectory is short or the
-    kernel's guard declines a block, with the same bytes either way."""
+    comment. Each float is "%.17g", as jsonio.csv_text writes it."""
     rows = np.column_stack((traj.times, traj.points.real, traj.points.imag))
     return csv_text("t,re,im\n", rows,
                     "# status=%s\n" % _status_text(traj.status))

@@ -191,10 +191,8 @@ def strong_continuity_report(G: HoloExpr, f: SeriesFn, space: CoefSpace,
 
 def matrix_to_csv(m: OperatorMatrix) -> str:
     """Row-major CSV after a "# t=... N=..." line; each entry contributes
-    a re,im pair of columns, each float "%.17g". jsonio.csv_text writes
-    the rows by the kernel jsonio._g17 in blocks of at most 2,048 floats,
-    and by % where the matrix is small or the kernel's guard declines a
-    block, with the same bytes either way."""
+    a re,im pair of columns, each float "%.17g", as jsonio.csv_text
+    writes it."""
     return csv_text("# t=%.17g N=%d\n" % (m.t, m.degree),
                     m.entries.view(np.float64))
 

@@ -14,6 +14,7 @@ import pytest
 import holoflow
 from holoflow import geometry, parse_symbol, semiflow, series
 from holoflow.cli import _HANDLERS, main
+from test_jsonio import assert_same, plain
 
 
 @pytest.fixture(scope="module")
@@ -570,3 +571,40 @@ def test_overflowing_denominator_gets_a_report(tmp_path, schema, capsys,
         doc = json.loads(data)
         jsonschema.validate(doc, schema)
         assert doc == summary and doc["status"] == "Inconclusive"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--symbol=-z"],
+    ["classify", "--symbol", "z"],
+    ["evolve", "--symbol", "-z*(1+0.3*z)", "--f", "1/(1-0.5*z)", "--N", "16",
+     "--space", "hpbeta:p=2,beta=pow:1", "--matrix-out", "MATRIX"],
+    ["check-e", "--space", "hpbeta:p=2,beta=geom:2"],
+    ["generator-check", "--symbol=-z", "--f", "poly(0.5,1,0.25)",
+     "--N", "16"],
+    ["counterexample", "--trajectory-out", "TRAJECTORY"],
+    ["transfer-check", "--symbol", "i*z", "--z0", "0.3,0.2"],
+], ids=["classify-Global", "classify-NotGlobal", "evolve", "check-e",
+        "generator-check", "counterexample", "transfer-check"])
+def test_reports_hold_the_handlers_floats_bit_for_bit(tmp_path, schema, capsys,
+                                                      monkeypatch, argv):
+    # every float of the handler's report, complex parts as [re, im]
+    reports = []
+    handler = _HANDLERS[argv[0]]
+
+    def recording(values):
+        result = handler(values)
+        reports.append(result[1])
+        return result
+
+    monkeypatch.setitem(_HANDLERS, argv[0], recording)
+    out = tmp_path / "report.json"
+    paths = {"MATRIX": str(tmp_path / "matrix.csv"),
+             "TRAJECTORY": str(tmp_path / "trajectory.csv")}
+    assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert_same(doc, plain(reports[0]))
+    assert json.loads(capsys.readouterr().out) == doc
+    jsonschema.validate(doc, schema)
+    if argv[0] == "classify":
+        assert doc["status"] == ("Global" if argv[1] == "--symbol=-z"
+                                 else "NotGlobal")

@@ -1,24 +1,33 @@
-"""The "%.17g" kernel of the CSV writers against %.
+"""The text of numbers: JSON reports, and the float kernels against %.
+
+jsonio.dumps must round-trip every finite float bit for bit, write complex
+and numpy values as plain JSON, sort keys, leave no spaces, and refuse
+NaN and infinities with NonFiniteError.
 
 jsonio._g17 must give the bytes of "%.17g" % x and the separator for every
 float of a block, or decline the block (None) when a float is guarded:
 non-finite, nonzero outside [_G17_LOW, _G17_HIGH), or scaled within
 _G17_TIE_GAP of a half-integer. The guard is recomputed here exactly with
-Fraction.
+Fraction. jsonio._percent, the one fallback of both kernels, must give
+the same bytes by %.
 """
 
+import json
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holoflow import jsonio
+from holoflow.errors import NonFiniteError
 from holoflow.jsonio import (_G17_BLOCK, _G17_FLOOR, _G17_HIGH, _G17_LOW,
                              _G17_TIE_GAP, _POW_BIAS, _g17, _g17_tables,
-                             csv_text)
+                             _percent, csv_text, dumps)
 
 SEPS = b",;\n\t |"
 
@@ -161,3 +170,117 @@ def test_short_arrays_are_written_by_percent(monkeypatch):
     rows = np.arange(_G17_FLOOR - 1, dtype=float).reshape(-1, 1) / 7
     assert csv_text("", rows) == "".join("%.17g\n" % x for x in rows[:, 0])
     assert csv_text("<", np.zeros((0, 3)), ">") == "<>"
+
+
+def test_percent_writes_every_format_and_separator():
+    values = np.array([0.0, -0.0, 1 / 3, -2.5, 672.825, 1e300, 5e-324,
+                       math.inf, -math.inf, math.nan])
+    for fmt in ("%.17g", "%.2f"):
+        assert _percent(fmt, values[:0], np.zeros(0, np.uint8)) == b""
+        for c in SEPS:
+            seps = np.full(len(values), c, np.uint8)
+            assert _percent(fmt, values, seps) == b"".join(
+                b"%s%c" % (fmt.encode() % x, c) for x in values)
+        seps = np.frombuffer(SEPS * 2, np.uint8)[:len(values)]
+        assert _percent(fmt, values, seps) == b"".join(
+            b"%s%c" % (fmt.encode() % x, c) for x, c in zip(values, seps))
+
+
+def test_large_export_holds_its_text_twice_at_most():
+    # csv_text joins the text once: the bytes it builds and the str made
+    # from them, with one block's kernel temporaries beside them
+    rows = np.random.default_rng(7).standard_normal((257, 514))
+    csv_text("", rows[:1])  # first-call tables
+    tracemalloc.start()
+    try:
+        text = csv_text("# head\n", rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_600_000
+    assert peak < 2.5 * len(text)
+
+
+# -- JSON --------------------------------------------------------------------
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max,
+                     -sys.float_info.max, 1.0, -3.0, 2.0 ** 53, 1e22]))
+WORDS = st.text("abcxyz_-0123456789", max_size=5)
+LEAVES = st.one_of(
+    FINITE, FINITE.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(
+        np.float32),
+    st.builds(complex, FINITE, FINITE),
+    st.builds(np.complex128, st.builds(complex, FINITE, FINITE)),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.lists(FINITE, max_size=4).map(np.array),
+    st.lists(st.builds(complex, FINITE, FINITE), max_size=3).map(np.array),
+    st.integers(), st.booleans(), st.none(), WORDS)
+DOCS = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(WORDS, inner, max_size=4)), max_leaves=16)
+
+
+def plain(obj):
+    """obj as JSON gives it back: Python values, lists, [re, im]."""
+    if isinstance(obj, np.ndarray):
+        return [plain(v) for v in obj.tolist()]
+    if isinstance(obj, np.generic):
+        return plain(obj.item())
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    return obj
+
+
+def assert_same(got, expected):
+    """Equal, with every float of the same bits and no float turned int."""
+    assert type(got) is type(expected), (got, expected)
+    if isinstance(expected, float):
+        assert (np.float64(got).view(np.uint64)
+                == np.float64(expected).view(np.uint64)), (got, expected)
+    elif isinstance(expected, list):
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert_same(g, e)
+    elif isinstance(expected, dict):
+        assert got.keys() == expected.keys()
+        for k in expected:
+            assert_same(got[k], expected[k])
+    else:
+        assert got == expected
+
+
+def sorted_pairs(pairs):
+    keys = [k for k, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(DOCS)
+@example({"z": [-0.0, 5e-324, -sys.float_info.max, 1.0, -3.0, 2.0 ** 53],
+          "a": (np.complex128(complex(1.0, -0.0)), np.arange(3.0))})
+def test_reports_round_trip_bit_for_bit(doc):
+    text = dumps(doc)
+    assert " " not in text and "\n" not in text
+    assert_same(json.loads(text, object_pairs_hook=sorted_pairs), plain(doc))
+    assert jsonio.dump_line(doc) == text + "\n"
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(DOCS, st.sampled_from([
+    math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(math.inf),
+    complex(math.inf, 0.0), np.complex128(complex(0.0, math.nan)),
+    np.array([1.0, -math.inf])]),
+    st.lists(st.sampled_from([list, tuple, dict]), max_size=3))
+def test_non_finite_floats_anywhere_are_refused(doc, bad, wrappers):
+    for wrap in wrappers:
+        bad = {"a": doc, "b": bad} if wrap is dict else wrap([doc, bad])
+    with pytest.raises(NonFiniteError):
+        dumps(bad)

@@ -26,9 +26,9 @@ from holoflow import (
     parse_symbol,
 )
 from holoflow import geometry, portrait, semiflow
-from holoflow.portrait import (CANVAS, _FIXED2_MAX, _MARGIN_PX, _PALETTE,
-                               _fixed2, _on_canvas, _polylines, _viewport,
-                               render_portrait)
+from holoflow.jsonio import _FIXED2_MAX, _fixed2
+from holoflow.portrait import (CANVAS, _MARGIN_PX, _PALETTE, _on_canvas,
+                               _polylines, _viewport, render_portrait)
 from holoflow.semiflow import H_MIN, integrate_seeds
 
 TOL = 1e-9
