@@ -69,20 +69,24 @@ _DEN_PROBES = np.array([
 
 
 def _check_pole(den, z, what: str):
-    """PoleError when |den| < EPS_POLE, naming z (on lanes: the first lane
-    hit). The scalar test costs nothing extra; an array of lanes makes the
-    truth test raise ValueError and takes the elementwise check. A scalar
-    whose modulus overflows is no pole."""
+    """PoleError when |den| < EPS_POLE, naming z (on lanes, an array of one
+    dimension or more: the first lane hit). |den| is compared once: a
+    Python scalar off the pole returns at once, and an array of lanes
+    takes its hits from the comparison. A scalar whose modulus overflows
+    is no pole."""
     try:
-        if abs(den) < EPS_POLE:
-            raise PoleError("%s near z=%r" % (what, z))
+        small = abs(den) < EPS_POLE
     except OverflowError:
-        pass
-    except ValueError:
-        hit = np.flatnonzero(np.abs(den) < EPS_POLE)
+        return
+    if small is False:
+        return
+    if getattr(small, "ndim", 0):
+        hit = np.flatnonzero(small)
         if hit.size:
             raise PoleError("%s near z=%r"
-                            % (what, complex(z.flat[hit[0]]))) from None
+                            % (what, complex(z.flat[hit[0]])))
+    elif small:
+        raise PoleError("%s near z=%r" % (what, z))
 
 
 def _exp(z):

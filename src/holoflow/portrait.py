@@ -8,10 +8,12 @@ points of integrate, in time order, and the dense samples of the steps
 whose cubic Hermite curve may depart more than _CHORD_PX = 0.25 px from
 the step's chord (after Ramer 1972; Douglas & Peucker 1973): a sample
 left out lies within 0.25 px of that chord, which is a segment of the
-polyline, so the text grows with curvature instead of horizon. _on_canvas
-trims each polyline to the canvas, and _polylines writes each pixel
-coordinate as "%.2f" formats it alone (jsonio._fixed2, or % where that
-kernel declines). Escaped trajectories are dashed;
+polyline, so the text grows with curvature instead of horizon. The run's
+points stay in one merged array up to the text: _on_canvas finds the
+part of each polyline to keep on the canvas, one gather takes it, and
+_polylines writes each pixel coordinate as "%.2f" formats it alone
+(jsonio._fixed2, or % where that kernel declines). Escaped trajectories
+are dashed;
 discs of radius above 1 get a dashed unit circle. Seeds whose integration
 fails are logged in seed order and skipped. Identical inputs produce
 identical bytes, and a seed's polyline does not depend on the other seeds
@@ -24,7 +26,6 @@ import logging
 
 import numpy as np
 
-from .errors import HoloflowError
 from .expr import HoloExpr
 from .geometry import DISC, Domain, _grid
 from .jsonio import _fixed2, _percent
@@ -75,10 +76,13 @@ def _circle(fx, fy, center: complex, radius: float, style: str) -> str:
         fx(center.real), fy(center.imag), r_px, style)
 
 
-def _on_canvas(fx, fy, lines: list) -> list:
-    """Each polyline of lines without its leading and trailing runs of
-    segments that miss the canvas, keeping the vertex where such a run
-    starts; a polyline with no segment on the canvas keeps its first vertex.
+def _on_canvas(xy: np.ndarray, sizes: np.ndarray):
+    """(first, stop): the vertices first[i] .. stop[i] - 1 of the pixel
+    points xy (one x, y row each) that polyline i keeps, where the
+    polylines are the runs of sizes[i] rows of xy. A polyline loses its
+    leading and trailing runs of segments that miss the canvas, keeping
+    the vertex where such a run starts; one with no segment on the canvas
+    keeps its first vertex.
 
     A segment misses when its bounding box lies outside the canvas box
     widened by _MARGIN_PX. What is drawn stays the same, and orbits that
@@ -86,56 +90,64 @@ def _on_canvas(fx, fy, lines: list) -> list:
     nothing. Runs in the middle stay, since joining across them would draw
     a chord that the orbit does not follow.
     """
-    sizes = np.fromiter(map(len, lines), np.intp, len(lines))
     ends = np.cumsum(sizes)
     firsts = ends - sizes
-    p = np.concatenate(lines)
     lo, hi = -_MARGIN_PX, CANVAS + _MARGIN_PX
-    miss = np.zeros(len(p), bool)  # segment k joins vertex k to k + 1
-    for v in (fx(p.real), fy(p.imag)):
-        a, b = v[:-1], v[1:]
-        miss[:-1] |= (np.maximum(a, b) < lo) | (np.minimum(a, b) > hi)
+    a, b = xy[:-1], xy[1:]
+    miss = np.ones(len(xy), bool)  # segment k joins vertex k to k + 1
+    miss[:-1] = ((np.maximum(a, b) < lo) | (np.minimum(a, b) > hi)).any(1)
     miss[ends - 1] = True  # the last vertex of a line starts no segment
-    k = np.arange(len(p))
-    first = np.minimum.reduceat(np.where(miss, len(p), k), firsts)
+    k = np.arange(len(xy))
+    first = np.minimum.reduceat(np.where(miss, len(xy), k), firsts)
     stop = np.maximum.reduceat(np.where(miss, -1, k), firsts) + 2
     hit = stop > 1
-    first, stop = np.where(hit, first, firsts), np.where(hit, stop, firsts + 1)
-    out = list(lines)
-    for i in np.flatnonzero((first != firsts) | (stop != ends)).tolist():
-        out[i] = p[first[i]:stop[i]]
-    return out
+    return np.where(hit, first, firsts), np.where(hit, stop, firsts + 1)
 
 
-_LINE = ('<polyline points="%s" fill="none" stroke="%s" stroke-width="1"'
-         '%s/>')
+# a polyline is _HEAD, its points, then its tail: _TAIL % (stroke, dash)
+_HEAD = '<polyline points="'
+_TAIL = '" fill="none" stroke="%s" stroke-width="1"%s/>'
 
 
-def _polylines(fx, fy, drawn) -> str:
-    """The <polyline> lines of drawn, a list of (points, stroke, dash).
+def _polylines(xy: np.ndarray, sizes: np.ndarray, tails: list) -> list:
+    """The <polyline> lines of the pixel points xy, one x, y row each, cut
+    into polylines of sizes[i] rows, the i-th ending in tails[i]: one
+    text of newline-separated lines per run.
 
     Runs of whole polylines, cut where the vertex count passes a multiple
     of _SLICE, are written at once: by jsonio._fixed2, or by one % where
-    it declines the run (jsonio._percent).
+    it declines the run (jsonio._percent). A run's text is split at its
+    polylines and joined once with their heads and tails; the caller
+    joins the runs with the rest of the SVG, so the whole text is copied
+    once.
     """
-    ends = np.cumsum([0] + [len(p) for p, _, _ in drawn])
-    cuts = [0, *(np.flatnonzero(np.diff(ends[1:] // _SLICE)) + 1).tolist(),
-            len(drawn)]
+    ends = np.cumsum(sizes)
+    cuts = [0, *(np.flatnonzero(np.diff(ends // _SLICE)) + 1).tolist(),
+            len(sizes)]
+    ends = [0, *ends.tolist()]
     lines = []
     for a, b in zip(cuts, cuts[1:]):
-        part = drawn[a:b]
-        points = np.concatenate([p for p, _, _ in part])
-        xy = np.column_stack((fx(points.real), fy(points.imag))).ravel()
+        coords = xy[ends[a]:ends[b]].ravel()
         # "x,y x,y": a comma after x, a space after y, a newline after the
         # last y of each polyline
-        seps = np.full(len(xy), ord(" "), np.uint8)
+        seps = np.full(len(coords), ord(" "), np.uint8)
         seps[::2] = ord(",")
-        seps[2 * (ends[a + 1:b + 1] - ends[a]) - 1] = ord("\n")
-        text = _fixed2(xy, seps) or _percent("%.2f", xy, seps)
-        lines.append("\n".join(
-            _LINE % (t, stroke, dash) for t, (_, stroke, dash)
-            in zip(text[:-1].decode().split("\n"), part)))
-    return "\n".join(lines)
+        seps[2 * (np.array(ends[a + 1:b + 1]) - ends[a]) - 1] = ord("\n")
+        lines.append(_lines(
+            _fixed2(coords, seps) or _percent("%.2f", coords, seps),
+            tails[a:b]))
+    return lines
+
+
+def _lines(text: bytes, tails: list) -> str:
+    """The polylines of text, the points of each ending in a newline, with
+    their heads and tails, newline-separated. The per-polyline pieces die
+    on return, so a run holds none of them beyond its own text."""
+    pieces = ["\n" + _HEAD] * (3 * len(tails))
+    pieces[0] = _HEAD
+    pieces[1::3] = text.decode().split("\n")[:-1]
+    pieces[2::3] = tails
+    return "".join(pieces)
 
 
 def render_portrait(G: HoloExpr, domain: Domain, density: int,
@@ -165,22 +177,30 @@ def render_portrait(G: HoloExpr, domain: Domain, density: int,
             x = fx(0.0)
             parts.append('<line x1="%.2f" y1="0" x2="%.2f" y2="800" '
                          'stroke="#000000" stroke-width="1.5"/>' % (x, x))
-    escaped, drawn = 0, []
-    orbits = integrate_seeds(G, domain, seeds, horizon, tol,
-                             _CHORD_PX / (fx(1.0) - fx(0.0)))
-    for idx, (seed, orbit) in enumerate(zip(seeds, orbits)):
-        if isinstance(orbit, HoloflowError):
-            logger.warning("portrait seed %r skipped: %s", seed, orbit)
-            continue
-        points, status = orbit
-        dash = ' stroke-dasharray="6,4"' if status.kind == ESCAPED else ""
-        escaped += bool(dash)
-        drawn.append((points, _PALETTE[idx % len(_PALETTE)], dash))
-    if drawn:
-        lines = _on_canvas(fx, fy, [p for p, _, _ in drawn])
-        parts.append(_polylines(fx, fy, [
-            (p, stroke, dash) for p, (_, stroke, dash) in zip(lines, drawn)]))
+    run = integrate_seeds(G, domain, seeds, horizon, tol,
+                          _CHORD_PX / (fx(1.0) - fx(0.0)))
+    # a seed is drawn when its run did not fail, and then has points
+    failed = np.flatnonzero(run.counts == 0).tolist()
+    for i in failed:
+        logger.warning("portrait seed %r skipped: %s", seeds[i],
+                       run.outcomes[i])
+    drawn = np.flatnonzero(run.counts)
+    dashed = [run.outcomes[i].kind == ESCAPED for i in drawn.tolist()]
+    if dashed:
+        tails = [_TAIL % (stroke, dash)
+                 for dash in ("", ' stroke-dasharray="6,4"')
+                 for stroke in _PALETTE]
+        keys = drawn % len(_PALETTE) + len(_PALETTE) * np.array(dashed)
+        sizes = run.counts[drawn]
+        xy = np.column_stack((fx(run.points.real), fy(run.points.imag)))
+        first, stop = _on_canvas(xy, sizes)
+        # one gather of the kept vertices
+        sizes = stop - first
+        xy = xy[np.arange(sizes.sum()) + np.repeat(
+            first - np.cumsum(sizes) + sizes, sizes)]
+        parts += _polylines(xy, sizes, [tails[k] for k in keys.tolist()])
     parts.append("</svg>\n")
-    summary = {"seeds": len(seeds), "completed": len(drawn) - escaped,
-               "escaped": escaped, "failed": len(seeds) - len(drawn)}
+    escaped = sum(dashed)
+    summary = {"seeds": len(seeds), "completed": len(dashed) - escaped,
+               "escaped": escaped, "failed": len(failed)}
     return "\n".join(parts), summary

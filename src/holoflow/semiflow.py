@@ -24,7 +24,8 @@ only _check_tol, and the start point of flow_point):
     and record nothing (_final_state).
   * integrate_seeds runs many seeds as independent lanes (phase
     portraits), keeping the dense samples of the steps that bend from
-    their chord.
+    their chord, and hands back their points merged in one array
+    (SeedOrbits).
   * flow_series and _flow_series_path take the Taylor coefficients of the
     flow map of the unit disc, or of its powers, from lanes on a circle
     by one FFT per time (series.coeffs_from_samples, series.power_coeffs).
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Optional
 
@@ -83,6 +85,10 @@ _ROWS = (
 # The same rows as an 8 x 7 matrix: row i < 6 holds the weights of stage
 # i + 1 in its first i entries (row 0 is empty), row 6 is b and row 7 e.
 _TABLEAU = np.array([(0.0,) * 7] + [r + (0.0,) * (7 - len(r)) for r in _ROWS])
+# its rows as _dp_step_lanes reads them: the weights of stages 2 .. 6, then
+# b and e
+_STAGES = tuple(_TABLEAU[i, :i] for i in range(1, 6))
+_B, _E = _TABLEAU[6, :6], _TABLEAU[7]
 # independent lanes are stepped in blocks of this many (zero lanes pad K):
 # 16 float columns, two AVX-512 registers
 _LANE_BLOCK = 8
@@ -131,6 +137,36 @@ class Trajectory:
     @property
     def escaped(self) -> bool:
         return self.status.kind == ESCAPED
+
+
+@dataclass(frozen=True, eq=False)
+class SeedOrbits:
+    """The points of integrate_seeds' run, kept merged.
+
+    points holds every drawable seed's points, seed after seed, each in
+    time order; counts gives each seed's number of points, 0 for a seed
+    whose outcome is a HoloflowError; outcomes gives each seed's Status or
+    error. As a sequence, entry i is outcomes[i] for an error, else
+    (points of seed i, its Status): a view of points, not a copy.
+    """
+
+    points: np.ndarray
+    counts: np.ndarray
+    outcomes: list
+
+    def __len__(self):
+        return len(self.outcomes)
+
+    def __getitem__(self, i):
+        outcome = self.outcomes[i]
+        if isinstance(outcome, HoloflowError):
+            return outcome
+        end = self._ends[i]
+        return self.points[end - self.counts[i]:end], outcome
+
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        return np.cumsum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -201,12 +237,11 @@ def _dp_step_lanes(rhs, y, h, k1):
     K = np.zeros((7, -(-n // _LANE_BLOCK) * _LANE_BLOCK), complex)
     K[0, :n] = k1
     Kf, yf, hf, m = K.view(float), y.view(float), h.repeat(2), 2 * n
-    for i in range(1, 6):
-        K[i, :n] = rhs((yf + hf * _TABLEAU[i, :i].dot(Kf[:i])[:m]).view(
-            complex))
-    y5 = (yf + hf * _TABLEAU[6, :6].dot(Kf[:6])[:m]).view(complex)
+    for i, row in enumerate(_STAGES, 1):
+        K[i, :n] = rhs((yf + hf * row.dot(Kf[:i])[:m]).view(complex))
+    y5 = (yf + hf * _B.dot(Kf[:6])[:m]).view(complex)
     K[6, :n] = rhs(y5)
-    return y5, (hf * _TABLEAU[7].dot(Kf)[:m]).view(complex), K[6, :n]
+    return y5, (hf * _E.dot(Kf)[:m]).view(complex), K[6, :n]
 
 
 def _hermite(theta, y0, f0, y1, f1, h):
@@ -476,20 +511,24 @@ def _wall_rule(domain: Domain, xp):
 
     An endpoint is refused when it is non-finite, outside the domain, or
     closer than DELTA_WALL to the boundary; on an unbounded domain an
-    endpoint beyond R_MAX ends the run as an escape to infinity. (|y| of
-    a huge Python complex raises OverflowError, which also refuses it.)
+    endpoint beyond R_MAX ends the run as an escape to infinity. On a disc
+    the gap alone refuses a non-finite endpoint, since it is then -inf or
+    NaN. (|y| of a huge Python complex raises OverflowError, which also
+    refuses it; on a disc signed_distance takes it.)
     """
-    where, distance, bounded = xp.where, domain.signed_distance, domain.bounded
+    where, distance = xp.where, domain.signed_distance
+
+    def admit_bounded(y):
+        gap = distance(y) - DELTA_WALL
+        return where(gap >= 0.0, _ACCEPT, _REJECT), gap
 
     def admit(y):
         r = abs(y)
         gap = distance(y) - DELTA_WALL
-        v = where(gap >= 0.0, _ACCEPT, _REJECT)
-        if not bounded:
-            v = where(r > R_MAX, _STOP, v)
+        v = where(r > R_MAX, _STOP, where(gap >= 0.0, _ACCEPT, _REJECT))
         return where(r < math.inf, v, _REJECT), gap
 
-    return admit
+    return admit_bounded if domain.bounded else admit
 
 
 def _dense_times(horizon: float) -> np.ndarray:
@@ -635,22 +674,25 @@ _CHORD_BOUND = 4 / 27
 
 
 def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
-                    tol: float, chord_tol: float) -> list:
+                    tol: float, chord_tol: float) -> SeedOrbits:
     """The trajectory points of many seeds, integrated as independent lanes.
 
     One entry per seed: (points, status) with a subsequence of the points
     integrate would record (the seed, the adaptive step points and the
     uniform dense samples, in time order), or the HoloflowError that
     stopped that seed: DomainError, an evaluation error at the seed, or
-    StiffnessError; one domain.contains checks all seeds. The matrix form
+    StiffnessError; one domain.contains checks all seeds. The entries are
+    views of one merged array (SeedOrbits), the points of every seed that
+    did not fail, seed after seed, as the run sorts them. The matrix form
     of the step rounds otherwise than integrate's, so a borderline step
     decision can move a step point: end points agree to about 1e-15 and
     escape times to about 1e-10 relative, and a lane that underflows next
     to a pole stops within H_MIN of integrate's time. An evaluation that
     raises on some lane is redone lane by lane in scalar form
-    (_eval_lanes), and the raising lanes turn NaN, so only they are
-    refused and halved. An entry's bits do not depend on the other seeds
-    (_dp_step_lanes), but where such a redo rounds otherwise. G is
+    (_eval_lanes, only after the evaluation on all lanes raised), and the
+    raising lanes turn NaN, so only they are refused and halved. An
+    entry's bits do not depend on the other seeds (_dp_step_lanes), but
+    where such a redo rounds otherwise. G is
     evaluated at the seeds once: where no seed raised, those values are
     the lanes' first slopes.
     The dense samples of a step from u to y = u + d of length h are dropped
@@ -664,7 +706,10 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
     lane-steps takes the chord test, dense samples (in passes of about
     _SAMPLE_BLOCK) and endpoints of them all, so a step of few lanes makes
     no pass of its own. Points are complex128 with a 1- or 2-byte lane
-    index; completed lanes share one Status.
+    index, and one stable sort by lane merges them; an escape to infinity
+    adds its endpoint after the run, so it sorts to its lane's end, and the
+    points of a lane that failed are dropped. Completed lanes share one
+    Status.
     """
     _check_run(tol, horizon)
     dense = _dense_times(horizon)
@@ -688,7 +733,11 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
     held, size = [], 0  # accepted steps not yet sampled, their lane-steps
 
     def rhs(x):
-        return _eval_lanes(f, x)[0]
+        try:
+            v = f(x)
+        except _EVAL_ERRORS:
+            return _eval_lanes(f, x)[0]
+        return v if isinstance(v, np.ndarray) else np.full(len(x), v, complex)
 
     def record(*step):
         nonlocal size
@@ -736,22 +785,31 @@ def integrate_seeds(G: HoloExpr, domain: Domain, seeds, horizon: float,
                          record, lanes=True, start=start)
         if held:
             sample()
-    # a stable sort by lane keeps each lane's points in time order
+    outcomes = [errors.get(i) for i in range(len(seeds))]
+    completed = Status.completed(horizon)
+    failed, stopped = [], []
+    for lane, (i, (kind, t, u, why)) in enumerate(zip(live, ends)):
+        if kind == _FAILED:
+            outcomes[i] = StiffnessError(why)
+            failed.append(lane)
+            continue
+        if kind == _STOPPED:
+            stopped.append((lane, u))
+        outcomes[i] = _status(kind, completed, t, u)
+    if stopped:
+        # recorded last, each endpoint sorts to the end of its lane
+        ids, ys = zip(*stopped)
+        merged.append((np.array(ids, lane_type), np.array(ys, complex)))
     lanes, points = map(np.concatenate, zip(*merged))
     del merged[:]
+    if failed:
+        keep = ~np.isin(lanes, failed)
+        lanes, points = lanes[keep], points[keep]
+    # a stable sort by lane keeps each lane's points in time order
     points = points[np.argsort(lanes, kind="stable")]
-    bounds = np.cumsum(np.bincount(lanes, minlength=len(live))).tolist()
-    out = [errors.get(i) for i in range(len(seeds))]
-    completed = Status.completed(horizon)
-    for i, a, b, (kind, t, u, why) in zip(live, [0] + bounds, bounds, ends):
-        if kind == _FAILED:
-            out[i] = StiffnessError(why)
-            continue
-        lane = points[a:b]
-        if kind == _STOPPED:
-            lane = np.append(lane, u)
-        out[i] = (lane, _status(kind, completed, t, u))
-    return out
+    counts = np.zeros(len(seeds), np.intp)
+    counts[live] = np.bincount(lanes, minlength=len(live))
+    return SeedOrbits(points, counts, outcomes)
 
 
 def backward_integrate(G: HoloExpr, domain: Domain, z0: complex,

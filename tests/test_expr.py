@@ -202,7 +202,44 @@ def test_array_eval_raises_when_one_lane_hits_a_pole():
             f.eval(hit)
 
 
-_consts = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+# (den, z, the text after "near z=", or None for no PoleError) of every
+# input kind of the pole check
+_POLE_KINDS = {
+    "python complex": (0j, 0.5 + 0j, "(0.5+0j)"),
+    "python float": (0.0, 0.5, "0.5"),
+    "numpy scalar": (np.complex128(0), np.complex128(0.5),
+                     "np.complex128(0.5+0j)"),
+    "0-d array": (np.array(0j), np.array(0.5 + 0j), "array(0.5+0.j)"),
+    # one lane names its lane like many lanes do; the scalar path this
+    # kind took before named the array, "array([0.5+0.j])"
+    "one lane": (np.array([0j]), np.array([0.5 + 0j]), "(0.5+0j)"),
+    "lanes, the first hit": (np.array([1, 1e-14, 0j]),
+                             np.array([0.1, 0.5, 0.7 + 0j]), "(0.5+0j)"),
+    "2-d lanes, row-major": (np.array([[1, 1], [0j, 0j]]),
+                             np.array([[0.1, 0.2], [0.3, 0.4 + 0j]]),
+                             "(0.3+0j)"),
+    "NaN lanes are no pole": (np.array([np.nan, 1e-20 + 0j]),
+                              np.array([1, 2 + 0j]), "(2+0j)"),
+    "scalar just off the pole": (1e-13 + 0j, 0.5 + 0j, None),
+    "lanes off the pole": (np.array([1, 2e-13 + 0j]), np.array([0, 1 + 0j]),
+                           None),
+    "no lanes": (np.zeros(0, complex), np.zeros(0, complex), None),
+    "scalar modulus overflows": (complex(1e308, 1e308), 1.0 + 0j, None),
+}
+
+
+@pytest.mark.parametrize("kind", list(_POLE_KINDS))
+def test_pole_check_names_the_point_of_every_input_kind(kind):
+    den, z, named = _POLE_KINDS[kind]
+    if named is None:
+        expr._check_pole(den, z, "denominator ~ 0")
+        return
+    with pytest.raises(PoleError) as info:
+        expr._check_pole(den, z, "denominator ~ 0")
+    assert str(info.value) == "denominator ~ 0 near z=" + named
+
+
+_consts =st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                              allow_infinity=False)
 _leaves = st.one_of(
     st.just(Var()),

@@ -309,6 +309,17 @@ def _polyline(text, stroke, dash):
             '%s/>' % (text, stroke, dash))
 
 
+def _tail(stroke, dash):
+    """What _polylines writes after a polyline's points."""
+    return _polyline("", stroke, dash)[len('<polyline points="'):]
+
+
+def _xy(points):
+    """Pixel points as _polylines and _on_canvas take them: one x, y row
+    each."""
+    return np.column_stack((points.real, points.imag))
+
+
 def test_polylines_match_per_point_format():
     rng = np.random.default_rng(7)
     xs = np.concatenate([
@@ -324,22 +335,22 @@ def test_polylines_match_per_point_format():
     points = np.empty(len(xs), complex)
     points.real, points.imag = xs, ys
 
-    def same(v):
-        return v
-
     # one polyline of every point, then the points split into polylines
     # of 1 to 60 vertices, each formatted on its own
     cuts = [0, 1, 2, 14, 15, 75, 135, 136, 196, len(xs)]
     for pieces in ([(0, len(xs))], list(zip(cuts, cuts[1:]))):
-        drawn = [(points[a:b], _PALETTE[k % 8], ' stroke-dasharray="6,4"'
-                  if k % 3 else "") for k, (a, b) in enumerate(pieces)]
+        styles = [(_PALETTE[k % 8], ' stroke-dasharray="6,4"'
+                   if k % 3 else "") for k in range(len(pieces))]
         ref = "\n".join(
             _polyline(_per_point(xs[a:b].tolist(), ys[a:b].tolist()),
                       stroke, dash)
-            for (a, b), (_, stroke, dash) in zip(pieces, drawn))
-        assert _polylines(same, same, drawn) == ref
-    assert _polylines(same, same, [(points[:1], "#000000", "")]) == (
-        _polyline("-0.00,0.00", "#000000", ""))
+            for (a, b), (stroke, dash) in zip(pieces, styles))
+        sizes = np.array([b - a for a, b in pieces])
+        assert "\n".join(_polylines(_xy(points), sizes, [
+            _tail(*style) for style in styles])) == ref
+    assert _polylines(_xy(points[:1]), np.array([1]),
+                      [_tail("#000000", "")]) == [
+        _polyline("-0.00,0.00", "#000000", "")]
 
 
 @pytest.mark.parametrize("size", [1, 5, 64, 1000])
@@ -448,20 +459,17 @@ def test_one_tie_sends_its_run_to_the_reference_format(monkeypatch):
     monkeypatch.setattr(portrait, "_fixed2", recording)
     rng = np.random.default_rng(3)
     points = rng.uniform(0.0, 800.0, 200) + 1j * rng.uniform(0.0, 800.0, 200)
-
-    def same(v):
-        return v
-
+    styles = [("#000000", ""), ("#1f77b4", "")]
     for tie, fast in ((672.825, False), (672.8251, True)):
         p = points.copy()
         p[77] = complex(p[77].real, tie)
-        drawn = [(p[:100], "#000000", ""), (p[100:], "#1f77b4", "")]
         results.clear()
-        text = _polylines(same, same, drawn)
+        text = "\n".join(_polylines(_xy(p), np.array([100, 100]),
+                                     [_tail(*style) for style in styles]))
         assert [r is not None for r in results] == [fast]
         assert text == "\n".join(_polyline(
             _per_point(q.real.tolist(), q.imag.tolist()), stroke, dash)
-            for q, stroke, dash in drawn)
+            for q, (stroke, dash) in zip((p[:100], p[100:]), styles))
 
 
 def _trim(xs, ys):
@@ -475,22 +483,24 @@ def _trim(xs, ys):
     return (hits[0], hits[-1] + 2) if hits else (0, 1)
 
 
-@pytest.mark.parametrize("symbol,domain,density,horizon", CASES,
-                         ids=[c[0] + "@" + c[1] for c in CASES])
-def test_portrait_matches_per_polyline_format(symbol, domain, density,
-                                              horizon):
-    # the SVG is the text of formatting each kept polyline on its own, per
-    # vertex, between the same frame lines
-    G, D = parse_symbol(symbol), parse_domain(domain)
-    svg, summary = render_portrait(G, D, density, horizon, TOL)
+def _assert_per_polyline_format(G, D, density, horizon, caplog):
+    """The SVG is the text of formatting each kept polyline of the
+    per-seed view on its own, per vertex, between the same frame lines,
+    and each failed seed is logged in seed order; returns the view."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="holoflow.portrait"):
+        svg, summary = render_portrait(G, D, density, horizon, TOL)
     fx, fy = _viewport(D)
     ref = [line for line in svg.split("\n")[:-2]
            if not line.startswith("<polyline")]
     frame = len(ref)
-    lanes = integrate_seeds(G, D, D.sample_grid(density), horizon, TOL,
+    seeds = portrait._grid(D, density)
+    lanes = integrate_seeds(G, D, seeds, horizon, TOL,
                             0.25 / (fx(1.0) - fx(0.0)))
-    for idx, lane in enumerate(lanes):
+    warnings = []
+    for idx, (seed, lane) in enumerate(zip(seeds, lanes)):
         if isinstance(lane, HoloflowError):
+            warnings.append("portrait seed %r skipped: %s" % (seed, lane))
             continue
         points, status = lane
         a, b = _trim(fx(points.real).tolist(), fy(points.imag).tolist())
@@ -501,6 +511,47 @@ def test_portrait_matches_per_polyline_format(symbol, domain, density,
             ' stroke-dasharray="6,4"' if status.kind == "Escaped" else ""))
     assert svg == "\n".join(ref + ["</svg>\n"])
     assert len(ref) - frame == summary["seeds"] - summary["failed"]
+    assert [r.getMessage() for r in caplog.records] == warnings
+    assert summary["failed"] == len(warnings)
+    return lanes
+
+
+@pytest.mark.parametrize("symbol,domain,density,horizon", CASES,
+                         ids=[c[0] + "@" + c[1] for c in CASES])
+def test_portrait_matches_per_polyline_format(symbol, domain, density,
+                                              horizon, caplog):
+    # among the cases: seeds on a pole (1/(z-0.5)), escapes to infinity
+    # with their endpoint added after the run, and polylines trimmed to
+    # the canvas (z^2 on the right half-plane)
+    G, D = parse_symbol(symbol), parse_domain(domain)
+    lanes = _assert_per_polyline_format(G, D, density, horizon, caplog)
+    if symbol == "z^2":
+        assert ("Escaped", True) in _kinds(lanes)
+
+
+def test_failed_seeds_keep_the_per_polyline_format(monkeypatch, caplog):
+    # seeds outside the domain, NaN seeds and seeds on the pole of
+    # 1/(z - 0.5) fail before the run; the seeds next to the pole fail in
+    # it (StiffnessError), and their points leave the merged array
+    nan = float("nan")
+    seeds = (0.3, 2.0, 0.5 + 0.01j, 0.5, complex(nan, 0.1), -0.2 + 0.4j,
+             0.5 - 0.01j, 0.5 + 0j, nan, 0.1j, -1.5j, -0.6)
+    with monkeypatch.context() as patch:
+        patch.setattr(portrait, "_grid", lambda domain, density: seeds)
+        lanes = _assert_per_polyline_format(
+            parse_symbol("1/(z-0.5)"), Domain.unit_disc(), 1, 2.0, caplog)
+    assert _kinds(lanes) == {"DomainError", "PoleError", "StiffnessError",
+                             ("Escaped", False)}
+    # the step limit patched down fails lanes of z^2 in the middle of the
+    # merged array, beside lanes that escape or complete
+    monkeypatch.setattr(semiflow, "_MAX_STEPS", 100)
+    lanes = _assert_per_polyline_format(
+        parse_symbol("z^2"), Domain.half_plane("right"), 1, 0.5, caplog)
+    failed = [i for i, lane in enumerate(lanes)
+              if isinstance(lane, StiffnessError)]
+    assert 0 < failed[0] and failed[-1] < len(lanes) - 1
+    assert _kinds(lanes) == {"StiffnessError", ("Escaped", False),
+                             ("Completed", False)}
 
 
 def test_sample_passes_keep_every_point(monkeypatch):
@@ -615,7 +666,9 @@ def test_on_canvas_trims_only_the_ends():
     outside = line(-20 + 400j, -1e3 + 400j, -30 + 900j)
     single = line(-1e3 + 0j)
     lines = [inside, leaving, entering, detour, across, outside, single]
-    got = _on_canvas(lambda x: x, lambda y: y, lines)
+    points = np.concatenate(lines)
+    first, stop = _on_canvas(_xy(points), np.array(list(map(len, lines))))
+    got = [points[a:b] for a, b in zip(first.tolist(), stop.tolist())]
     want = [inside, leaving[:3], entering[2:], detour, across[:2],
             outside[:1], single]
     assert [g.tolist() for g in got] == [w.tolist() for w in want]
