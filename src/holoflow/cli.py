@@ -313,7 +313,8 @@ def cmd_evolve(v: dict) -> tuple[int, dict, dict]:
     if v["space"] is not None:
         norm = parse_space(v["space"]).norm(result)
     report = _report("evolve", v, {
-        "coeffs": [complex(c) for c in result.coeffs],
+        # [re, im] rows in one pass: the bytes of _plain on each value
+        "coeffs": result.coeffs.view(float).reshape(-1, 2).tolist(),
         "norm": norm,
         "matrix": matrix_doc,
     })

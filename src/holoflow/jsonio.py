@@ -16,10 +16,11 @@ cannot write exactly, returning None: _g17 a non-finite value, a nonzero
 |x| outside [1e-280, 1e290) or an inexact scaled value within 1e-6 of a
 half-integer; _fixed2 a |x| of _FIXED2_MAX or more or a near half-cent
 tie. A declined array is written by _percent: one % with the same bytes.
-csv_text hands _g17 blocks of at most _G17_BLOCK values, and writes a
-CSV below _G17_FLOOR floats, where the kernel's fixed cost exceeds that
-of %, by % over a row template; portrait._polylines hands _fixed2 runs
-of whole polylines.
+csv_text hands _g17 an array of up to 2 * _G17_BLOCK values whole (one
+kernel pass for each trajectory CSV) and cuts a larger one into blocks of
+at most _G17_BLOCK values, and writes a CSV below _G17_FLOOR floats,
+where the kernel's fixed cost exceeds that of %, by % over a row
+template; portrait._polylines hands _fixed2 runs of whole polylines.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ _POW_BIAS = 300
 # rint is the correctly rounded exact one when it lies farther than this
 # from a half-integer
 _G17_TIE_GAP = 1e-6
-_G17_BLOCK = 2_048  # values a kernel pass, bounding its temporaries
+_G17_BLOCK = 2_048  # values a pass over a larger array, bounding temporaries
 # shorter arrays are written by %: within a benchmark round, caches cold,
 # the kernel's fixed cost (about 130 us on a 2-CPU Xeon host) is that of %
 # on about this many floats
@@ -187,8 +188,9 @@ def _g17(values: np.ndarray, seps: np.ndarray) -> Optional[bytes]:
     n is written as a digit and four "%04d" words, twice, and the keep
     mask of the record shape (fixed notation for -4 <= X < 17 and e+-XX
     otherwise, trailing zeros and a bare point dropped, "-" by signbit)
-    leaves the %g text. The record's words are laid out word by word, one
-    row per word, and transposed once.
+    leaves the %g text; one take over the four words gives the trailing
+    zeros. The record's words are laid out word by word, one row per word
+    (faster than columns of row-major records), and transposed once.
     """
     a = np.abs(values)
     if not a.max(initial=0.0) < _G17_HIGH:  # NaN fails too
@@ -236,12 +238,10 @@ def _g17(values: np.ndarray, seps: np.ndarray) -> Optional[bytes]:
         np.subtract(n, q * 10_000, out=w[row])
         n = q
     lead = n  # the first digit
-    tz = zeros.take(w[3])
-    for row in (2, 1, 0):
-        more = tz == 4 * (3 - row)  # every word after this one is 0
-        if not more.any():
-            break
-        tz[more] += zeros.take(w[row][more])
+    # trailing zeros: those of a word count where every later word is 0
+    z = zeros.take(w)
+    tz = z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (
+        z[1] + (z[1] == 4) * z[0]))
     k = i - _POW_BIAS
     shape = base.take(i) - tz
     shape += _SHAPES * np.signbit(values)
@@ -259,12 +259,14 @@ def csv_text(head: str, rows: np.ndarray, tail: str = "") -> str:
     """head, the rows of a 2-D float64 array as CSV, and tail: each float
     as "%.17g", "," between the columns and a newline after each row.
 
-    Arrays of _G17_FLOOR floats or more go through _g17 in near-equal
-    blocks of at most _G17_BLOCK values, and a block that _g17 declines
-    through _percent. A shorter array is written by one % over a row
-    template, which costs less than building its separators. Either way
-    the bytes are those of % on every float. The text is joined once,
-    with head and tail, so that a large export holds it twice at most.
+    Arrays of _G17_FLOOR floats or more go through _g17, and a block it
+    declines through _percent: up to 2 * _G17_BLOCK values (a trajectory
+    CSV) in one block, larger ones (operator matrices) in near-equal
+    blocks of at most _G17_BLOCK, the size they run fastest in. A shorter
+    array is written by one % over a row template, which costs less than
+    building its separators. Either way the bytes are those of % on every
+    float. The text is joined once, with head and tail, so that a large
+    export holds it twice at most.
     """
     values = rows.ravel()
     if len(values) < _G17_FLOOR:
@@ -273,7 +275,8 @@ def csv_text(head: str, rows: np.ndarray, tail: str = "") -> str:
     seps = np.full(rows.shape, ord(","), np.uint8)
     seps[:, -1] = ord("\n")
     seps = seps.ravel()
-    blocks = -(-len(values) // _G17_BLOCK)
+    blocks = (1 if len(values) <= 2 * _G17_BLOCK
+              else -(-len(values) // _G17_BLOCK))
     out = bytearray(head.encode("ascii"))
     for x, sep in zip(np.array_split(values, blocks),
                       np.array_split(seps, blocks)):

@@ -35,6 +35,7 @@ only _check_tol, and the start point of flow_point):
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -512,15 +513,16 @@ def _wall_rule(domain: Domain, xp):
     An endpoint is refused when it is non-finite, outside the domain, or
     closer than DELTA_WALL to the boundary; on an unbounded domain an
     endpoint beyond R_MAX ends the run as an escape to infinity. On a disc
-    the gap alone refuses a non-finite endpoint, since it is then -inf or
-    NaN. (|y| of a huge Python complex raises OverflowError, which also
-    refuses it; on a disc signed_distance takes it.)
+    the gap is signed_distance's, written out, and _REJECT - (gap >= 0) is
+    the verdict, so a gap of -inf or NaN (a non-finite endpoint) refuses;
+    |y| of a huge Python complex raises OverflowError, which also refuses.
     """
     where, distance = xp.where, domain.signed_distance
+    center, radius = domain.center, domain.radius
 
     def admit_bounded(y):
-        gap = distance(y) - DELTA_WALL
-        return where(gap >= 0.0, _ACCEPT, _REJECT), gap
+        gap = radius - abs(y - center) - DELTA_WALL
+        return _REJECT - (gap >= 0.0), gap
 
     def admit(y):
         r = abs(y)
@@ -571,11 +573,14 @@ def integrate(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
 
     The trajectory holds z0, the step points and the cubic Hermite dense
     output at the times of _dense_times, in time order; its last point is
-    an integration endpoint. The run steps a Python complex, since a
-    one-lane array costs over ten times more per step, and evaluates G by
-    its flat form (expr.compiled), kept on G, with the tree walk's bits:
-    a Dormand-Prince step of the radius-2 counterexample takes about
-    4.7 us, against 7.7 us by the tree walk (best of 20, 2-CPU Xeon host).
+    an integration endpoint. Each dense time is sampled in the accepted
+    step whose open interval holds it (none on a step time): the record
+    hook keeps that step and finds the next dense time by bisect_right.
+    The run steps a Python complex, since a one-lane array costs over ten
+    times more per step, and evaluates G by its flat form (expr.compiled),
+    kept on G, with the tree walk's bits: a Dormand-Prince step of the
+    radius-2 counterexample takes about 4.7 us, against 7.7 us by the tree
+    walk (best of 20, 2-CPU Xeon host).
 
     With exit_from, the trajectory's exit_time is escape_time(G, exit_from,
     z0, horizon, tol), bit for bit. Both wall rules judge every step
@@ -595,8 +600,8 @@ def integrate(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
         _check_start(exit_from, z0)
     dense = _dense_times(horizon)
     ts, ys, held = [0.0], [complex(z0)], []  # held: steps ending past nxt
-    upcoming = iter(dense.tolist())
-    nxt = next(upcoming)  # no dense time lies between the time and nxt
+    marks = dense.tolist() + [math.inf]  # the dense times, then a sentinel
+    nxt = marks[0]  # no dense time lies between the time and nxt
     rule = _wall_rule(domain, _ONE)
     exit_rule = exit_from and _wall_rule(exit_from, _ONE)
     # where the run on exit_from resumes, as (u, (t, h, k1)) for _drive:
@@ -617,8 +622,7 @@ def integrate(G: HoloExpr, domain: Domain, z0: complex, horizon: float,
             resume[:] = u, (t, h, k1)
         if t + h > nxt:
             held.extend((t, h, u, k1, y, k_y))
-            while nxt <= t_next:
-                nxt = next(upcoming, math.inf)
+            nxt = marks[bisect_right(marks, t_next)]
         if t_next != t:  # else the step adds no point
             ts.append(t_next)
             ys.append(y)

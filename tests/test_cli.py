@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import holoflow
-from holoflow import geometry, parse_symbol, semiflow, series
+from holoflow import geometry, parse_symbol, semigroup, semiflow, series
 from holoflow.cli import _HANDLERS, main
 from test_jsonio import assert_same, plain
 
@@ -489,6 +489,20 @@ def test_evolve_matrix_out_integrates_the_flow_once(tmp_path, capsys,
         tmp_path, capsys, monkeypatch, symbol)
     assert (code, flows) == (0, 1)
     assert plain["coeffs"] == doc["coeffs"]
+
+
+def test_evolve_coeffs_are_written_as_each_complex_value(tmp_path, capsys):
+    # the [re, im] rows of one array pass have the bytes that json's
+    # default hook writes for each complex value
+    out = tmp_path / "evolve.json"
+    assert main(["evolve", "--symbol", "1-z^2", "--f", "1/(1-0.5*z)",
+                 "--t", "0.5", "--N", "64", "--out", str(out)]) == 0
+    capsys.readouterr()
+    seed = series.taylor(parse_symbol("1/(1-0.5*z)"), 64)
+    coeffs = semigroup.apply(parse_symbol("1-z^2"), 0.5, seed, 1e-9).coeffs
+    assert len(coeffs) == 65
+    assert holoflow.jsonio.dumps({"coeffs": [complex(c) for c in coeffs]}
+                                 )[1:-1] in out.read_text(encoding="utf-8")
 
 
 def test_evolve_matrix_out_needs_degree_one(tmp_path, capsys):

@@ -165,6 +165,38 @@ def test_rows_cross_block_boundaries(monkeypatch):
         ",".join("%.17g" % x for x in row) + "\n" for row in wide)
 
 
+@pytest.mark.parametrize("size", [2048, 2049, 4096, 4097, 8450])
+def test_arrays_up_to_two_blocks_are_one_kernel_pass(monkeypatch, size):
+    # round values, zeros and exponent forms put trailing zeros in every
+    # word of the 17-digit integer
+    rng = np.random.default_rng(size)
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 20, size)
+    values[::3] = np.round(values[::3], 4)
+    values[1::5] = rng.integers(-10 ** 6, 10 ** 6, len(values[1::5])) / 16
+    values[2::11] = 0.0
+    values[4::13] = 10.0 ** rng.integers(-20, 20, len(values[4::13]))
+    rows = values.reshape(-1, 2) if size % 2 == 0 else values.reshape(-1, 1)
+    calls = []
+    real = jsonio._g17
+
+    def counter(x, seps):
+        out = real(x, seps)
+        assert out is not None  # the kernel writes every block
+        calls.append(len(x))
+        return out
+
+    monkeypatch.setattr(jsonio, "_g17", counter)
+    expected = "".join(",".join("%.17g" % x for x in row) + "\n"
+                       for row in rows)
+    assert csv_text("", rows) == expected
+    assert sum(calls) == size
+    if size <= 2 * _G17_BLOCK:
+        assert calls == [size]
+    else:
+        assert len(calls) == -(-size // _G17_BLOCK)
+        assert max(calls) <= _G17_BLOCK
+
+
 def test_short_arrays_are_written_by_percent(monkeypatch):
     monkeypatch.setattr(jsonio, "_g17", None)
     rows = np.arange(_G17_FLOOR - 1, dtype=float).reshape(-1, 1) / 7

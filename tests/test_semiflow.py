@@ -426,6 +426,82 @@ def test_exit_from_gives_escape_time_bit_for_bit(symbol, domain, z0,
     assert plain.exit_time is None
 
 
+# integrate's record hook finds the next dense time by bisection: a dense
+# time is sampled once if an accepted step holds it strictly inside, and
+# never when a step lands on it, whatever way the run ends.
+DENSE_MARK_RUNS = [
+    ("i*z", DISC, 0.5, 3.0, "Completed"),
+    ("z", DISC, 0.5, 2.0, "Escaped"),  # at the wall
+    ("2*z", _HALF_RIGHT, 3 + 0j, 12.0, "at_infinity"),  # beyond R_MAX
+    # steps end on the dense times 0.001, 0.006 and 0.031
+    ("i*z", DISC, 0.5, 0.064, "Completed"),
+    ("1", _HALF_RIGHT, 1 + 0j, 0.064, "Completed"),
+]
+
+
+@pytest.mark.parametrize("symbol,domain,z0,horizon,end", DENSE_MARK_RUNS)
+def test_trajectory_times_are_step_times_and_inner_dense_times(
+        symbol, domain, z0, horizon, end):
+    G = parse_symbol(symbol)
+    dense = semiflow._dense_times(horizon).tolist()
+    steps = []
+
+    def record(_ids, t, h, u, k1, t_next, y, k_y):
+        steps.append((t, t_next))
+
+    kind, t_end, _ = semiflow._final_state(G, domain, z0, horizon, 1e-9,
+                                           record)
+    traj = integrate(G, domain, z0, horizon, 1e-9)
+    assert (traj.status.kind if not traj.status.at_infinity
+            else "at_infinity") == end
+    step_times = {t_next for _, t_next in steps}
+    inner = {d for d in dense for t, t_next in steps if t < d < t_next}
+    expected = sorted({0.0} | step_times | inner
+                      | ({t_end} if kind == semiflow._STOPPED else set()))
+    assert traj.times.tolist() == expected
+    assert len(set(traj.times.tolist())) == len(traj.times)
+    if horizon == 0.064:
+        assert sorted(step_times & set(dense)) == [0.001, 0.006, 0.031]
+
+
+# The disc admission writes signed_distance out and takes its verdict by
+# arithmetic; it must give where's verdicts and the same gaps, bit for bit.
+_INF, _NAN = math.inf, math.nan
+ADMISSION_POINTS = [0j, 0.3 + 0.1j, 1.5 - 0.7j, 2.3 + 0.25j, -1.5 + 0.25j,
+                    complex(_NAN, 0.0), complex(0.0, _NAN),
+                    complex(_INF, 0.0), complex(-_INF, 1.0),
+                    complex(1.0, -_INF), complex(_INF, _NAN)]
+
+
+def _reference_admission(domain, y):
+    gap = domain.signed_distance(y) - semiflow.DELTA_WALL
+    return np.where(gap >= 0.0, semiflow._ACCEPT, semiflow._REJECT), gap
+
+
+@pytest.mark.parametrize("domain", [Domain.disc(0.5 + 0.25j, 2.0), DISC,
+                                    Domain.disc(0.5 + 0.25j,
+                                                semiflow.DELTA_WALL)])
+def test_disc_admission_matches_where(domain):
+    points = ADMISSION_POINTS + [domain.center]  # the last: a gap of 0
+    scalar = semiflow._wall_rule(domain, semiflow._ONE)
+    for y in points:
+        verdict, gap = scalar(y)
+        ref_verdict, ref_gap = _reference_admission(domain, y)
+        assert verdict == ref_verdict and repr(gap) == repr(float(ref_gap))
+    if domain.radius == semiflow.DELTA_WALL:
+        assert scalar(domain.center) == (semiflow._ACCEPT, 0.0)
+    huge = complex(1.5e308, 1.5e308)  # |y - center| overflows a float
+    for rule in (scalar, lambda y: _reference_admission(domain, y)):
+        with pytest.raises(OverflowError):
+            rule(huge)
+    lanes = np.array(points + [huge])
+    with np.errstate(all="ignore"):  # on lanes |huge| is inf
+        verdict, gap = semiflow._wall_rule(domain, semiflow._LANES)(lanes)
+        ref_verdict, ref_gap = _reference_admission(domain, lanes)
+    assert _bits_equal(verdict, ref_verdict) and _bits_equal(gap, ref_gap)
+    assert verdict[-1] == semiflow._REJECT and gap[-1] == -_INF
+
+
 def test_long_run_memory_is_bounded():
     # 1i*z at tol 1e-13 takes about 8,550 steps to t = 100; the per-sample
     # loop peaked at 1,239,510 traced bytes on this run (Python 3.11)
