@@ -262,7 +262,7 @@ def csv_text(head: str, rows: np.ndarray, tail: str = "") -> str:
     Arrays of _G17_FLOOR floats or more go through _g17, and a block it
     declines through _percent: up to 2 * _G17_BLOCK values (a trajectory
     CSV) in one block, larger ones (operator matrices) in near-equal
-    blocks of at most _G17_BLOCK, the size they run fastest in. A shorter
+    blocks of at most _G17_BLOCK, as larger blocks ran slower. A shorter
     array is written by one % over a row template, which costs less than
     building its separators. Either way the bytes are those of % on every
     float. The text is joined once, with head and tail, so that a large

@@ -513,9 +513,9 @@ def _wall_rule(domain: Domain, xp):
     An endpoint is refused when it is non-finite, outside the domain, or
     closer than DELTA_WALL to the boundary; on an unbounded domain an
     endpoint beyond R_MAX ends the run as an escape to infinity. On a disc
-    the gap is signed_distance's, written out, and _REJECT - (gap >= 0) is
-    the verdict, so a gap of -inf or NaN (a non-finite endpoint) refuses;
-    |y| of a huge Python complex raises OverflowError, which also refuses.
+    the gap is signed_distance's, written out, and the verdict _REJECT -
+    (gap >= 0) (_ACCEPT is 0): a gap of -inf or NaN refuses a non-finite
+    endpoint; |y| of a huge Python complex raises OverflowError, a refusal.
     """
     where, distance = xp.where, domain.signed_distance
     center, radius = domain.center, domain.radius
