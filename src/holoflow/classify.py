@@ -12,15 +12,18 @@ report, in the Berkson-Porta form
 
     G(z) = (b - z)(1 - conj(b) z) F(z),   |b| <= 1,  Re F >= 0 on the disc,
 
-from the same ring samples (_interior_b, _boundary_roots), and accepted
-when Re F passes on the deterministic interior grid (_re_sheet). When the
-rings show Re p < 0 somewhere, an orbit that leaves through the wall
-certifies NotGlobal; otherwise the verdict is Inconclusive.
+from the same ring samples (_interior_b, then Newton from _boundary_seeds):
+the zero in the disc, or else the boundary zero where G'(b) is real and
+<= 0, as every other boundary zero has G'(b) > 0 (Bracci, Contreras &
+Diaz-Madrigal 2020). The least Re F on the deterministic interior grid
+(_re_sheet) is reported as sampled evidence, like the ring certificate; it
+decides nothing. When the rings show Re p < 0 somewhere, an orbit that
+leaves through the wall certifies NotGlobal; otherwise the verdict is
+Inconclusive.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadParameter, PoleError, ToleranceError
+from .errors import BadParameter, ToleranceError
 from .expr import HoloExpr, Poly, Product, Ratio
 from .geometry import Domain, _grid
 from .semiflow import (_COMPLETED, _EVAL_ERRORS, _check_run, _eval_lanes,
@@ -45,7 +48,9 @@ _ROOT_MERGE_DISTANCE = 1e-7
 # lane's last step is doubled.
 _DOUBLE_STEP = 0.05
 _DOUBLE_DRIFT = 0.1
-_SINGULAR_PROBE_RADIUS = 1e-4
+# a zero within _DW_TOL of the circle is a boundary zero, and it is b when
+# |Im G'(b)| <= _DW_TOL and Re G'(b) <= _DW_TOL
+_DW_TOL = 1e-6
 # Re p is sampled at _RING_SIZE points on each ring; the rings with
 # rho < 1 must all be clean for a Global verdict, the circle may be void.
 _RING_RADII = (0.5, 0.9, 0.99, 0.999, 1.0)
@@ -63,8 +68,7 @@ _BOUNDARY_SEED_RING = 3
 _ESCAPE_SEEDS = 8
 # the radius of the last hunt seed, on the ray of the least Re p sample
 _WORST_SEED_RADIUS = 1.0 - 1e-4
-# Re p passes when its least ring sample is at least -TOL_HERGLOTZ, and a
-# located b when its least Re F sample is.
+# Re p passes when its least ring sample is at least -TOL_HERGLOTZ.
 TOL_HERGLOTZ = 1e-9
 
 
@@ -83,8 +87,9 @@ class EscapeWitness:
 @dataclass(frozen=True)
 class BPVerdict:
     """The verdict; certificate is the least Re p over the clean rings
-    and its point (None when no ring is clean), min_re_F the least Re F
-    sample of the located b (None when no b was located)."""
+    and its point (None when no ring is clean). b is the Denjoy-Wolff
+    point of a Global verdict, and min_re_F its least finite Re F sample
+    (None when there is none): evidence, like certificate."""
 
     status: str
     b: Optional[complex] = None
@@ -116,24 +121,20 @@ def herglotz_check(F: HoloExpr, density: int) -> HerglotzReport:
 
 
 def _herglotz_on(F: HoloExpr, grid) -> HerglotzReport:
-    """The least Re F over the grid; any evaluation error propagates."""
-    return _lowest(_re_sheet(F, grid, probe_singularities=False), grid)
+    """The least Re F over the grid, or the first grid point's error."""
+    re, errors = _re_sheet(F, grid)
+    if errors:
+        raise errors[min(errors)]
+    return _lowest(re, grid)
 
 
-def _re_sheet(F: HoloExpr, grid, probe_singularities: bool) -> np.ndarray:
-    """Re F on every grid point, in one evaluation of the grid.
-
-    With probe_singularities, a grid point where F raises PoleError takes
-    the circle average of _eval_with_probe; any other error propagates,
-    from the first failing grid point.
-    """
+def _re_sheet(F: HoloExpr, grid):
+    """Re F on every grid point, in one evaluation of the grid, and the
+    error of each grid point where F raises (its sample is NaN), keyed by
+    grid index."""
     with np.errstate(all="ignore"):
         v, errors = _eval_lanes(F.eval, np.array(grid, dtype=complex))
-    for i in sorted(errors):
-        if not (probe_singularities and isinstance(errors[i], PoleError)):
-            raise errors[i]
-        v[i] = _eval_with_probe(F, grid[i])
-    return v.real
+    return v.real, errors
 
 
 def _lowest(re: np.ndarray, grid) -> HerglotzReport:
@@ -143,18 +144,6 @@ def _lowest(re: np.ndarray, grid) -> HerglotzReport:
     if not low < math.inf:  # no sample below inf
         return HerglotzReport(math.inf, grid[0])
     return HerglotzReport(low, grid[i])
-
-
-def _eval_with_probe(F: HoloExpr, z: complex) -> complex:
-    """Evaluate F, falling back to a small circle average at a pole hit."""
-    try:
-        return F.eval(z)
-    except PoleError:
-        total = 0j
-        for k in range(8):
-            total += F.eval(z + _SINGULAR_PROBE_RADIUS
-                            * cmath.exp(2j * math.pi * k / 8))
-        return total / 8
 
 
 def _newton_roots(G: HoloExpr, seeds, tol_b: float):
@@ -309,23 +298,17 @@ def _boundary_seeds(g: np.ndarray) -> np.ndarray:
     return _ring_points()[_BOUNDARY_SEED_RING][low]
 
 
-def _boundary_roots(G: HoloExpr, g: np.ndarray, tol_b: float) -> list:
-    """_newton_roots from the _boundary_seeds of the ring samples g."""
-    return _newton_roots(G, _boundary_seeds(g), tol_b)
-
-
-def _passing_min_re_F(G: HoloExpr, b: complex, grid) -> Optional[float]:
-    """The least Re F sample of G = (b - z)(1 - conj(b) z) F over the grid
-    when it is at least -TOL_HERGLOTZ and no sample is NaN, else None."""
+def _is_denjoy_wolff(G: HoloExpr, b: complex) -> bool:
+    """Whether the zero b of G is its Denjoy-Wolff point: any zero inside
+    |z| < 1 - _DW_TOL, where G'(b) need not be real (-i z has G'(0) = -i),
+    and a boundary zero when G'(b) is real and <= 0, within _DW_TOL."""
+    if abs(b) < 1.0 - _DW_TOL:
+        return True
     try:
-        sheet = _re_sheet(Ratio(G, _bp_factor(b)), grid,
-                          probe_singularities=True)
+        d = complex(G.derivative().eval(b))
     except _EVAL_ERRORS:
-        return None
-    low = _lowest(sheet, grid).min_re
-    if -TOL_HERGLOTZ <= low < math.inf and not np.isnan(sheet).any():
-        return low
-    return None
+        return False
+    return abs(d.imag) <= _DW_TOL and d.real <= _DW_TOL
 
 
 def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
@@ -342,12 +325,13 @@ def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
     sampled evidence, not a proof. That sample and its point are the
     certificate of every verdict (None with no clean ring).
 
-    b: after a Global verdict, an interior b by the winding of a ring
-    (_interior_b), else a boundary b among the Newton roots seeded on the
-    0.999 ring (_boundary_roots), in the order of _newton_roots. A b is
-    accepted when its Re F sheet passes, which gives min_re_F (the zero -1
-    of 1 - z^2 fails it). With no b accepted the verdict is Inconclusive,
-    and no escape hunt runs.
+    b: after a Global verdict, the first zero that _is_denjoy_wolff
+    accepts (1 - z^2 keeps 1, G'(1) = -2, and refuses -1, G'(-1) = 2)
+    among an interior zero by the winding of a ring (_interior_b), else
+    the Newton roots seeded on the 0.999 ring, in the order of
+    _newton_roots. min_re_F is the least finite Re F sample of that b
+    over the grid, a raising grid point skipped: evidence only. With no
+    b accepted the verdict is Inconclusive, and no escape hunt runs.
 
     Witness: otherwise _ESCAPE_SEEDS strided grid points run in order,
     then one seed at radius _WORST_SEED_RADIUS on the ray of the
@@ -371,12 +355,14 @@ def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
     if clean[:-1].all() and certificate.min_re >= -TOL_HERGLOTZ:
         try:
             candidates = (_interior_b(G, g, tol_b)
-                          or _boundary_roots(G, g, tol_b))
+                          or _newton_roots(G, _boundary_seeds(g), tol_b))
         except ToleranceError:  # Newton failed from every seed
             candidates = []
         for b in candidates:
-            min_re_F = _passing_min_re_F(G, b, grid)
-            if min_re_F is not None:
+            if _is_denjoy_wolff(G, b):
+                re_F, _ = _re_sheet(Ratio(G, _bp_factor(b)), grid)
+                re_F = re_F[np.isfinite(re_F)]  # a raising point is NaN
+                min_re_F = float(re_F.min()) if re_F.size else None
                 return BPVerdict(GLOBAL, b=b, min_re_F=min_re_F,
                                  certificate=certificate)
         return BPVerdict(INCONCLUSIVE, certificate=certificate)

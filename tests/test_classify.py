@@ -175,9 +175,9 @@ def test_a_raising_ring_is_void_and_the_rest_stay_clean():
     assert np.abs(re[:-1]).max() <= 1e-12
 
 
-def test_boundary_zero_that_fails_its_sheet_is_not_b():
+def test_boundary_zero_with_positive_derivative_is_not_b():
     # z^2 - 1 flows towards -1; the zero 1 comes first in the Newton order,
-    # and F = -(1 + z)/(1 - z) of its factorization has Re F < 0
+    # and G'(1) = 2 > 0 refuses it (its F = -(1 + z)/(1 - z) has Re F < 0)
     v = bp_classify(parse_symbol("z^2-1"))
     assert v.status == "Global" and abs(v.b + 1) <= 1e-12
     assert v.min_re_F >= -1e-9
@@ -229,7 +229,8 @@ def test_round_trip_randomized():
 
 
 def test_round_trip_interior_zero_on_grid_point():
-    # b sits exactly on a grid point, exercising the circle-average probe
+    # b sits exactly on a grid point, where F = G / ((b - z)(1 - b z)) is
+    # 0/0: the Re F sheet skips that sample and b stays
     b = 0.5 + 0j
     G = bp_build(b, Const(1.0))
     v = bp_classify(G)
@@ -422,11 +423,17 @@ def test_seeds_and_grid_are_cached_tuples():
     assert np.allclose(np.abs(rings).T, classify._RING_RADII, rtol=1e-15)
 
 
-def test_grid_point_root_takes_the_probe_average():
-    # b = 0.5 is a grid point, so F = G / ((b - z)(1 - b z)) is 0/0 there
+def test_grid_point_root_skips_its_pole_sample():
+    # b = 0.5 is a grid point, so F = G / ((b - z)(1 - b z)) is 0/0 there;
+    # that sample raises and is skipped, and F = 1 at every other one
     b = 0.5 + 0j
     assert b in GRID
-    v = bp_classify(bp_build(b, Const(1.0)))
+    G = bp_build(b, Const(1.0))
+    sheet, errors = classify._re_sheet(Ratio(G, classify._bp_factor(b)), GRID)
+    assert list(errors) == [GRID.index(b)]
+    assert isinstance(errors[GRID.index(b)], PoleError)
+    assert np.isnan(sheet[GRID.index(b)])
+    v = bp_classify(G)
     assert v.status == "Global" and v.b == b
     assert abs(v.min_re_F - 1.0) <= 1e-12
 
@@ -448,17 +455,22 @@ def test_herglotz_error_names_first_failing_grid_point():
 
 
 def test_nan_sheet_never_passes():
-    # Re F = 1 wherever 0 * exp(800 z) does not overflow, NaN where it does
+    # Re F = 1 wherever 0 * exp(800 z) does not overflow, NaN where it does;
+    # G = -z F overflows on every ring but the 0.5 one, which go void
     F = parse_symbol("1+0*exp(800*z)")
-    sheet = classify._re_sheet(F, GRID, True)
+    sheet, errors = classify._re_sheet(F, GRID)
+    assert not errors
     assert np.isnan(sheet).any() and np.nanmin(sheet) == 1.0
-    assert bp_classify(bp_build(0j, F)).status != "Global"
+    G = bp_build(0j, F)
+    _, re_p = classify._ring_test(G)
+    assert np.isfinite(re_p[0]).all() and np.isnan(re_p[1:]).all()
+    assert bp_classify(G).status != "Global"
 
 
 # Newton at a double root: a boundary b makes G = conj(b) (z - b)^2 F, where
 # plain Newton halves its step each iteration; doubling the step there
 # converges quadratically. Calls of _eval_lanes count the work: two per
-# Newton iteration, one for the root check and one per Herglotz sheet.
+# Newton iteration, one for the root check and one for the Re F sheet.
 
 def bp_symbols(boundary, n=24):
     """(b, text) of Berkson-Porta symbols written as the benchmark writes
@@ -528,3 +540,46 @@ def test_interior_b_falls_back_to_newton(monkeypatch, b, text):
     assert verdict.status == "Global"
     assert abs(verdict.b - b) <= 1e-11
     assert calls > 1
+
+
+# -- the Denjoy-Wolff rule ---------------------------------------------------
+#
+# b is the zero in the disc, or else the boundary zero where G'(b) is real
+# and <= 0; every other boundary zero has G'(b) > 0.
+
+
+@pytest.mark.parametrize("text", [t for _, t in bp_symbols(boundary=True)]
+                         + ["1-z^2", "z^2-1", "(1-z)^2"])
+def test_boundary_b_has_a_real_nonpositive_derivative(text):
+    G = parse_symbol(text)
+    v = bp_classify(G)
+    assert v.status == "Global" and abs(abs(v.b) - 1.0) <= 1e-6
+    d = complex(G.derivative().eval(v.b))
+    assert abs(d.imag) <= 1e-6 and d.real <= 1e-6
+    if text == "(1-z)^2":
+        assert v.b == 1 and d == 0
+
+
+@pytest.mark.parametrize("text,b,refused", [
+    ("z^2-1", -1.0, 1.0), ("1-z^2", 1.0, -1.0)])
+def test_refused_boundary_zero_has_a_positive_derivative(text, b, refused):
+    # both zeros are Newton candidates; the refused one has G' = 2
+    G = parse_symbol(text)
+    g, _ = classify._ring_test(G)
+    roots = classify._newton_roots(G, classify._boundary_seeds(g), 1e-8)
+    (r,) = [r for r in roots if abs(r - refused) <= 1e-8]
+    assert complex(G.derivative().eval(r)).real > 0
+    assert abs(bp_classify(G).b - b) <= 1e-8
+
+
+def test_interior_b_with_a_complex_derivative_found_by_newton(monkeypatch):
+    # with no ring winding once, the interior zero comes from the Newton
+    # roots of the boundary seeds; G'(0) = -0.25 + i is not real, and an
+    # interior zero is b whatever its derivative
+    G = parse_symbol("(-0.25+1i)*z")
+    assert G.derivative().eval(0j) == -0.25 + 1j
+    monkeypatch.setattr(classify, "_WINDING_TOL", -1.0)
+    g, _ = classify._ring_test(G)
+    assert classify._interior_b(G, g, 1e-8) == []
+    v = bp_classify(G)
+    assert v.status == "Global" and abs(v.b) <= 1e-12
