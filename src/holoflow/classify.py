@@ -121,7 +121,8 @@ def herglotz_check(F: HoloExpr, density: int) -> HerglotzReport:
 
 
 def _herglotz_on(F: HoloExpr, grid) -> HerglotzReport:
-    """The least Re F over the grid, or the first grid point's error."""
+    """The least Re F over the grid; the error of the first grid point
+    where F raises propagates."""
     re, errors = _re_sheet(F, grid)
     if errors:
         raise errors[min(errors)]
