@@ -147,7 +147,7 @@ def _lowest(re: np.ndarray, grid) -> HerglotzReport:
     return HerglotzReport(low, grid[i])
 
 
-def _newton_roots(G: HoloExpr, seeds, tol_b: float):
+def _newton_roots(G: HoloExpr, Gp: HoloExpr, seeds, tol_b: float):
     """Converged Newton roots of G inside |z| <= 1 + tol_b, deduplicated
     and ordered by (|b|, arg b in [0, 2 pi)).
 
@@ -167,7 +167,6 @@ def _newton_roots(G: HoloExpr, seeds, tol_b: float):
     the step keeps seeds far from a pair of simple roots, where steps also
     halve, from jumping to the middle of the pair (CHANGES.md, PR 10).
     """
-    Gp = G.derivative()
     z = np.array(seeds, dtype=complex)
     ids = np.arange(len(z))
     last = np.full(len(z), math.nan, complex)  # each lane's last step
@@ -259,7 +258,8 @@ def _ring_test(G: HoloExpr):
     return g, re
 
 
-def _interior_b(G: HoloExpr, g: np.ndarray, tol_b: float) -> list:
+def _interior_b(G: HoloExpr, Gp: HoloExpr, g: np.ndarray,
+                tol_b: float) -> list:
     """[b] for the zero of G inside the first ring of _WINDING_RINGS whose
     winding number mean(z G'/G) is within _WINDING_TOL of 1, else [].
 
@@ -268,7 +268,6 @@ def _interior_b(G: HoloExpr, g: np.ndarray, tol_b: float) -> list:
     _newton_roots runs from it.
     """
     rings = _ring_points()
-    Gp = G.derivative()
     for k in _WINDING_RINGS:
         with np.errstate(all="ignore"):
             try:
@@ -284,7 +283,7 @@ def _interior_b(G: HoloExpr, g: np.ndarray, tol_b: float) -> list:
             step = complex(math.inf)
         if abs(step) <= _POLISH_STEP:
             return [b0 - step]
-        return _newton_roots(G, [b0], tol_b)
+        return _newton_roots(G, Gp, [b0], tol_b)
     return []
 
 
@@ -299,14 +298,15 @@ def _boundary_seeds(g: np.ndarray) -> np.ndarray:
     return _ring_points()[_BOUNDARY_SEED_RING][low]
 
 
-def _is_denjoy_wolff(G: HoloExpr, b: complex) -> bool:
-    """Whether the zero b of G is its Denjoy-Wolff point: any zero inside
-    |z| < 1 - _DW_TOL, where G'(b) need not be real (-i z has G'(0) = -i),
-    and a boundary zero when G'(b) is real and <= 0, within _DW_TOL."""
+def _is_denjoy_wolff(Gp: HoloExpr, b: complex) -> bool:
+    """Whether the zero b of G, with Gp = G', is its Denjoy-Wolff point:
+    any zero inside |z| < 1 - _DW_TOL, where G'(b) need not be real (-i z
+    has G'(0) = -i), and a boundary zero when G'(b) is real and <= 0,
+    within _DW_TOL."""
     if abs(b) < 1.0 - _DW_TOL:
         return True
     try:
-        d = complex(G.derivative().eval(b))
+        d = complex(Gp.eval(b))
     except _EVAL_ERRORS:
         return False
     return abs(d.imag) <= _DW_TOL and d.real <= _DW_TOL
@@ -354,13 +354,14 @@ def bp_classify(G: HoloExpr, density: int = 2, tol_b: float = 1e-8,
     disc = Domain.unit_disc()
     grid = _grid(disc, density)
     if clean[:-1].all() and certificate.min_re >= -TOL_HERGLOTZ:
+        Gp = G.derivative()
         try:
-            candidates = (_interior_b(G, g, tol_b)
-                          or _newton_roots(G, _boundary_seeds(g), tol_b))
+            candidates = (_interior_b(G, Gp, g, tol_b)
+                          or _newton_roots(G, Gp, _boundary_seeds(g), tol_b))
         except ToleranceError:  # Newton failed from every seed
             candidates = []
         for b in candidates:
-            if _is_denjoy_wolff(G, b):
+            if _is_denjoy_wolff(Gp, b):
                 re_F, _ = _re_sheet(Ratio(G, _bp_factor(b)), grid)
                 re_F = re_F[np.isfinite(re_F)]  # a raising point is NaN
                 min_re_F = float(re_F.min()) if re_F.size else None

@@ -51,14 +51,14 @@ from .grammar import parse_real, parse_symbol
 from .jsonio import dump_line
 from .portrait import render_portrait
 from .semigroup import (
+    _apply_with_matrix,
     apply as semigroup_apply,
     generator_residuals,
     matrix_summary,
     matrix_to_csv,
-    operator_matrix,
 )
 from .semiflow import integrate, trajectory_to_csv
-from .series import SeriesFn, series_compose, taylor
+from .series import taylor
 from .spaces import parse_space
 from .transfer import cayley, conjugation_residual, mobius_pair, transfer_symbol
 
@@ -303,10 +303,7 @@ def cmd_evolve(v: dict) -> tuple[int, dict, dict]:
     if v["matrix-out"] is None:
         result = semigroup_apply(G, v["t"], seed, v["tol"])
     else:
-        # column 1 of the matrix is the flow series: one integration serves
-        # both the matrix and the composition
-        matrix = operator_matrix(G, v["t"], v["N"], v["tol"])
-        result = series_compose(seed, SeriesFn(matrix.entries[:, 1]))
+        result, matrix = _apply_with_matrix(G, v["t"], seed, v["tol"])
         matrix_doc = matrix_summary(matrix)
         files[v["matrix-out"]] = matrix_to_csv(matrix)
     norm = None

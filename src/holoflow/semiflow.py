@@ -26,9 +26,9 @@ only _check_tol, and the start point of flow_point):
     portraits), keeping the dense samples of the steps that bend from
     their chord, and hands back their points merged in one array
     (SeedOrbits).
-  * flow_series and _flow_series_path take the Taylor coefficients of the
-    flow map of the unit disc, or of its powers, from lanes on a circle
-    by one FFT per time (series.coeffs_from_samples, series.power_coeffs).
+  * _flow_series_path gives the flow map of the unit disc on a sample
+    circle, as lanes of one run; flow_series takes its Taylor
+    coefficients by one FFT (series.coeffs_from_samples).
   * trajectory_to_csv writes a trajectory as CSV text.
 """
 
@@ -54,7 +54,7 @@ from .expr import HoloExpr, Neg, compiled
 from .geometry import Domain
 from .jsonio import csv_text
 from .series import (SeriesFn, circle_points, coeffs_from_samples,
-                     noise_floor_radius, power_coeffs)
+                     noise_floor_radius)
 
 DELTA_WALL = 1e-9  # wall rejection distance
 ESCAPE_DISTANCE = 1e-6  # escape, not stiffness, at a step underflow
@@ -928,45 +928,32 @@ def _run_times(times: list[float], tol: float) -> list[float]:
 
 
 def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
-                      tol: float, powers: bool = False) -> list:
-    """Flow coefficient series at several times in one integration pass.
+                      tol: float) -> tuple[float, list]:
+    """(r, states): the flow map at several times from one integration
+    pass; states[i] holds phi(times[i], z) at the z of circle_points(degree,
+    r), or is None at time 0, the identity, which each caller writes
+    exactly (series.coeffs_from_samples, power_coeffs, compose_samples).
 
     times must be nondecreasing and nonnegative, and the last one a run
-    horizon unless it is 0 (_run_times); time 0 gives the exact identity
-    series. With powers, each entry is instead the (degree + 1) x (degree
-    + 1) array whose row j holds the coefficients of phi(t, .)^j
-    (series.power_coeffs; row 1 is the flow series bit for bit), and time
-    0 gives the exact identity matrix.
-
-    The M = max(4 degree, 64) points of |z| = r and _INTERIOR_LANES are
-    lanes of one step sequence, so the numerical flow map is itself
-    holomorphic in z and its integration error has rapidly decaying
-    coefficients, not noise amplified by 1 / r^k; each state of the
-    circle lanes gives the coefficients by one FFT. The radius is
-    r = series.noise_floor_radius(degree): as |phi(t, z)| < 1, the
-    roundoff noise of coefficient N is then about 1e-16 / r^N = 1e-12 at
-    every degree (Bornemann, FoCM 2011), without the 0.9 cap of
-    series.taylor, and so for the powers, whose samples are the powers of
-    the lane states. The open-disc rule (_inside_unit_disc) has no wall,
-    so lanes drawn towards a boundary attractor keep advancing; a lane
-    that leaves the disc raises EscapeError, so the flow e^t z of z is
-    refused at t = 1, as its lanes at r = 0.5 leave at ln 2. The lanes
-    start with _start_step, which saves steps against a first step of
-    1e-3, which grows at most 5x a step (CHANGES.md, PR 19).
+    horizon unless it is 0 (_run_times). The circle points and
+    _INTERIOR_LANES are lanes of one step sequence, so the numerical flow
+    map is holomorphic in z and its integration error has rapidly decaying
+    coefficients, not noise amplified by 1 / r^k. At r =
+    series.noise_floor_radius(degree), as |phi(t, z)| < 1, the roundoff
+    noise of coefficient N is about 1e-16 / r^N = 1e-12 at every degree
+    (Bornemann, FoCM 2011), without the 0.9 cap of series.taylor. The
+    open-disc rule (_inside_unit_disc) has no wall, so lanes drawn towards
+    a boundary attractor keep advancing; a lane that leaves the disc
+    raises EscapeError (the flow e^t z of z at t = 1: its lanes at r = 0.5
+    leave at ln 2). The lanes start with _start_step (CHANGES.md).
     """
     if degree < 1:
         raise BadParameter("flow series need degree >= 1")
-    if not times:
-        return []
-    positive = _run_times(times, tol)
-    # the identity only when some time is 0: an idle (N+1) x (N+1) one
-    # would raise the peak memory of a matrix run
-    identity = [] if len(positive) == len(times) else [
-        np.eye(degree + 1, dtype=np.complex128) if powers
-        else SeriesFn.identity(degree)]
-    if not positive:
-        return identity * len(times)
     r = noise_floor_radius(degree)
+    positive = _run_times(times, tol)
+    idle = [None] * (len(times) - len(positive))
+    if not positive:
+        return r, idle
     circle = circle_points(degree, r)
     lanes = np.concatenate([circle, _INTERIOR_LANES])
     rhs = compiled(G)
@@ -980,16 +967,14 @@ def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
         raise EscapeError("flow from %r leaves the unit disc at t=%r < %r"
                           % (complex(lanes[lane]), t, positive[-1]))
     m = len(circle)
-    if powers:
-        flows = [power_coeffs(u[:m], degree, r) for u in states]
-    else:
-        flows = [coeffs_from_samples(u[:m], degree, r) for u in states]
-    return identity * (len(times) - len(positive)) + flows
+    return r, idle + [u[:m] for u in states]
 
 
 def flow_series(G: HoloExpr, t: float, degree: int, tol: float) -> FlowSeries:
     """Taylor coefficients of the time-t flow map about 0."""
-    return FlowSeries(t, _flow_series_path(G, [t], degree, tol)[0])
+    r, [u] = _flow_series_path(G, [t], degree, tol)
+    return FlowSeries(t, SeriesFn.identity(degree) if u is None
+                      else coeffs_from_samples(u, degree, r))
 
 
 # -- CSV export ---------------------------------------------------------------

@@ -1,12 +1,14 @@
 """The composition semigroup acting on truncated series.
 
 T(t) f = f o phi(t, .) where phi is the flow of the symbol G on the unit
-disc, and everything here acts on degree-N truncations. apply composes f
-with the flow series, and operator_matrix gives T(t) as an (N+1) x (N+1)
-matrix on the monomial basis. A check takes all its flows from one run
-(_flows). The checks measure, in a chosen coefficient norm, how well the
-truncated action satisfies the identities that characterize the
-generator A f = G f':
+disc, and everything here acts on degree-N truncations f_N. A check takes
+the flow at all its times on the sample circle, from one run, and
+composes f_N with them in one call (_compose_flow, series.compose_samples):
+[f_N o phi_t]_N, which is [f_N o phi_N]_N in exact arithmetic, and f bit
+for bit at time 0. operator_matrix gives T(t) as an (N+1) x (N+1) matrix
+on the monomial basis, from the powers of the same samples. The checks
+measure, in a chosen coefficient norm, how well the truncated action
+satisfies the identities that characterize the generator A f = G f':
 
   * generator residual   ||(T(h) f - f)/h - G f'||, expected O(h);
   * integral identity    (1/t) integral_0^t T(s) (G f') ds
@@ -31,32 +33,33 @@ from . import semiflow
 from .errors import BadParameter
 from .expr import HoloExpr
 from .jsonio import csv_text
-from .series import SeriesFn, _compose_arrays, series_compose, taylor
+from .series import (SeriesFn, _compose_arrays, compose_samples, power_coeffs,
+                     taylor)
 from .spaces import CoefSpace
 
 # Seeded random series that matrix_summary checks the matrix action on.
 _SUMMARY_SAMPLES = 10
 
 
-def _flows(G: HoloExpr, times, degree: int, tol: float) -> list[SeriesFn]:
-    """The degree-`degree` flow series at each of times, from one run
-    through the distinct times in increasing order. Every T(t) fixes a
-    constant, and a composition of degree 0 reads nothing of its inner
-    series: at degree 0 the inputs are checked as for a run, nothing is
-    integrated, and each flow is the zero series."""
+def _compose_flow(G: HoloExpr, seeds, times, degree: int,
+                  tol: float) -> np.ndarray:
+    """Rows [seed o phi(times[i], .)]_degree from one flow run through the
+    distinct times in increasing order and one series.compose_samples
+    call; seeds is one coefficient array for every time or a list with
+    one per time. Every T(t) fixes a constant: at degree 0 the inputs are
+    checked as for a run, and nothing is integrated."""
     ordered = sorted(set(times))
     if degree == 0:
         semiflow._run_times(ordered, tol)
-        flows = [SeriesFn.zeros(0)] * len(ordered)
-    else:
-        flows = semiflow._flow_series_path(G, ordered, degree, tol)
-    by_time = dict(zip(ordered, flows))
-    return [by_time[t] for t in times]
+        return compose_samples(seeds, [None] * len(times), 1.0)
+    r, states = semiflow._flow_series_path(G, ordered, degree, tol)
+    by_time = dict(zip(ordered, states))
+    return compose_samples(seeds, [by_time[t] for t in times], r)
 
 
 def apply(G: HoloExpr, t: float, f: SeriesFn, tol: float) -> SeriesFn:
     """Coefficients of f o phi(t, .) truncated to the degree of f."""
-    return series_compose(f, _flows(G, [t], f.degree, tol)[0])
+    return SeriesFn(_compose_flow(G, f.coeffs, [t], f.degree, tol)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,9 +70,9 @@ class OperatorMatrix:
     costs O(N^2 log N) where N products of coefficient series cost O(N^3),
     and keeps the ~1e-12 noise floor of the flow series. Column 0 is
     exactly e_0, time 0 gives exactly the identity, and column 1 is the
-    flow series bit for bit, so `matrix_summary` and the CLI's `evolve
-    --matrix-out` take the flow from the matrix instead of integrating it
-    again.
+    flow series bit for bit. `evolve --matrix-out` builds the matrix and
+    T(t) f from one set of samples (_apply_with_matrix); `matrix_summary`
+    checks the matrix against a composition with column 1.
 
     Truncated matrices compose exactly, M_{t+s} = M_s M_t, only when
     phi(t, 0) = 0, which makes them triangular. Otherwise entry (j, k) of
@@ -92,8 +95,22 @@ class OperatorMatrix:
 
 def operator_matrix(G: HoloExpr, t: float, degree: int,
                     tol: float) -> OperatorMatrix:
-    rows = semiflow._flow_series_path(G, [t], degree, tol, powers=True)[0]
-    return OperatorMatrix(t, degree, rows.T)
+    r, [u] = semiflow._flow_series_path(G, [t], degree, tol)
+    return _matrix(t, degree, r, u)
+
+
+def _apply_with_matrix(G: HoloExpr, t: float, f: SeriesFn,
+                       tol: float) -> tuple[SeriesFn, OperatorMatrix]:
+    """apply and operator_matrix at the degree of f, with the bits of
+    each, from one flow run (`evolve --matrix-out`)."""
+    r, [u] = semiflow._flow_series_path(G, [t], f.degree, tol)
+    return (SeriesFn(compose_samples(f.coeffs, [u], r)[0]),
+            _matrix(t, f.degree, r, u))
+
+
+def _matrix(t: float, degree: int, r: float, u) -> OperatorMatrix:
+    return OperatorMatrix(t, degree, np.eye(degree + 1) if u is None
+                          else power_coeffs(u, degree, r).T)
 
 
 def generator_action(G: HoloExpr, f: SeriesFn) -> SeriesFn:
@@ -113,10 +130,10 @@ def generator_residuals(G: HoloExpr, f: SeriesFn, space: CoefSpace,
     """generator_residual at each step h, from one flow-series run."""
     if not all(1e-6 <= h <= 0.1 for h in steps):
         raise BadParameter("difference step h must lie in [1e-6, 0.1]")
-    flows = _flows(G, steps, f.degree, tol)
+    rows = _compose_flow(G, f.coeffs, steps, f.degree, tol)
     action = generator_action(G, f)
-    return [space.norm((series_compose(f, flow) - f) * (1.0 / h) - action)
-            for h, flow in zip(steps, flows)]
+    return [space.norm((SeriesFn(row) - f) * (1.0 / h) - action)
+            for h, row in zip(steps, rows)]
 
 
 def maximality_residual(G: HoloExpr, f: SeriesFn, space: CoefSpace, t: float,
@@ -132,20 +149,13 @@ def maximality_residual(G: HoloExpr, f: SeriesFn, space: CoefSpace, t: float,
         raise BadParameter("t must be positive")
     g = generator_action(G, f)
     nodes = [t * k / quad_points for k in range(quad_points + 1)]
-    flows = _flows(G, nodes, f.degree, tol)
-    width = t / quad_points
-    acc = np.zeros(f.degree + 1, dtype=np.complex128)
-    for k, flow in enumerate(flows):
-        value = series_compose(g, flow).coeffs
-        if k == 0 or k == quad_points:
-            weight = 1.0
-        elif k % 2 == 1:
-            weight = 4.0
-        else:
-            weight = 2.0
-        acc += weight * value
-    integral = SeriesFn(acc * (width / 3.0))
-    end = series_compose(f, flows[-1])
+    # T(s) g at every node and T(t) f, in one batch
+    rows = _compose_flow(G, [g.coeffs] * len(nodes) + [f.coeffs],
+                         nodes + nodes[-1:], f.degree, tol)
+    weights = np.array([1.0] + [4.0, 2.0] * (quad_points // 2 - 1)
+                       + [4.0, 1.0])
+    integral = SeriesFn(weights @ rows[:-1] * (t / quad_points / 3.0))
+    end = SeriesFn(rows[-1])
     residual = integral * (1.0 / t) - (end - f) * (1.0 / t)
     return space.norm(residual)
 
@@ -165,11 +175,9 @@ def transport_pde_residual(G: HoloExpr, f: SeriesFn, z: complex, t: float,
     if t < h_t:
         raise BadParameter("need t >= h_t for the central time difference")
     internal_tol = 1e-11
-    flows = _flows(G, [t - h_t, t, t + h_t], f.degree, internal_tol)
-    u_minus = series_compose(f, flows[0]).eval_at(z)
-    u_mid = series_compose(f, flows[1])
-    u_plus = series_compose(f, flows[2]).eval_at(z)
-    d_t = (u_plus - u_minus) / (2.0 * h_t)
+    u_minus, u_mid, u_plus = map(SeriesFn, _compose_flow(
+        G, f.coeffs, [t - h_t, t, t + h_t], f.degree, internal_tol))
+    d_t = (u_plus.eval_at(z) - u_minus.eval_at(z)) / (2.0 * h_t)
     d_z = (u_mid.eval_at(z + h_z) - u_mid.eval_at(z - h_z)) / (2.0 * h_z)
     return abs(d_t - G.eval(z) * d_z)
 
@@ -182,8 +190,9 @@ def strong_continuity_report(G: HoloExpr, f: SeriesFn, space: CoefSpace,
     t ||G f'|| + O(t^2), so it decays linearly as t -> 0.
     """
     ts = list(t_list)
-    return [(t, space.norm(series_compose(f, flow) - f))
-            for t, flow in zip(ts, _flows(G, ts, f.degree, 1e-10))]
+    return [(t, space.norm(SeriesFn(row) - f))
+            for t, row in zip(ts, _compose_flow(G, f.coeffs, ts, f.degree,
+                                                  1e-10))]
 
 
 # -- exports ------------------------------------------------------------------

@@ -5,16 +5,19 @@ degree N and never reads beyond it. Composition gives the truncated
 composition [f_N o g_N]_N, the first N + 1 coefficients of the polynomial
 f_N(g_N(z)); it makes no convergence claim when the inner constant term is
 nonzero (numerical validity is the caller's concern). It runs the
-Paterson-Stockmeyer scheme: with n = N + 1 and s about sqrt(n), the
-truncated powers g^0 .. g^s are formed once (truncated_powers, which serves
-this scheme only), one matrix product turns the blocks of s coefficients of
-f into the polynomials C_j = sum_i f_{js+i} g^i, and Horner in g^s over the
-blocks adds them up, so a composition costs about 2 sqrt(n) truncated
-products instead of n. A stack of outer series (k, n) is composed with one
-inner series in one pass: each Horner step is then one matrix product with
-the upper-triangular Toeplitz matrix of g^s. One series keeps np.convolve,
-which is faster than a Toeplitz product for a single row (CHANGES.md,
-PR 19), so the shape of f picks the form.
+Paterson-Stockmeyer scheme (SIAM J. Comput. 2, 1973): with n = N + 1 and s
+about sqrt(n), the powers g^0 .. g^s are formed once, the blocks of s
+coefficients of f give C_j = sum_i f_{js+i} g^i, and Horner in g^s over
+the blocks adds them up: about 2 sqrt(n) products instead of n.
+series_compose takes the products as truncated convolutions, every C_j by
+one matrix product, and composes a stack of outer series in one pass, each
+Horner step a product with the Toeplitz matrix of g^s. compose_samples
+takes them elementwise on the values of g at circle_points, as the lanes
+of semiflow._flow_series_path hold the flow map, and reads the
+coefficients back by one FFT: as g - g_N = O(z^(N+1)), [f_N o g]_N =
+[f_N o g_N]_N in exact arithmetic, up to aliasing of order r^M. It
+composes every time of a semigroup check in one call, with no FFT of the
+flow alone, its temporaries bounded by _SAMPLE_BLOCK.
 
 Coefficients of an expression are extracted by trapezoidal sampling on a
 circle: with M = max(4N, 64) equispaced samples at radius r,
@@ -133,23 +136,10 @@ class SeriesFn:
 
 
 def series_compose(f: SeriesFn, g: SeriesFn) -> SeriesFn:
-    """Coefficients of f(g(z)) truncated to the shared degree.
-
-    Paterson-Stockmeyer evaluation; see the module docstring.
-    """
+    """[f o g]_N for series of one degree N (see the module docstring)."""
     if f.degree != g.degree:
         raise DegreeMismatch("degrees differ: %d vs %d" % (f.degree, g.degree))
     return SeriesFn(_compose_arrays(f.coeffs, g.coeffs))
-
-
-def truncated_powers(g: np.ndarray, k: int) -> np.ndarray:
-    """Rows g^0 .. g^k, each cut to len(g) coefficients."""
-    n = len(g)
-    powers = np.zeros((k + 1, n), dtype=np.complex128)
-    powers[0, 0] = 1.0
-    for j in range(1, k + 1):
-        powers[j] = np.convolve(powers[j - 1], g)[:n]
-    return powers
 
 
 def _compose_arrays(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -157,20 +147,21 @@ def _compose_arrays(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     n = f.shape[-1]
     s = math.isqrt(n - 1) + 1
     m = -(-n // s)
-    powers = truncated_powers(g, s)
+    powers = np.zeros((s + 1, n), dtype=np.complex128)  # g^0 .. g^s, cut
+    powers[0, 0] = 1.0
+    for j in range(1, s + 1):
+        powers[j] = np.convolve(powers[j - 1], g)[:n]
     padded = np.zeros(f.shape[:-1] + (m * s,), dtype=np.complex128)
     padded[..., :n] = f
     blocks = padded.reshape(f.shape[:-1] + (m, s)) @ powers[:s]
-    if f.ndim > 1:  # (a @ top)_l = sum_{i <= l} a_i (g^s)_{l - i}
-        # row i of top is g^s shifted right by i places
-        shifted = np.concatenate([np.zeros(n - 1, dtype=np.complex128),
-                                  powers[s]])
-        top = np.ascontiguousarray(sliding_window_view(shifted, n)[::-1])
+    # (a @ top)_l = sum_{i <= l} a_i (g^s)_{l - i}: row i of top is g^s
+    # shifted right by i places
+    shifted = np.concatenate([np.zeros(n - 1, dtype=np.complex128),
+                              powers[s]])
+    top = np.ascontiguousarray(sliding_window_view(shifted, n)[::-1])
     acc = blocks[..., -1, :]
     for j in range(m - 2, -1, -1):
-        carried = (np.convolve(acc, powers[s])[:n] if f.ndim == 1
-                   else acc @ top)
-        acc = carried + blocks[..., j, :]
+        acc = acc @ top + blocks[..., j, :]
     return acc
 
 
@@ -221,6 +212,49 @@ def power_coeffs(samples: np.ndarray, degree: int, r: float) -> np.ndarray:
         rows = out[lo:lo + b]
         np.divide(hat[:, :degree + 1], m, out=rows)
         rows /= scale
+    return out
+
+
+# complex values in the temporaries of compose_samples, which composes as
+# many rows at a time as fit, and at least one
+_SAMPLE_BLOCK = 4096
+
+
+def compose_samples(f, states: list, r: float) -> np.ndarray:
+    """Rows [f o phi_i]_N, N = len(f) - 1, of inner functions phi_i given
+    by their values states[i] at circle_points(N, r), by Paterson-Stockmeyer
+    on the samples (see the module docstring); f is one outer series, or a
+    list of one per row. A row whose state is None (the identity) is its f
+    bit for bit, and every row has the bits of a call on it alone."""
+    seeds = f if isinstance(f, list) else [f] * len(states)
+    n = len(seeds[0]) if seeds else len(f)
+    out = np.array(seeds, dtype=np.complex128).reshape(len(states), n)
+    live = [i for i, u in enumerate(states) if u is not None]
+    if not live:
+        return out
+    width = len(states[live[0]])
+    s = math.isqrt(n - 1) + 1
+    m = -(-n // s)
+    scale = width * r ** np.arange(n)
+    rows = min(len(live), max(1, _SAMPLE_BLOCK // ((s + 3) * width)))
+    blocks = np.zeros((rows, m, s), dtype=np.complex128)
+    powers = np.ones((rows, s + 1, width), dtype=np.complex128)
+    acc, term = np.empty((2, rows, 1, width), dtype=np.complex128)
+    for lo in range(0, len(live), rows):
+        ids = live[lo:lo + rows]
+        c, p, a, t = (x[:len(ids)] for x in (blocks, powers, acc, term))
+        for j, i in enumerate(ids):
+            c[j].flat[:n] = seeds[i]
+            p[j, 1] = states[i]
+        for e in range(2, s + 1):
+            np.multiply(p[:, e - 1], p[:, 1], out=p[:, e])
+        # Horner in phi^s over C_j(phi) = sum_i f_{js+i} phi^i
+        np.matmul(c[:, m - 1:], p[:, :s], out=a)
+        for j in range(m - 2, -1, -1):
+            np.matmul(c[:, j:j + 1], p[:, :s], out=t)
+            a *= p[:, s:]
+            a += t
+        out[ids] = np.fft.fft(a[:, 0], out=a[:, 0])[:, :n] / scale
     return out
 
 

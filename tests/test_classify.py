@@ -257,6 +257,10 @@ def test_bad_escape_parameters_raise_before_any_work(kwargs):
 # below are scalar loops, one seed and one ring point at a time.
 
 
+def lane_newton_roots(G, seeds, tol_b):
+    return classify._newton_roots(G, G.derivative(), seeds, tol_b)
+
+
 def scalar_newton_roots(G, seeds, tol_b):
     Gp = G.derivative()
     roots = []
@@ -365,7 +369,7 @@ POLE_ON_SEED = Ratio(parse_symbol("z-0.3"), Poly((-SEEDS[4], 1.0)))
 def assert_same_roots(G):
     # roots of equal modulus may swap places when |b| rounds differently,
     # so each root is matched to its nearest counterpart
-    lanes = classify._newton_roots(G, SEEDS, 1e-8)
+    lanes = lane_newton_roots(G, SEEDS, 1e-8)
     scalar = scalar_newton_roots(G, SEEDS, 1e-8)
     assert len(lanes) == len(scalar)
     for a in lanes:
@@ -397,7 +401,7 @@ def test_newton_pole_on_one_seed_fails_that_lane_only():
     with pytest.raises(PoleError):
         POLE_ON_SEED.eval(SEEDS[4])
     assert_same_roots(POLE_ON_SEED)
-    assert classify._newton_roots(POLE_ON_SEED, SEEDS, 1e-8) == [
+    assert lane_newton_roots(POLE_ON_SEED, SEEDS, 1e-8) == [
         pytest.approx(0.3, abs=1e-12)]
 
 
@@ -406,7 +410,7 @@ def test_newton_fails_from_every_seed():
     for s in SEEDS:
         den = Product(den, Poly((-s, 1.0)))
     G = Ratio(Const(1.0), den)
-    for reference in (classify._newton_roots, scalar_newton_roots):
+    for reference in (lane_newton_roots, scalar_newton_roots):
         with pytest.raises(ToleranceError):
             reference(G, SEEDS, 1e-8)
 
@@ -566,10 +570,29 @@ def test_refused_boundary_zero_has_a_positive_derivative(text, b, refused):
     # both zeros are Newton candidates; the refused one has G' = 2
     G = parse_symbol(text)
     g, _ = classify._ring_test(G)
-    roots = classify._newton_roots(G, classify._boundary_seeds(g), 1e-8)
+    roots = lane_newton_roots(G, classify._boundary_seeds(g), 1e-8)
     (r,) = [r for r in roots if abs(r - refused) <= 1e-8]
     assert complex(G.derivative().eval(r)).real > 0
     assert abs(bp_classify(G).b - b) <= 1e-8
+
+
+@pytest.mark.parametrize("b,text", bp_symbols(boundary=True)[:3]
+                         + bp_symbols(boundary=False)[:3])
+def test_classify_builds_the_derivative_once(monkeypatch, b, text):
+    # the winding test, Newton and the Denjoy-Wolff rule share one G'
+    G = parse_symbol(text)
+    built = []
+    derivative = type(G).derivative
+
+    def counted(self):
+        if self is G:
+            built.append(self)
+        return derivative(self)
+
+    monkeypatch.setattr(type(G), "derivative", counted)
+    verdict = bp_classify(G)
+    assert verdict.status == "Global" and abs(verdict.b - b) <= 1e-11
+    assert len(built) == 1
 
 
 def test_interior_b_with_a_complex_derivative_found_by_newton(monkeypatch):
@@ -580,6 +603,6 @@ def test_interior_b_with_a_complex_derivative_found_by_newton(monkeypatch):
     assert G.derivative().eval(0j) == -0.25 + 1j
     monkeypatch.setattr(classify, "_WINDING_TOL", -1.0)
     g, _ = classify._ring_test(G)
-    assert classify._interior_b(G, g, 1e-8) == []
+    assert classify._interior_b(G, G.derivative(), g, 1e-8) == []
     v = bp_classify(G)
     assert v.status == "Global" and abs(v.b) <= 1e-12

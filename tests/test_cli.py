@@ -491,6 +491,29 @@ def test_evolve_matrix_out_integrates_the_flow_once(tmp_path, capsys,
     assert plain["coeffs"] == doc["coeffs"]
 
 
+@pytest.mark.parametrize("matrix_out", [False, True])
+def test_evolve_at_time_zero_is_the_seed(tmp_path, capsys, matrix_out):
+    # T(0) is the identity: the seed's coefficients bit for bit, and with
+    # --matrix-out the identity matrix
+    out = tmp_path / "evolve.json"
+    matrix = tmp_path / "matrix.csv"
+    extra = ["--matrix-out", str(matrix)] if matrix_out else []
+    assert main(["evolve", "--symbol", "1-z^2", "--f", "1/(1-0.5*z)",
+                 "--t", "0", "--N", "16", "--out", str(out), *extra]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    seed = series.taylor(parse_symbol("1/(1-0.5*z)"), 16).coeffs
+    got = np.array(doc["coeffs"]).view(complex)[:, 0]
+    assert got.tobytes() == seed.tobytes()
+    if matrix_out:
+        lines = matrix.read_text(encoding="utf-8").splitlines()
+        entries = np.array([[float(x) for x in line.split(",")]
+                            for line in lines[1:]]).view(complex)
+        assert np.array_equal(entries, np.eye(17))
+    else:
+        assert doc["matrix"] is None and not matrix.exists()
+
+
 def test_evolve_coeffs_are_written_as_each_complex_value(tmp_path, capsys):
     # the [re, im] rows of one array pass have the bytes that json's
     # default hook writes for each complex value

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from holoflow import (
     parse_symbol,
     series_compose,
     strong_continuity_report,
+    taylor,
     transport_pde_residual,
 )
 
@@ -307,6 +309,25 @@ class TestMaximality:
     def test_node_validation(self):
         with pytest.raises(BadParameter):
             maximality_residual(LINEAR, e(1, 8), H2, 0.5, 7, 1e-10)
+
+    # tracemalloc peaks of the call below when the checks composed each
+    # flow series by Paterson-Stockmeyer on its coefficients (a decay and a
+    # tanh flow, as in the bench): composing on the flow's samples must
+    # hold the peak to them, with its temporaries bounded per pass
+    @pytest.mark.parametrize("symbol,coefficient_route_peak", [
+        ("(-0.5+0.8i)*z", 157424), ("0.7*(1-z^2)", 168672)])
+    def test_peak_memory_is_not_above_the_coefficient_route(
+            self, symbol, coefficient_route_peak):
+        G = parse_symbol(symbol)
+        f = taylor(parse_symbol("1/(1-0.5*z)"), 64)
+        maximality_residual(G, f, H2, 0.5, 16, 1e-9)  # warm caches
+        tracemalloc.start()
+        try:
+            maximality_residual(G, f, H2, 0.5, 16, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= coefficient_route_peak
 
 
 class TestTransport:

@@ -17,10 +17,10 @@ from holoflow import (
     series_compose,
     taylor,
 )
-from holoflow import series
+from holoflow import parse_symbol, semiflow, series
 from holoflow.series import (_compose_arrays, circle_points,
-                             coeffs_from_samples, noise_floor_radius,
-                             power_coeffs)
+                             compose_samples, coeffs_from_samples,
+                             noise_floor_radius, power_coeffs)
 
 GEOM = Ratio(Const(1.0), Poly((1, -1)))  # 1/(1-z)
 
@@ -183,6 +183,62 @@ def test_power_coeffs_of_a_dilation(degree):
     rows = power_coeffs(0.9 * circle_points(degree, r), degree, r)
     want = np.diag(0.9 ** np.arange(degree + 1))
     assert np.max(np.abs(rows - want)) <= 1e-12
+
+
+# compose_samples composes on the flow's circle samples; the reference is
+# series_compose with the flow series taken from the same samples.
+
+SAMPLE_FLOWS = ["(-0.8+1.1i)*z", "0.7*(1-z^2)"]
+SAMPLE_TIMES = [0.3, 0.7, 1.0]
+
+
+def flow_states(text, times, degree):
+    return semiflow._flow_series_path(parse_symbol(text), times, degree,
+                                      1e-10)
+
+
+@pytest.mark.parametrize("degree", [16, 64, 256])
+@pytest.mark.parametrize("text", SAMPLE_FLOWS)
+def test_compose_samples_matches_series_compose(text, degree):
+    f = taylor(parse_symbol("1/(1-0.5*z)"), degree)
+    r, states = flow_states(text, SAMPLE_TIMES, degree)
+    got = compose_samples(f.coeffs, states, r)
+    assert got.shape == (len(SAMPLE_TIMES), degree + 1)
+    for row, u in zip(got, states):
+        want = series_compose(f, coeffs_from_samples(u, degree, r)).coeffs
+        # max |x - ref| / max(max |ref|, 1), the bench oracle's rel_err
+        scale = max(float(np.max(np.abs(want))), 1.0)
+        assert np.max(np.abs(row - want)) / scale <= 1e-12
+
+
+@pytest.mark.parametrize("degree", [16, 64])
+def test_compose_samples_rows_have_the_bits_of_single_calls(degree):
+    # twelve times span more than one pass at degree 16 (eight rows a pass)
+    times = [0.1 * k for k in range(1, 13)]
+    r, states = flow_states("0.7*(1-z^2)", times, degree)
+    rng = np.random.default_rng(5)
+    seeds = [rng.standard_normal(degree + 1) + 1j * rng.standard_normal(
+        degree + 1) for _ in times]
+    batch = compose_samples(seeds, states, r)
+    shared = compose_samples(seeds[0], states, r)
+    for k, u in enumerate(states):
+        alone = compose_samples(seeds[k], [u], r)[0]
+        assert batch[k].tobytes() == alone.tobytes()
+        assert shared[k].tobytes() == compose_samples(
+            seeds[0], [u], r)[0].tobytes()
+
+
+def test_compose_samples_time_zero_rows_are_exact():
+    degree = 32
+    r, states = flow_states("(-0.8+1.1i)*z", [0.0, 0.0, 0.5], degree)
+    assert states[:2] == [None, None]
+    f = taylor(parse_symbol("exp(z)"), degree).coeffs
+    g = f[::-1].copy()
+    got = compose_samples([f, g, f], states, r)
+    assert got[0].tobytes() == f.tobytes()
+    assert got[1].tobytes() == g.tobytes()
+    assert got[2].tobytes() == compose_samples(f, states[2:], r)[0].tobytes()
+    assert compose_samples(f, [None], r)[0].tobytes() == f.tobytes()
 
 
 def test_composition_against_mpmath_on_tanh_flow():
