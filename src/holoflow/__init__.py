@@ -9,155 +9,61 @@ spaces, decides the evaluation condition for those spaces, transfers
 symbols conformally between the disc and a half-plane, and reproduces the
 restriction construction where the generator has the composition form but
 the flow leaves the unit disc.
+
+Importing the package loads none of its modules. Each name of __all__ is
+resolved through the module-level __getattr__ (PEP 562): the first access
+to a name loads the module that defines it, and every access returns that
+module's attribute, so ``holoflow.integrate`` is ``semiflow.integrate``.
+A process that runs one CLI subcommand loads only the modules it runs.
 """
 
-from .classify import (
-    BPVerdict,
-    EscapeWitness,
-    HerglotzReport,
-    bp_build,
-    bp_classify,
-    herglotz_check,
-)
-from .counterexample import (
-    CounterexampleReport,
-    build_counterexample,
-    run_counterexample,
-)
-from .errors import (
-    BadParameter,
-    DegreeMismatch,
-    DomainError,
-    EscapeError,
-    HerglotzError,
-    HoloflowError,
-    NonFiniteError,
-    ParseError,
-    PoleError,
-    StiffnessError,
-    ToleranceError,
-)
-from .expr import (
-    Compose,
-    Const,
-    Exp,
-    HoloExpr,
-    Mobius,
-    Neg,
-    Poly,
-    Product,
-    Ratio,
-    Sum,
-    Var,
-)
-from .geometry import Domain, parse_domain
-from .grammar import parse_symbol
-from .semiflow import (
-    FlowSeries,
-    Status,
-    Trajectory,
-    backward_integrate,
-    escape_time,
-    flow_point,
-    flow_series,
-    integrate,
-    semigroup_residual,
-    trajectory_to_csv,
-)
-from .semigroup import (
-    OperatorMatrix,
-    apply,
-    generator_action,
-    generator_residual,
-    matrix_summary,
-    matrix_to_csv,
-    maximality_residual,
-    operator_matrix,
-    strong_continuity_report,
-    transport_pde_residual,
-)
-from .series import SeriesFn, series_compose, taylor
-from .spaces import (
-    BetaRule,
-    CoefSpace,
-    ConditionEVerdict,
-    parse_space,
-)
-from .transfer import (
-    ConformalPair,
-    cayley,
-    conjugation_residual,
-    mobius_pair,
-    transfer_symbol,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BPVerdict",
-    "BadParameter",
-    "BetaRule",
-    "CoefSpace",
-    "Compose",
-    "ConditionEVerdict",
-    "ConformalPair",
-    "Const",
-    "CounterexampleReport",
-    "DegreeMismatch",
-    "Domain",
-    "DomainError",
-    "EscapeError",
-    "EscapeWitness",
-    "Exp",
-    "FlowSeries",
-    "HerglotzError",
-    "HerglotzReport",
-    "HoloExpr",
-    "HoloflowError",
-    "Mobius",
-    "Neg",
-    "NonFiniteError",
-    "OperatorMatrix",
-    "ParseError",
-    "PoleError",
-    "Poly",
-    "Product",
-    "Ratio",
-    "SeriesFn",
-    "Status",
-    "StiffnessError",
-    "Sum",
-    "ToleranceError",
-    "Trajectory",
-    "Var",
-    "apply",
-    "backward_integrate",
-    "bp_build",
-    "bp_classify",
-    "build_counterexample",
-    "cayley",
-    "conjugation_residual",
-    "escape_time",
-    "flow_point",
-    "flow_series",
-    "generator_action",
-    "generator_residual",
-    "herglotz_check",
-    "integrate",
-    "matrix_summary",
-    "matrix_to_csv",
-    "maximality_residual",
-    "mobius_pair",
-    "operator_matrix",
-    "parse_domain",
-    "parse_space",
-    "parse_symbol",
-    "run_counterexample",
-    "semigroup_residual",
-    "series_compose",
-    "strong_continuity_report",
-    "taylor",
-    "trajectory_to_csv",
-    "transfer_symbol",
-    "transport_pde_residual",
-]
+# The home module of every public name.
+_HOMES = {
+    "classify": ("BPVerdict", "EscapeWitness", "HerglotzReport", "bp_build",
+                 "bp_classify", "herglotz_check"),
+    "counterexample": ("CounterexampleReport", "build_counterexample",
+                       "run_counterexample"),
+    "errors": ("BadParameter", "DegreeMismatch", "DomainError",
+               "EscapeError", "HerglotzError", "HoloflowError",
+               "NonFiniteError", "ParseError", "PoleError", "StiffnessError",
+               "ToleranceError"),
+    "expr": ("Compose", "Const", "Exp", "HoloExpr", "Mobius", "Neg", "Poly",
+             "Product", "Ratio", "Sum", "Var"),
+    "geometry": ("Domain", "parse_domain"),
+    "grammar": ("parse_symbol",),
+    "semiflow": ("FlowSeries", "Status", "Trajectory", "backward_integrate",
+                 "escape_time", "flow_point", "flow_series", "integrate",
+                 "semigroup_residual", "trajectory_to_csv"),
+    "semigroup": ("OperatorMatrix", "apply", "generator_action",
+                  "generator_residual", "matrix_summary", "matrix_to_csv",
+                  "maximality_residual", "operator_matrix",
+                  "strong_continuity_report", "transport_pde_residual"),
+    "series": ("SeriesFn", "series_compose", "taylor"),
+    "spaces": ("BetaRule", "CoefSpace", "ConditionEVerdict", "parse_space"),
+    "transfer": ("ConformalPair", "cayley", "conjugation_residual",
+                 "mobius_pair", "transfer_symbol"),
+}
+
+_MODULE_OF = {name: module for module, names in _HOMES.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    # Not cached in the package namespace: a value patched into the home
+    # module (a test's monkeypatch, bench tracing) is what the package
+    # hands out, and the original again once it is put back.
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    return getattr(importlib.import_module("." + module, __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

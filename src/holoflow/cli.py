@@ -31,6 +31,10 @@ codes: 0 success, 1 parse error (two outputs at one path included) or an
 output path that cannot be written, 2 numeric failure, 3 escape result, 4
 inconclusive verdict. A command that fails writes no artifact. Two runs
 with identical configs produce byte-identical artifacts.
+
+A subcommand loads only the modules it runs: this module imports at its
+top what option parsing and the JSON line need, and each cmd_* handler
+imports the rest on its first call.
 """
 
 from __future__ import annotations
@@ -40,27 +44,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
-from . import counterexample as cx
-from .classify import INCONCLUSIVE, bp_classify
 from .errors import EscapeError, HoloflowError, ParseError
-from .expr import Mobius
-from .geometry import parse_domain
 from .grammar import parse_real, parse_symbol
 from .jsonio import dump_line
-from .portrait import render_portrait
-from .semigroup import (
-    _apply_with_matrix,
-    apply as semigroup_apply,
-    generator_residuals,
-    matrix_summary,
-    matrix_to_csv,
-)
-from .semiflow import integrate, trajectory_to_csv
-from .series import taylor
-from .spaces import parse_space
-from .transfer import cayley, conjugation_residual, mobius_pair, transfer_symbol
 
 SCHEMA_VERSION = "1"
 
@@ -250,6 +236,9 @@ def _report(command: str, v: dict, body: dict) -> dict:
 
 
 def cmd_flow(v: dict) -> tuple[int, dict, dict]:
+    from .geometry import parse_domain
+    from .semiflow import integrate, trajectory_to_csv
+
     G = parse_symbol(v["symbol"])
     domain = parse_domain(v["domain"])
     traj = integrate(G, domain, v["z0"], v["horizon"], v["tol"])
@@ -265,6 +254,9 @@ def cmd_flow(v: dict) -> tuple[int, dict, dict]:
 
 
 def cmd_portrait(v: dict) -> tuple[int, dict, dict]:
+    from .geometry import parse_domain
+    from .portrait import render_portrait
+
     G = parse_symbol(v["symbol"])
     domain = parse_domain(v["domain"])
     svg, counts = render_portrait(G, domain, v["density"], v["horizon"],
@@ -275,6 +267,8 @@ def cmd_portrait(v: dict) -> tuple[int, dict, dict]:
 
 
 def cmd_classify(v: dict) -> tuple[int, dict, dict]:
+    from .classify import INCONCLUSIVE, bp_classify
+
     G = parse_symbol(v["symbol"])
     verdict = bp_classify(G, density=v["density"], tol_b=v["tol-b"],
                           escape_t_max=v["escape-tmax"],
@@ -297,6 +291,11 @@ def cmd_classify(v: dict) -> tuple[int, dict, dict]:
 
 
 def cmd_evolve(v: dict) -> tuple[int, dict, dict]:
+    from .semigroup import (_apply_with_matrix, apply as semigroup_apply,
+                            matrix_summary, matrix_to_csv)
+    from .series import taylor
+    from .spaces import parse_space
+
     G = parse_symbol(v["symbol"])
     seed = taylor(parse_symbol(v["f"]), v["N"])
     matrix_doc, files = None, {}
@@ -319,6 +318,8 @@ def cmd_evolve(v: dict) -> tuple[int, dict, dict]:
 
 
 def cmd_check_e(v: dict) -> tuple[int, dict, dict]:
+    from .spaces import parse_space
+
     space = parse_space(v["space"])
     verdict = space.condition_e()
     report = _report("check-e", v, {
@@ -329,6 +330,12 @@ def cmd_check_e(v: dict) -> tuple[int, dict, dict]:
 
 
 def cmd_generator_check(v: dict) -> tuple[int, dict, dict]:
+    import numpy as np
+
+    from .semigroup import generator_residuals
+    from .series import taylor
+    from .spaces import parse_space
+
     G = parse_symbol(v["symbol"])
     space = parse_space(v["space"])
     seed = taylor(parse_symbol(v["f"]), v["N"])
@@ -358,9 +365,12 @@ def cmd_generator_check(v: dict) -> tuple[int, dict, dict]:
 
 
 def cmd_counterexample(v: dict) -> tuple[int, dict, dict]:
+    from .counterexample import run_counterexample
+    from .semiflow import trajectory_to_csv
+
     F = parse_symbol(v["F"])
-    result = cx.run_counterexample(v["b"], F, v["z0"], t_long=v["T"],
-                                   tol=v["tol"], dw_tol=v["dw-tol"])
+    result = run_counterexample(v["b"], F, v["z0"], t_long=v["T"],
+                                tol=v["tol"], dw_tol=v["dw-tol"])
     report = _report("counterexample", v, {
         "t_exit": result.t_exit,
         "dw_distance": result.dw_distance,
@@ -372,6 +382,10 @@ def cmd_counterexample(v: dict) -> tuple[int, dict, dict]:
 
 
 def _parse_map(v: dict):
+    from .expr import Mobius
+    from .geometry import parse_domain
+    from .transfer import cayley, mobius_pair
+
     text = v["map"].strip()
     if text == "cayley":
         return cayley()
@@ -386,6 +400,8 @@ def _parse_map(v: dict):
 
 
 def cmd_transfer_check(v: dict) -> tuple[int, dict, dict]:
+    from .transfer import conjugation_residual, transfer_symbol
+
     G = parse_symbol(v["symbol"])
     pair = _parse_map(v)
     residual = conjugation_residual(G, pair, v["z0"], v["t"], v["tol"])

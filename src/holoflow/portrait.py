@@ -22,16 +22,12 @@ of the grid.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .expr import HoloExpr
 from .geometry import DISC, Domain, _grid
 from .jsonio import _fixed2, _percent
 from .semiflow import ESCAPED, integrate_seeds
-
-logger = logging.getLogger(__name__)
 
 CANVAS = 800.0
 # a dense sample is drawn only where its step bends farther from the chord
@@ -181,9 +177,13 @@ def render_portrait(G: HoloExpr, domain: Domain, density: int,
                           _CHORD_PX / (fx(1.0) - fx(0.0)))
     # a seed is drawn when its run did not fail, and then has points
     failed = np.flatnonzero(run.counts == 0).tolist()
-    for i in failed:
-        logger.warning("portrait seed %r skipped: %s", seeds[i],
-                       run.outcomes[i])
+    if failed:
+        import logging  # loaded only by a portrait that skips a seed
+
+        logger = logging.getLogger(__name__)
+        for i in failed:
+            logger.warning("portrait seed %r skipped: %s", seeds[i],
+                           run.outcomes[i])
     drawn = np.flatnonzero(run.counts)
     dashed = [run.outcomes[i].kind == ESCAPED for i in drawn.tolist()]
     if dashed:

@@ -53,8 +53,6 @@ from .errors import (
 from .expr import HoloExpr, Neg, compiled
 from .geometry import Domain
 from .jsonio import csv_text
-from .series import (SeriesFn, circle_points, coeffs_from_samples,
-                     noise_floor_radius)
 
 DELTA_WALL = 1e-9  # wall rejection distance
 ESCAPE_DISTANCE = 1e-6  # escape, not stiffness, at a step underflow
@@ -947,6 +945,9 @@ def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
     raises EscapeError (the flow e^t z of z at t = 1: its lanes at r = 0.5
     leave at ln 2). The lanes start with _start_step (CHANGES.md).
     """
+    # series loads with the first flow series: trajectories never need it
+    from .series import circle_points, noise_floor_radius
+
     if degree < 1:
         raise BadParameter("flow series need degree >= 1")
     r = noise_floor_radius(degree)
@@ -972,6 +973,8 @@ def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
 
 def flow_series(G: HoloExpr, t: float, degree: int, tol: float) -> FlowSeries:
     """Taylor coefficients of the time-t flow map about 0."""
+    from .series import SeriesFn, coeffs_from_samples
+
     r, [u] = _flow_series_path(G, [t], degree, tol)
     return FlowSeries(t, SeriesFn.identity(degree) if u is None
                       else coeffs_from_samples(u, degree, r))

@@ -28,7 +28,7 @@ from holoflow import (
     semigroup_residual,
     trajectory_to_csv,
 )
-from holoflow import semiflow
+from holoflow import semiflow, series
 from holoflow.classify import bp_classify
 from holoflow.counterexample import build_counterexample
 from holoflow.semigroup import apply
@@ -702,7 +702,7 @@ def test_start_step_closed_form_on_linear_symbols(c, tol):
     # G = c z: |G(u)| = |c| |u| on every lane, and the Euler probe changes
     # the slope by c^2 h0 u, so h0 = 0.01 / |c| and
     # h = min(1 / |c|, (0.01 / (max(1, |c|) |c| d0))^(1/5))
-    lanes = np.concatenate([semiflow.circle_points(16, 0.6),
+    lanes = np.concatenate([series.circle_points(16, 0.6),
                             semiflow._INTERIOR_LANES])
     G = parse_symbol(c + "*z")
     c = G.eval(1.0)
@@ -714,7 +714,7 @@ def test_start_step_closed_form_on_linear_symbols(c, tol):
 
 
 def test_start_step_of_a_zero_symbol():
-    lanes = np.concatenate([semiflow.circle_points(16, 0.6),
+    lanes = np.concatenate([series.circle_points(16, 0.6),
                             semiflow._INTERIOR_LANES])
     assert semiflow._start_step(parse_symbol("0").eval, lanes, 1e-9)[1] == 1e-6
 
@@ -723,7 +723,7 @@ def test_start_step_of_a_zero_symbol():
 def test_start_step_leaves_out_a_probe_that_meets_a_pole(probe):
     # G = -z, but the Euler probe raises or is not finite: the slope
     # change is left out, h = min(100 h0, (0.01 / d1)^(1/5)), d1 = d0
-    lanes = np.concatenate([semiflow.circle_points(16, 0.6),
+    lanes = np.concatenate([series.circle_points(16, 0.6),
                             semiflow._INTERIOR_LANES])
     calls = []
 
