@@ -34,7 +34,8 @@ with identical configs produce byte-identical artifacts.
 
 A subcommand loads only the modules it runs: this module imports at its
 top what option parsing and the JSON line need, and each cmd_* handler
-imports the rest on its first call.
+fetches the rest through holoflow._submodule, which imports a module on
+its first call.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
+from . import _submodule
 from .errors import EscapeError, HoloflowError, ParseError
 from .grammar import parse_real, parse_symbol
 from .jsonio import dump_line
@@ -236,12 +240,10 @@ def _report(command: str, v: dict, body: dict) -> dict:
 
 
 def cmd_flow(v: dict) -> tuple[int, dict, dict]:
-    from .geometry import parse_domain
-    from .semiflow import integrate, trajectory_to_csv
-
+    semiflow = _submodule("semiflow")
     G = parse_symbol(v["symbol"])
-    domain = parse_domain(v["domain"])
-    traj = integrate(G, domain, v["z0"], v["horizon"], v["tol"])
+    domain = _submodule("geometry").parse_domain(v["domain"])
+    traj = semiflow.integrate(G, domain, v["z0"], v["horizon"], v["tol"])
     summary = {
         "command": "flow",
         "status": traj.status.kind,
@@ -250,29 +252,26 @@ def cmd_flow(v: dict) -> tuple[int, dict, dict]:
         "out": v["out"],
     }
     return (3 if traj.escaped else 0), summary, {
-        v["out"]: trajectory_to_csv(traj)}
+        v["out"]: semiflow.trajectory_to_csv(traj)}
 
 
 def cmd_portrait(v: dict) -> tuple[int, dict, dict]:
-    from .geometry import parse_domain
-    from .portrait import render_portrait
-
     G = parse_symbol(v["symbol"])
-    domain = parse_domain(v["domain"])
-    svg, counts = render_portrait(G, domain, v["density"], v["horizon"],
-                                  v["tol"])
+    domain = _submodule("geometry").parse_domain(v["domain"])
+    svg, counts = _submodule("portrait").render_portrait(
+        G, domain, v["density"], v["horizon"], v["tol"])
     summary = {"command": "portrait", "out": v["out"]}
     summary.update(counts)
     return 0, summary, {v["out"]: svg}
 
 
 def cmd_classify(v: dict) -> tuple[int, dict, dict]:
-    from .classify import INCONCLUSIVE, bp_classify
-
+    classify = _submodule("classify")
     G = parse_symbol(v["symbol"])
-    verdict = bp_classify(G, density=v["density"], tol_b=v["tol-b"],
-                          escape_t_max=v["escape-tmax"],
-                          escape_tol=v["tol"])
+    verdict = classify.bp_classify(G, density=v["density"],
+                                   tol_b=v["tol-b"],
+                                   escape_t_max=v["escape-tmax"],
+                                   escape_tol=v["tol"])
     witness = certificate = None
     if verdict.witness is not None:
         witness = {"z0": verdict.witness.z0,
@@ -287,27 +286,24 @@ def cmd_classify(v: dict) -> tuple[int, dict, dict]:
         "witness": witness,
         "certificate": certificate,
     })
-    return (4 if verdict.status == INCONCLUSIVE else 0), report, {}
+    return (4 if verdict.status == classify.INCONCLUSIVE else 0), report, {}
 
 
 def cmd_evolve(v: dict) -> tuple[int, dict, dict]:
-    from .semigroup import (_apply_with_matrix, apply as semigroup_apply,
-                            matrix_summary, matrix_to_csv)
-    from .series import taylor
-    from .spaces import parse_space
-
+    semigroup = _submodule("semigroup")
     G = parse_symbol(v["symbol"])
-    seed = taylor(parse_symbol(v["f"]), v["N"])
+    seed = _submodule("series").taylor(parse_symbol(v["f"]), v["N"])
     matrix_doc, files = None, {}
     if v["matrix-out"] is None:
-        result = semigroup_apply(G, v["t"], seed, v["tol"])
+        result = semigroup.apply(G, v["t"], seed, v["tol"])
     else:
-        result, matrix = _apply_with_matrix(G, v["t"], seed, v["tol"])
-        matrix_doc = matrix_summary(matrix)
-        files[v["matrix-out"]] = matrix_to_csv(matrix)
+        result, matrix = semigroup._apply_with_matrix(G, v["t"], seed,
+                                                      v["tol"])
+        matrix_doc = semigroup.matrix_summary(matrix)
+        files[v["matrix-out"]] = semigroup.matrix_to_csv(matrix)
     norm = None
     if v["space"] is not None:
-        norm = parse_space(v["space"]).norm(result)
+        norm = _submodule("spaces").parse_space(v["space"]).norm(result)
     report = _report("evolve", v, {
         # [re, im] rows in one pass: the bytes of _plain on each value
         "coeffs": result.coeffs.view(float).reshape(-1, 2).tolist(),
@@ -318,9 +314,7 @@ def cmd_evolve(v: dict) -> tuple[int, dict, dict]:
 
 
 def cmd_check_e(v: dict) -> tuple[int, dict, dict]:
-    from .spaces import parse_space
-
-    space = parse_space(v["space"])
+    space = _submodule("spaces").parse_space(v["space"])
     verdict = space.condition_e()
     report = _report("check-e", v, {
         "status": verdict.status,
@@ -330,19 +324,14 @@ def cmd_check_e(v: dict) -> tuple[int, dict, dict]:
 
 
 def cmd_generator_check(v: dict) -> tuple[int, dict, dict]:
-    import numpy as np
-
-    from .semigroup import generator_residuals
-    from .series import taylor
-    from .spaces import parse_space
-
     G = parse_symbol(v["symbol"])
-    space = parse_space(v["space"])
-    seed = taylor(parse_symbol(v["f"]), v["N"])
+    space = _submodule("spaces").parse_space(v["space"])
+    seed = _submodule("series").taylor(parse_symbol(v["f"]), v["N"])
     steps = [v["h"], v["h"] / 2.0, v["h"] / 4.0]
     residuals = [
         {"h": h, "residual": r} for h, r in zip(
-            steps, generator_residuals(G, seed, space, steps, v["tol"]))
+            steps, _submodule("semigroup").generator_residuals(
+                G, seed, space, steps, v["tol"]))
     ]
     pairs = [(r["h"], r["residual"]) for r in residuals if r["residual"] > 0]
     slope = slope_reason = None
@@ -365,12 +354,9 @@ def cmd_generator_check(v: dict) -> tuple[int, dict, dict]:
 
 
 def cmd_counterexample(v: dict) -> tuple[int, dict, dict]:
-    from .counterexample import run_counterexample
-    from .semiflow import trajectory_to_csv
-
     F = parse_symbol(v["F"])
-    result = run_counterexample(v["b"], F, v["z0"], t_long=v["T"],
-                                tol=v["tol"], dw_tol=v["dw-tol"])
+    result = _submodule("counterexample").run_counterexample(
+        v["b"], F, v["z0"], t_long=v["T"], tol=v["tol"], dw_tol=v["dw-tol"])
     report = _report("counterexample", v, {
         "t_exit": result.t_exit,
         "dw_distance": result.dw_distance,
@@ -378,36 +364,35 @@ def cmd_counterexample(v: dict) -> tuple[int, dict, dict]:
         "trajectory_csv": v["trajectory-out"],
     })
     return (0 if result.conclusive else 4), report, {
-        v["trajectory-out"]: trajectory_to_csv(result.trajectory)}
+        v["trajectory-out"]: _submodule("semiflow").trajectory_to_csv(
+            result.trajectory)}
 
 
 def _parse_map(v: dict):
-    from .expr import Mobius
-    from .geometry import parse_domain
-    from .transfer import cayley, mobius_pair
-
+    transfer = _submodule("transfer")
     text = v["map"].strip()
     if text == "cayley":
-        return cayley()
+        return transfer.cayley()
     if text.startswith("mobius:"):
         # the grammar's mobius(...), so the constants follow its rules
         m = parse_symbol("mobius(%s)" % text[len("mobius:"):])
-        if not isinstance(m, Mobius):
+        if not isinstance(m, _submodule("expr").Mobius):
             raise ParseError("mobius map needs 4 constants, got %r" % (text,))
-        return mobius_pair(m, parse_domain(v["source"]),
-                           parse_domain(v["target"]))
+        geometry = _submodule("geometry")
+        return transfer.mobius_pair(m, geometry.parse_domain(v["source"]),
+                                    geometry.parse_domain(v["target"]))
     raise ParseError("unknown map %r" % (text,))
 
 
 def cmd_transfer_check(v: dict) -> tuple[int, dict, dict]:
-    from .transfer import conjugation_residual, transfer_symbol
-
+    transfer = _submodule("transfer")
     G = parse_symbol(v["symbol"])
     pair = _parse_map(v)
-    residual = conjugation_residual(G, pair, v["z0"], v["t"], v["tol"])
+    residual = transfer.conjugation_residual(G, pair, v["z0"], v["t"],
+                                             v["tol"])
     report = _report("transfer-check", v, {
         "residual": residual,
-        "transferred_symbol": str(transfer_symbol(G, pair)),
+        "transferred_symbol": str(transfer.transfer_symbol(G, pair)),
     })
     return 0, report, {}
 

@@ -43,6 +43,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _submodule
 from .errors import (
     BadParameter,
     DomainError,
@@ -946,16 +947,15 @@ def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
     leave at ln 2). The lanes start with _start_step (CHANGES.md).
     """
     # series loads with the first flow series: trajectories never need it
-    from .series import circle_points, noise_floor_radius
-
+    series = _submodule("series")
     if degree < 1:
         raise BadParameter("flow series need degree >= 1")
-    r = noise_floor_radius(degree)
+    r = series.noise_floor_radius(degree)
     positive = _run_times(times, tol)
     idle = [None] * (len(times) - len(positive))
     if not positive:
         return r, idle
-    circle = circle_points(degree, r)
+    circle = series.circle_points(degree, r)
     lanes = np.concatenate([circle, _INTERIOR_LANES])
     rhs = compiled(G)
     with np.errstate(all="ignore"):  # non-finite lanes are rejected
@@ -973,11 +973,10 @@ def _flow_series_path(G: HoloExpr, times: list[float], degree: int,
 
 def flow_series(G: HoloExpr, t: float, degree: int, tol: float) -> FlowSeries:
     """Taylor coefficients of the time-t flow map about 0."""
-    from .series import SeriesFn, coeffs_from_samples
-
+    series = _submodule("series")
     r, [u] = _flow_series_path(G, [t], degree, tol)
-    return FlowSeries(t, SeriesFn.identity(degree) if u is None
-                      else coeffs_from_samples(u, degree, r))
+    return FlowSeries(t, series.SeriesFn.identity(degree) if u is None
+                      else series.coeffs_from_samples(u, degree, r))
 
 
 # -- CSV export ---------------------------------------------------------------
